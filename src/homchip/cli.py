@@ -61,7 +61,6 @@ class RunConfig:
     preset: str | None = None
     pc0: str = "both"
     output_format: str = "csv+svg"
-    seed: int | None = None  # reserved; the engine is deterministic
 
 
 def _fmt(value) -> str:
@@ -233,9 +232,10 @@ def cmd_dip(run: RunConfig) -> int:
     pm = build_pm(config)
     taus = np.arange(-10.0, 10.0 + 1e-9, 0.05)
     grid = build_grid(run, config)
+    # the unfiltered dip needs the wide window whatever --grid-halfwidth-nm says
     wide = SpectralGrid(
         center_wavelength_nm=config.center_wavelength_nm,
-        half_width_nm=run.grid_halfwidth_nm or 300.0,
+        half_width_nm=300.0,
         samples=run.grid_samples or 4096,
     )
     curves = q.dip_scenarios(

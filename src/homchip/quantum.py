@@ -7,16 +7,36 @@ populates exactly one ordering); physical exchange symmetry is applied
 at detection, where the amplitude A[r, s](Omega) is combined with its
 partner A[s, r](-Omega) before squaring.
 
-Elements act sample-by-sample:
+The circuit is one list of steps, each an element in its sparsest exact
+form: per-mode propagation phases, a 2x2 converter block on the upper
+path, or a constant 4x4 splitter matrix.  The steps are used two ways.
+
+hom_scan, the fast path, uses that the source emits one product mode
+pair, photon 1 in (upper, H) and photon 2 in (upper, V) with the joint
+amplitude phi(Omega), and that every element is linear: two per-photon
+mode vectors u1, u2 of shape (N, 4) carry the state exactly,
+
+    A[a, b](Omega) = u1[a](omega0 + Omega) u2[b](omega0 - Omega) phi(Omega),
+
+and A is formed only at detection, for the output pairs.  The
+source-to-splitter prefix depends on a setting only through the first
+converter, so a scan evolves it once per (pc0_on, pc0_efficiency); the
+triple converter matrix and the phases of each section length are
+computed once per scan.
+
+chain_transfers embeds the same steps as dense (N, 4, 4) matrices, and
+apply_element acts with them on the full tensor sample-by-sample:
 
     A'[a, b](Omega) = sum_pq U(omega0+Omega)[a,p] U(omega0-Omega)[b,q] A[p,q](Omega)
 
-and every lossless element keeps the midpoint-rule norm
-sum |A|^2 dOmega = 1.  Detection uses polarization-insensitive bucket
-detectors, one per output path, both behind the same spectral filter;
-this minimal projector set stands in for the unspecified general
-measurement description.  Wavelength-flat losses are excluded here (they
-cancel in normalized quantities) and live in the rate budget instead.
+This dense path (build_source_state, apply_element, run_chain,
+coincidence_probability) is the oracle the fast path is tested against.
+Every lossless element keeps the midpoint-rule norm sum |A|^2 dOmega = 1.
+Detection uses polarization-insensitive bucket detectors, one per output
+path, both behind the same spectral filter; this minimal projector set
+stands in for the unspecified general measurement description.
+Wavelength-flat losses are excluded here (they cancel in normalized
+quantities) and live in the rate budget instead.
 """
 
 import math
@@ -94,21 +114,19 @@ def jones_transfer(
     return ElementTransfer(label, mats)
 
 
-def path_transfer(grid: SpectralGrid, coupler: np.ndarray, label="coupler") -> ElementTransfer:
-    """Embed a 2x2 (upper, lower) path matrix, identical for both polarizations."""
-    coupler = np.asarray(coupler, dtype=complex)
-    mats = np.zeros((grid.samples, N_MODES, N_MODES), dtype=complex)
-    for pol in (Polarization.H, Polarization.V):
-        idx = [mode_index(Path.UPPER, pol), mode_index(Path.LOWER, pol)]
-        for i in range(2):
-            for j in range(2):
-                mats[:, idx[i], idx[j]] = coupler[i, j]
-    return ElementTransfer(label, mats)
-
-
 def mode_matrix_transfer(grid: SpectralGrid, matrix: np.ndarray, label) -> ElementTransfer:
     mats = np.broadcast_to(np.asarray(matrix, dtype=complex), (grid.samples, N_MODES, N_MODES))
     return ElementTransfer(label, np.array(mats))
+
+
+def _propagation_phases(grid: SpectralGrid, length_mm: float, model, paths) -> np.ndarray:
+    """Per-mode phases (N, 4) of a birefringent section on the given paths."""
+    diag = np.ones((grid.samples, N_MODES), dtype=complex)
+    for pol in (Polarization.H, Polarization.V):
+        phase = el.propagation_transfer(pol, length_mm, grid, model)
+        for path in paths:
+            diag[:, mode_index(path, pol)] = phase
+    return diag
 
 
 def propagation_element(
@@ -120,15 +138,141 @@ def propagation_element(
 ) -> ElementTransfer:
     """Birefringent propagation phases over a waveguide section."""
     label = label or f"propagation {length_mm:g} mm"
-    mats = np.zeros((grid.samples, N_MODES, N_MODES), dtype=complex)
-    diag = np.ones((grid.samples, N_MODES), dtype=complex)
-    for pol in (Polarization.H, Polarization.V):
-        phase = el.propagation_transfer(pol, length_mm, grid, model)
-        for path in paths:
-            diag[:, mode_index(path, pol)] = phase
-    k = np.arange(N_MODES)
-    mats[:, k, k] = diag
-    return ElementTransfer(label, mats)
+    phases = _propagation_phases(grid, length_mm, model, paths)
+    return _Step(label, "phase", phases).transfer(grid)
+
+
+# ---------------------------------------------------------------------------
+# the chain as a step list
+
+
+@dataclass(frozen=True)
+class _Step:
+    """One chain element in its sparsest exact form.
+
+    kind "phase": data (N, 4), per-mode propagation phases (a diagonal);
+    kind "jones": data (2, 2) or (N, 2, 2), an (H, V) block on the upper path;
+    kind "modes": data (4, 4), a frequency-independent mode matrix.
+    """
+
+    label: str
+    kind: str
+    data: np.ndarray
+
+    def transfer(self, grid: SpectralGrid) -> ElementTransfer:
+        """Dense (N, 4, 4) form, as apply_element consumes it."""
+        if self.kind == "jones":
+            return jones_transfer(grid, self.data, label=self.label)
+        if self.kind == "modes":
+            return mode_matrix_transfer(grid, self.data, self.label)
+        mats = np.zeros((grid.samples, N_MODES, N_MODES), dtype=complex)
+        k = np.arange(N_MODES)
+        mats[:, k, k] = self.data
+        return ElementTransfer(self.label, mats)
+
+    def apply(self, vectors: np.ndarray) -> np.ndarray:
+        """Act on per-photon mode vectors (photons, N, 4) sampled at omega0 + Omega."""
+        if self.kind == "phase":
+            return vectors * self.data
+        if self.kind == "modes":
+            return vectors @ self.data.T
+        j, (h, v) = self.data, OUT_UPPER  # (upper, H), (upper, V)
+        out = vectors.copy()
+        out[..., h] = j[..., 0, 0] * vectors[..., h] + j[..., 0, 1] * vectors[..., v]
+        out[..., v] = j[..., 1, 0] * vectors[..., h] + j[..., 1, 1] * vectors[..., v]
+        return out
+
+
+@dataclass
+class _Chain:
+    """The circuit from the source midpoint to the outputs, as steps.
+
+    Holds what a scan shares: the converter and splitter matrices and the
+    phases of every section length met so far.  prefix() runs to the
+    polarizing-splitter exit and depends on the setting only through
+    (pc0_on, pc0_efficiency); suffix() is the rest.  Keywords as for
+    chain_transfers.
+    """
+
+    layout: chip_mod.ChipLayout
+    pm: el.PmSpec
+    grid: SpectralGrid
+    model: dispersion.DispersionModel | None = None
+    temperature_c: float | None = None
+    pbs_extinction_db: float = math.inf
+    pc_conversion_db: float | None = None
+    bs: el.BsSpec | None = None
+    flat_converters: bool = False
+
+    def __post_init__(self):
+        self.model = self.model or dispersion.default_model()
+        if self.temperature_c is None:
+            self.temperature_c = self.pm.reference_temperature_c
+        self.pbs = el.pbs_transfer(self.pbs_extinction_db)
+        triple = el.PcSpec(
+            length_mm=3.0 * self.layout.segment_length_mm, temperature_c=self.temperature_c
+        )
+        if self.pc_conversion_db is not None:
+            triple = triple.with_conversion_db(self.pc_conversion_db)
+        self.triple = self._converter(triple)
+        self._phases = {}
+
+    def _converter(self, pc: el.PcSpec) -> np.ndarray:
+        if self.flat_converters:
+            return el.pc_flat_matrix(pc)
+        return el.pc_chain_matrix(pc, self.grid.wavelength_plus_nm, self.model, self.pm)
+
+    def _propagation(self, length_mm, label, paths=(Path.UPPER, Path.LOWER)) -> _Step:
+        key = (length_mm, paths)
+        if key not in self._phases:
+            self._phases[key] = _propagation_phases(self.grid, length_mm, self.model, paths)
+        return _Step(label, "phase", self._phases[key])
+
+    def prefix(self, setting: chip_mod.SwitchSetting) -> list:
+        pc0 = el.PcSpec(length_mm=self.layout.pc0_length_mm, temperature_c=self.temperature_c)
+        pc0 = (
+            pc0.with_drive_efficiency(setting.pc0_efficiency)
+            if setting.pc0_on
+            else replace(pc0, voltage_v=0.0)
+        )
+        half_pc0 = self.layout.pc0_length_mm / 2.0
+        return [
+            self._propagation(self.layout.pdc_length_mm / 2.0, "source second half"),
+            self._propagation(half_pc0, "first converter, front half"),
+            _Step("first converter", "jones", self._converter(pc0)),
+            self._propagation(half_pc0, "first converter, back half"),
+            self._propagation(self.layout.pbs_length_mm, "splitter region"),
+            _Step("polarizing splitter", "modes", self.pbs),
+        ]
+
+    def suffix(self, setting: chip_mod.SwitchSetting) -> list:
+        if setting.triple_index is None:
+            raise chip_mod.LayoutError(
+                "no active triple: no interference configuration", key="triple_index"
+            )
+        chip_mod.validate_setting(self.layout, setting)
+        layout, m = self.layout, setting.triple_index
+        seg = layout.segment_length_mm
+        z_mid = (m + 0.5) * seg  # triple midpoint, from the splitter exit
+        steps = [
+            self._propagation(z_mid, "segments up to triple midpoint"),
+            _Step(f"triple {m}", "jones", self.triple),
+            self._propagation(layout.segment_count * seg - z_mid, "remaining segments"),
+        ]
+        if layout.branch_length_mismatch_mm:
+            steps.append(
+                self._propagation(
+                    layout.branch_length_mismatch_mm, "branch mismatch", paths=(Path.UPPER,)
+                )
+            )
+        steps.append(self._propagation(layout.bs_block_length_mm, "output block"))
+        bs = self.bs
+        if bs is None:
+            bs = replace(el.ideal_bs(), u11_v=setting.bs_voltages[0], u12_v=setting.bs_voltages[1])
+        # the same (upper, lower) coupler for both polarizations; MODE_ORDER is path-major
+        coupler = np.kron(el.bs_transfer(bs), np.eye(2))
+        steps.append(_Step("balanced splitter", "modes", coupler))
+        return steps
 
 
 # ---------------------------------------------------------------------------
@@ -175,14 +319,13 @@ def chain_transfers(
     setting: chip_mod.SwitchSetting,
     pm: el.PmSpec,
     grid: SpectralGrid,
-    model=None,
-    temperature_c: float | None = None,
-    pbs_extinction_db: float = math.inf,
-    pc_conversion_db: float | None = None,
-    bs: el.BsSpec | None = None,
-    flat_converters: bool = False,
+    **chain_kwargs,
 ) -> list:
-    """Ordered element transfers from the source midpoint to the outputs.
+    """Ordered dense element transfers from the source midpoint to the outputs.
+
+    Keywords: model, temperature_c, pbs_extinction_db (inf = ideal),
+    pc_conversion_db (None = full conversion), bs (None = the ideal
+    coupler at the setting's voltages) and flat_converters.
 
     Each converter region is modeled as half its birefringent
     propagation, the midpoint-lumped coupled-mode matrix, then the other
@@ -195,67 +338,9 @@ def chain_transfers(
     reference case in which the interference dip reaches zero; the
     default keeps their real conversion bandwidth.
     """
-    if setting.triple_index is None:
-        raise chip_mod.LayoutError(
-            "no active triple: no interference configuration", key="triple_index"
-        )
-    chip_mod.validate_setting(layout, setting)
-    model = model or dispersion.default_model()
-    t = pm.reference_temperature_c if temperature_c is None else temperature_c
-
-    pc0 = el.PcSpec(length_mm=layout.pc0_length_mm, temperature_c=t)
-    pc0 = (
-        pc0.with_drive_efficiency(setting.pc0_efficiency)
-        if setting.pc0_on
-        else replace(pc0, voltage_v=0.0)
-    )
-    triple = el.PcSpec(length_mm=3.0 * layout.segment_length_mm, temperature_c=t)
-    if pc_conversion_db is not None:
-        triple = triple.with_conversion_db(pc_conversion_db)
-
-    if bs is None:
-        bs = el.ideal_bs()
-        bs = replace(bs, u11_v=setting.bs_voltages[0], u12_v=setting.bs_voltages[1])
-
-    lam_plus = grid.wavelength_plus_nm
-
-    def converter_block(pc):
-        if flat_converters:
-            return el.pc_flat_matrix(pc)
-        return el.pc_chain_matrix(pc, lam_plus, model, pm)
-
-    m = setting.triple_index
-    seg = layout.segment_length_mm
-    half_pc0 = layout.pc0_length_mm / 2.0
-    z_mid = (m + 0.5) * seg  # triple midpoint, from the splitter exit
-    transfers = [
-        propagation_element(grid, layout.pdc_length_mm / 2.0, model, label="source second half"),
-        propagation_element(grid, half_pc0, model, label="first converter, front half"),
-        jones_transfer(grid, converter_block(pc0), label="first converter"),
-        propagation_element(grid, half_pc0, model, label="first converter, back half"),
-        propagation_element(grid, layout.pbs_length_mm, model, label="splitter region"),
-        mode_matrix_transfer(grid, el.pbs_transfer(pbs_extinction_db), label="polarizing splitter"),
-        propagation_element(grid, z_mid, model, label="segments up to triple midpoint"),
-        jones_transfer(grid, converter_block(triple), label=f"triple {m}"),
-        propagation_element(
-            grid, layout.segment_count * seg - z_mid, model, label="remaining segments"
-        ),
-    ]
-    if layout.branch_length_mismatch_mm:
-        transfers.append(
-            propagation_element(
-                grid,
-                layout.branch_length_mismatch_mm,
-                model,
-                paths=(Path.UPPER,),
-                label="branch mismatch",
-            )
-        )
-    transfers.append(
-        propagation_element(grid, layout.bs_block_length_mm, model, label="output block")
-    )
-    transfers.append(path_transfer(grid, el.bs_transfer(bs), label="balanced splitter"))
-    return transfers
+    chain = _Chain(layout, pm, grid, **chain_kwargs)
+    steps = chain.suffix(setting)  # validates the setting first
+    return [step.transfer(grid) for step in chain.prefix(setting) + steps]
 
 
 def run_chain(
@@ -321,6 +406,22 @@ def grid_flip_swap(values: np.ndarray) -> np.ndarray:
 # scans
 
 
+def _rank_one_coincidence(vectors, phi, weight, d_omega) -> float:
+    """coincidence_probability of A[a, b](Omega) = u1[a](Omega) u2[b](-Omega) phi(Omega),
+    formed only for the output pairs and their exchange partners.
+
+    vectors[0] is photon 1 and vectors[1] photon 2, both sampled at
+    omega0 + Omega; photon 2 is read on the flipped axis.
+    """
+    u1 = vectors[0].T
+    u2 = vectors[1, ::-1].T
+    upper, lower = np.array(OUT_UPPER)[:, None], np.array(OUT_LOWER)[None, :]
+    direct = u1[upper] * u2[lower] * phi  # A[a, b](Omega)
+    partner = u1[lower] * u2[upper] * phi  # A[b, a](Omega)
+    block = direct + partner[:, :, ::-1]
+    return float(np.sum(np.abs(block) ** 2 * weight) * d_omega)
+
+
 def hom_scan(
     layout: chip_mod.ChipLayout,
     settings,
@@ -329,16 +430,38 @@ def hom_scan(
     filters=None,
     **chain_kwargs,
 ) -> list:
-    """Raw coincidence versus switch setting, with the schedule delays."""
-    model = chain_kwargs.get("model") or dispersion.default_model()
-    chain_kwargs["model"] = model
+    """Raw coincidence versus switch setting, with the schedule delays.
+
+    Runs the per-photon engine of the module docstring; keywords as for
+    chain_transfers.  Equals coincidence_probability(run_chain(...)) to
+    rounding.
+    """
+    chain = _Chain(layout, pm, grid, **chain_kwargs)
+    i_h = mode_index(Path.UPPER, Polarization.H)
+    i_v = mode_index(Path.UPPER, Polarization.V)
+    source = build_source_state(pm, grid, model=chain.model, temperature_c=chain.temperature_c)
+    phi = source.values[i_h, i_v]
+    weight = _filter_weight(grid, filters)
+    start = np.zeros((2, grid.samples, N_MODES), dtype=complex)
+    start[0, :, i_h] = start[1, :, i_v] = 1.0
+    prefixes = {}
     points = []
     for setting in settings:
-        state = run_chain(layout, setting, pm, grid, **chain_kwargs)
-        raw = coincidence_probability(state, filters)
-        delay = chip_mod.delay_schedule(layout, setting, model)
+        suffix = chain.suffix(setting)
+        key = (setting.pc0_on, setting.pc0_efficiency)
+        if key not in prefixes:
+            prefixes[key] = _evolve(start, chain.prefix(setting))
+        vectors = _evolve(prefixes[key], suffix)
+        raw = _rank_one_coincidence(vectors, phi, weight, grid.d_omega)
+        delay = chip_mod.delay_schedule(layout, setting, chain.model)
         points.append(ScanPoint(setting=setting, delay_ps=delay, raw=raw))
     return points
+
+
+def _evolve(vectors: np.ndarray, steps) -> np.ndarray:
+    for step in steps:
+        vectors = step.apply(vectors)
+    return vectors
 
 
 def reference_mask_longest_off_delay(points) -> list:

@@ -8,6 +8,7 @@ total and the heralding efficiency disagree by about 2 dB in the source
 characterization itself; that tension is reported, not resolved.
 """
 
+import math
 from dataclasses import dataclass
 
 
@@ -103,7 +104,7 @@ def reconciliation_note(
 ) -> str:
     """One-paragraph note on the loss-budget versus heralding tension."""
     budget = budget or default_loss_budget()
-    implied_db = -10.0 * _log10(klyshko)
+    implied_db = -10.0 * math.log10(klyshko)
     gap_db = implied_db - stated_total_db
     return (
         f"itemized off-chip chain: {budget.total_db:.1f} dB "
@@ -114,9 +115,3 @@ def reconciliation_note(
         f"The {gap_db:.1f} dB gap is carried over from the device "
         f"characterization and is reported here rather than resolved."
     )
-
-
-def _log10(x: float) -> float:
-    import math
-
-    return math.log10(x)

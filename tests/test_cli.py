@@ -168,3 +168,18 @@ def test_module_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert "heralding" in result.stdout
+
+
+def test_dip_halfwidth_flag_keeps_unfiltered_window(tmp_path, capsys):
+    # --grid-halfwidth-nm narrows only the filtered grid; the unfiltered
+    # triangle keeps its +-300 nm window and is not truncated
+    base = ["dip", "--grid-samples", "1024", "--format", "csv"]
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(base + ["--out", str(a)]) == 0
+    assert main(base + ["--grid-halfwidth-nm", "3", "--out", str(b)]) == 0
+
+    def rows(out, scenario):
+        return [l for l in read_lines(out / "dip.csv") if l.endswith("," + scenario)]
+
+    assert rows(a, "unfiltered") == rows(b, "unfiltered")
+    assert rows(a, "rectangular") != rows(b, "rectangular")

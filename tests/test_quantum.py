@@ -3,9 +3,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from homchip.chip import ChipLayout, LayoutError, SwitchSetting, enumerate_settings
-from homchip.dispersion import default_model, group_index_difference
+from homchip.chip import (
+    ChipLayout,
+    LayoutError,
+    SwitchSetting,
+    delay_schedule,
+    enumerate_settings,
+    valid_triples,
+)
+from homchip.dispersion import default_model, group_index_difference, walk_off_time
 from homchip.elements import BsSpec, FilterSpec, PmSpec
 from homchip.grid import SpectralGrid
 from homchip import quantum as q
@@ -422,3 +431,104 @@ def test_grid_convergence_of_scan(layout, pm, lorentz):
         )
     )
     assert max(abs(x.normalized - y.normalized) for x, y in zip(a, b)) < 1e-4
+
+
+# ---------------------------------------------------------------- properties
+
+# Inputs drawn by the property tests: layouts with and without a broken
+# segment and a branch mismatch, settings with coupler voltages and a first
+# converter drive, temperatures within 2 C of the operating point, and the
+# imperfections and filters the CLI offers.
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+@st.composite
+def scan_inputs(draw):
+    layout = ChipLayout(
+        branch_length_mismatch_mm=draw(st.sampled_from([0.0, 0.0, 0.004, 0.02]))
+    )
+    template = SwitchSetting(
+        disabled_segments=draw(st.sampled_from([(), (4,), (10,)])),
+        bs_voltages=(draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))),
+    )
+    drives = st.sampled_from([1.0, draw(st.floats(0.9, 1.0))])
+    chosen = [
+        replace(s, pc0_efficiency=draw(drives))
+        for s in draw(
+            st.lists(st.sampled_from(enumerate_settings(layout, template)), min_size=1, max_size=5)
+        )
+    ]
+    filters = draw(
+        st.sampled_from(
+            [
+                None,
+                FilterSpec("rectangular", LAM0, draw(st.floats(1.5, 3.0))),
+                FilterSpec("lorentzian", LAM0, draw(st.floats(0.8, 2.0))),
+            ]
+        )
+    )
+    kwargs = dict(
+        temperature_c=draw(st.floats(41.6, 45.6)),
+        pbs_extinction_db=draw(st.one_of(st.just(math.inf), st.floats(10.0, 40.0))),
+        pc_conversion_db=draw(st.one_of(st.none(), st.floats(15.0, 30.0))),
+        flat_converters=draw(st.booleans()),
+    )
+    return layout, chosen, filters, kwargs
+
+
+@PROPERTY_SETTINGS
+@given(inputs=scan_inputs())
+def test_hom_scan_matches_dense_oracle(inputs, pm, model):
+    layout, chosen, filters, kwargs = inputs
+    grid = SpectralGrid(half_width_nm=6.0, samples=512)
+    points = q.hom_scan(layout, chosen, pm, grid, filters=filters, model=model, **kwargs)
+    for setting, point in zip(chosen, points):
+        state = q.run_chain(layout, setting, pm, grid, model=model, **kwargs)
+        dense = q.coincidence_probability(state, filters)
+        if dense >= 1e-12:
+            assert abs(point.raw - dense) <= 1e-12 * dense, setting
+        else:
+            assert abs(point.raw - dense) <= 1e-15, setting
+
+
+@PROPERTY_SETTINGS
+@given(inputs=scan_inputs(), seed=st.integers(0, 2**32 - 1))
+def test_every_chain_step_keeps_photon_norms(inputs, seed, pm, model):
+    layout, chosen, _, kwargs = inputs
+    grid = SpectralGrid(half_width_nm=6.0, samples=256)
+    chain = q._Chain(layout, pm, grid, model=model, **kwargs)
+    rng = np.random.default_rng(seed)
+    vectors = rng.normal(size=(2, grid.samples, 4)) + 1j * rng.normal(size=(2, grid.samples, 4))
+    vectors /= np.linalg.norm(vectors, axis=-1, keepdims=True)
+    for step in chain.prefix(chosen[0]) + chain.suffix(chosen[0]):
+        vectors = step.apply(vectors)
+        norms = np.linalg.norm(vectors, axis=-1)
+        assert np.max(np.abs(norms - 1.0)) <= 1e-12, step.label
+
+
+@PROPERTY_SETTINGS
+@given(
+    geometry=st.fixed_dictionaries(
+        dict(
+            pdc_length_mm=st.floats(5.0, 40.0),
+            pc0_length_mm=st.floats(2.0, 15.0),
+            pbs_length_mm=st.floats(1.0, 8.0),
+            segment_length_mm=st.floats(0.5, 5.0),
+            segment_count=st.integers(3, 16),
+            bs_block_length_mm=st.floats(2.0, 20.0),
+            branch_length_mismatch_mm=st.floats(0.0, 0.05),
+        )
+    ),
+    broken=st.sets(st.integers(1, 16), max_size=2),
+)
+def test_delay_schedule_affine_over_random_layouts(geometry, broken, model):
+    layout = ChipLayout(**geometry)
+    disabled = {s for s in broken if s <= layout.segment_count}
+    step = float(walk_off_time(model, layout.segment_length_mm))
+    for pc0_on in (False, True):
+        triples = valid_triples(layout, disabled)
+        delays = [
+            delay_schedule(layout, SwitchSetting(pc0_on, m, disabled), model) for m in triples
+        ]
+        for m, d in zip(triples[1:], delays[1:]):
+            assert d - delays[0] == pytest.approx((m - triples[0]) * step, abs=1e-9)
