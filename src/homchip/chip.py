@@ -12,23 +12,13 @@ arrives later.
 """
 
 import math
-from dataclasses import dataclass, field, replace
-
-from scipy.constants import c as C_VACUUM
+from dataclasses import dataclass, field, fields, replace
 
 from . import dispersion
-from .elements import FilterSpec
+from .elements import OPERATING_TEMPERATURE_C, OPERATING_WAVELENGTH_NM, FilterSpec
+from .grid import C_VACUUM
 
-_AS_BUILT_GEOMETRY = dict(
-    pdc_length_mm=20.7,
-    pc0_length_mm=7.62,
-    pbs_length_mm=4.0,
-    segment_length_mm=2.54,
-    segment_count=10,
-    bs_block_length_mm=13.1,
-)
-
-DEFAULT_PUMP_WAVELENGTH_NM = 775.85  # degenerate pairs at 1551.7 nm
+DEFAULT_PUMP_WAVELENGTH_NM = OPERATING_WAVELENGTH_NM / 2.0  # degenerate pairs
 
 
 class LayoutError(ValueError):
@@ -51,12 +41,14 @@ class LayoutError(ValueError):
 
 @dataclass(frozen=True)
 class ChipLayout:
-    pdc_length_mm: float = _AS_BUILT_GEOMETRY["pdc_length_mm"]
-    pc0_length_mm: float = _AS_BUILT_GEOMETRY["pc0_length_mm"]
-    pbs_length_mm: float = _AS_BUILT_GEOMETRY["pbs_length_mm"]
-    segment_length_mm: float = _AS_BUILT_GEOMETRY["segment_length_mm"]
-    segment_count: int = _AS_BUILT_GEOMETRY["segment_count"]
-    bs_block_length_mm: float = _AS_BUILT_GEOMETRY["bs_block_length_mm"]
+    """Chip geometry; the defaults are the as-built device."""
+
+    pdc_length_mm: float = 20.7
+    pc0_length_mm: float = 7.62
+    pbs_length_mm: float = 4.0
+    segment_length_mm: float = 2.54
+    segment_count: int = 10
+    bs_block_length_mm: float = 13.1
     branch_length_mismatch_mm: float = 0.0
 
     def __post_init__(self):
@@ -118,7 +110,7 @@ class ChipConfig:
 
     layout: ChipLayout
     setting: SwitchSetting
-    temperature_c: float = 43.6
+    temperature_c: float = OPERATING_TEMPERATURE_C
     pump_wavelength_nm: float = DEFAULT_PUMP_WAVELENGTH_NM
     pbs_extinction_db: float = math.inf
     pc_conversion_db: float | None = None  # None = ideal converters
@@ -174,13 +166,12 @@ def delay_schedule(
     layout: ChipLayout,
     setting: SwitchSetting,
     model: dispersion.DispersionModel | None = None,
-    wavelength_nm: float = 1551.7,
 ) -> float:
     """Arrival-time difference at the balanced splitter, in ps.
 
     Positive when the segmented-branch photon arrives later.  Pure
     geometry: independent of the splitter voltages and the converter
-    drive level.
+    drive level.  Group indices are taken at the calibration wavelength.
     """
     if setting.triple_index is None:
         raise LayoutError(
@@ -190,6 +181,7 @@ def delay_schedule(
         )
     validate_setting(layout, setting)
     model = model or dispersion.default_model()
+    wavelength_nm = dispersion.CALIBRATION_WAVELENGTH_NM
     dng = float(dispersion.group_index_difference(model, wavelength_nm))
 
     # conversion point of the active triple, measured from the splitter exit
@@ -231,12 +223,12 @@ _FLOAT_KEYS = {
     "temperature_c",
     "pump_wavelength_nm",
 }
-_FILTER_ALIASES = {
+#: Accepted spellings of the real detection-filter shapes (layout file and CLI).
+FILTER_ALIASES = {
     "rect": "rectangular",
     "rectangular": "rectangular",
     "lorentz": "lorentzian",
     "lorentzian": "lorentzian",
-    "none": "none",
 }
 KNOWN_KEYS = _FLOAT_KEYS | {"segment_count", "disabled_segments", "filter_shape"}
 
@@ -281,30 +273,27 @@ def parse_layout(text: str) -> ChipConfig:
                 )
         elif key == "filter_shape":
             shape = rhs.lower()
-            if shape not in _FILTER_ALIASES:
+            if shape != "none" and shape not in FILTER_ALIASES:
                 raise LayoutError(
                     f"unknown filter shape {rhs!r}", line=lineno, column=column, key=key
                 )
-            raw[key] = _FILTER_ALIASES[shape]
+            raw[key] = FILTER_ALIASES.get(shape, shape)
         else:
             try:
-                raw[key] = float(rhs)
+                value = float(rhs)
             except ValueError:
                 raise LayoutError("expected a number", line=lineno, column=column, key=key)
+            # inf extinction is the ideal splitter; every other value must be finite
+            if not (math.isfinite(value) or (key == "pbs_extinction_db" and value > 0)):
+                raise LayoutError(
+                    "expected a finite number", line=lineno, column=column, key=key
+                )
+            raw[key] = value
 
-    layout = ChipLayout(
-        pdc_length_mm=raw.get("pdc_length_mm", _AS_BUILT_GEOMETRY["pdc_length_mm"]),
-        pc0_length_mm=raw.get("pc0_length_mm", _AS_BUILT_GEOMETRY["pc0_length_mm"]),
-        pbs_length_mm=raw.get("pbs_length_mm", _AS_BUILT_GEOMETRY["pbs_length_mm"]),
-        segment_length_mm=raw.get(
-            "segment_length_mm", _AS_BUILT_GEOMETRY["segment_length_mm"]
-        ),
-        segment_count=raw.get("segment_count", _AS_BUILT_GEOMETRY["segment_count"]),
-        bs_block_length_mm=raw.get(
-            "bs_block_length_mm", _AS_BUILT_GEOMETRY["bs_block_length_mm"]
-        ),
-        branch_length_mismatch_mm=raw.get("branch_mismatch_mm", 0.0),
-    )
+    geometry = {f.name: raw[f.name] for f in fields(ChipLayout) if f.name in raw}
+    if "branch_mismatch_mm" in raw:
+        geometry["branch_length_mismatch_mm"] = raw["branch_mismatch_mm"]
+    layout = ChipLayout(**geometry)
 
     disabled = raw.get("disabled_segments", frozenset())
     triples = valid_triples(layout, disabled)
@@ -341,7 +330,7 @@ def parse_layout(text: str) -> ChipConfig:
     return ChipConfig(
         layout=layout,
         setting=setting,
-        temperature_c=raw.get("temperature_c", 43.6),
+        temperature_c=raw.get("temperature_c", OPERATING_TEMPERATURE_C),
         pump_wavelength_nm=pump_nm,
         pbs_extinction_db=pbs_ext,
         pc_conversion_db=pc_conv,

@@ -16,11 +16,7 @@ import numpy as np
 from . import chip as chip_mod
 from . import quantum as q
 from . import rates as rates_mod
-from .dispersion import (
-    WavelengthRangeError,
-    default_model,
-    raw_group_index_difference,
-)
+from .dispersion import WavelengthRangeError, calibration_residual, default_model
 from .elements import (
     FilterSpec,
     PcSpec,
@@ -32,35 +28,21 @@ from .elements import (
 from .grid import SpectralGrid
 from .svgplot import Series, write_plot
 
-#: imperfection presets: (pbs dB, converter conversion dB, first-converter
-#: drive efficiency, frequency-flat converters)
+
+@dataclass(frozen=True)
+class Imperfections:
+    """Splitter and converter imperfections of a hom-scan run."""
+
+    pbs_extinction_db: float  # inf = ideal splitter
+    pc_conversion_db: float | None  # None = full conversion
+    pc0_efficiency: float  # first-converter drive efficiency
+    flat_converters: bool  # frequency-independent converters
+
+
 PRESETS = {
-    "ideal": dict(
-        pbs_extinction_db=float("inf"),
-        pc_conversion_db=None,
-        pc0_efficiency=1.0,
-        flat_converters=True,
-    ),
-    "paper": dict(
-        pbs_extinction_db=17.0,
-        pc_conversion_db=20.0,
-        pc0_efficiency=0.99,
-        flat_converters=False,
-    ),
+    "ideal": Imperfections(float("inf"), None, 1.0, flat_converters=True),
+    "paper": Imperfections(17.0, 20.0, 0.99, flat_converters=False),
 }
-
-
-@dataclass
-class RunConfig:
-    command: str
-    layout_path: str | None = None
-    out_dir: str = "."
-    grid_samples: int | None = None
-    grid_halfwidth_nm: float | None = None
-    filter_arg: str | None = None
-    preset: str | None = None
-    pc0: str = "both"
-    output_format: str = "csv+svg"
 
 
 def _fmt(value) -> str:
@@ -84,24 +66,22 @@ def parse_filter_arg(text: str, center_nm: float) -> FilterSpec:
     if ":" not in text:
         raise ValueError(f"filter must be 'shape:width_nm' or 'none', got {text!r}")
     shape, _, width = text.partition(":")
-    aliases = {"rect": "rectangular", "rectangular": "rectangular",
-               "lorentz": "lorentzian", "lorentzian": "lorentzian"}
-    if shape.lower() not in aliases:
+    if shape.lower() not in chip_mod.FILTER_ALIASES:
         raise ValueError(f"unknown filter shape {shape!r}")
-    return FilterSpec(aliases[shape.lower()], center_nm, float(width))
+    return FilterSpec(chip_mod.FILTER_ALIASES[shape.lower()], center_nm, float(width))
 
 
-def load_config(run: RunConfig) -> chip_mod.ChipConfig:
-    if run.layout_path is None:
+def load_config(args: argparse.Namespace) -> chip_mod.ChipConfig:
+    if args.layout is None:
         return chip_mod.parse_layout("")
-    return chip_mod.parse_layout(Path(run.layout_path).read_text(encoding="utf-8"))
+    return chip_mod.parse_layout(Path(args.layout).read_text(encoding="utf-8"))
 
 
-def build_grid(run: RunConfig, config: chip_mod.ChipConfig) -> SpectralGrid:
+def build_grid(args: argparse.Namespace, config: chip_mod.ChipConfig) -> SpectralGrid:
     return SpectralGrid(
         center_wavelength_nm=config.center_wavelength_nm,
-        half_width_nm=run.grid_halfwidth_nm or 6.0,
-        samples=run.grid_samples or 4096,
+        half_width_nm=args.grid_halfwidth_nm,
+        samples=args.grid_samples,
     )
 
 
@@ -109,20 +89,9 @@ def build_pm(config: chip_mod.ChipConfig) -> PmSpec:
     return PmSpec(pdc_length_mm=config.layout.pdc_length_mm)
 
 
-def imperfections(run: RunConfig, config: chip_mod.ChipConfig) -> dict:
-    if run.preset is not None:
-        return dict(PRESETS[run.preset])
-    return dict(
-        pbs_extinction_db=config.pbs_extinction_db,
-        pc_conversion_db=config.pc_conversion_db,
-        pc0_efficiency=config.setting.pc0_efficiency,
-        flat_converters=False,
-    )
-
-
-def detection_filter(run: RunConfig, config: chip_mod.ChipConfig) -> FilterSpec:
-    if run.filter_arg is not None:
-        return parse_filter_arg(run.filter_arg, config.center_wavelength_nm)
+def detection_filter(args: argparse.Namespace, config: chip_mod.ChipConfig) -> FilterSpec:
+    if args.filter is not None:
+        return parse_filter_arg(args.filter, config.center_wavelength_nm)
     return config.filter
 
 
@@ -130,10 +99,10 @@ def detection_filter(run: RunConfig, config: chip_mod.ChipConfig) -> FilterSpec:
 # commands
 
 
-def cmd_delay_schedule(run: RunConfig) -> int:
-    config = load_config(run)
+def cmd_delay_schedule(args: argparse.Namespace) -> int:
+    config = load_config(args)
     model = default_model()
-    out = Path(run.out_dir)
+    out = Path(args.out)
     settings = chip_mod.enumerate_settings(config.layout, config.setting)
     rows = []
     for s in settings:
@@ -144,7 +113,7 @@ def cmd_delay_schedule(run: RunConfig) -> int:
         ["setting_id", "pc0_on", "triple", "delay_ps", "synchronized"],
         rows,
     )
-    if run.output_format == "csv+svg":
+    if args.format == "csv+svg":
         off = [(r[2], r[3]) for r in rows if not r[1]]
         on = [(r[2], r[3]) for r in rows if r[1]]
         write_plot(
@@ -164,16 +133,24 @@ def cmd_delay_schedule(run: RunConfig) -> int:
     return 0
 
 
-def cmd_hom_scan(run: RunConfig) -> int:
-    config = load_config(run)
+def cmd_hom_scan(args: argparse.Namespace) -> int:
+    config = load_config(args)
     model = default_model()
-    out = Path(run.out_dir)
-    grid = build_grid(run, config)
+    out = Path(args.out)
+    grid = build_grid(args, config)
     pm = build_pm(config)
-    imp = imperfections(run, config)
-    flt = detection_filter(run, config)
+    if args.preset:
+        imp = PRESETS[args.preset]
+    else:
+        imp = Imperfections(
+            config.pbs_extinction_db,
+            config.pc_conversion_db,
+            config.setting.pc0_efficiency,
+            flat_converters=False,
+        )
+    flt = detection_filter(args, config)
 
-    template = replace(config.setting, pc0_efficiency=imp.pop("pc0_efficiency"))
+    template = replace(config.setting, pc0_efficiency=imp.pc0_efficiency)
     settings = chip_mod.enumerate_settings(config.layout, template)
     points = q.normalize_scan(
         q.hom_scan(
@@ -184,12 +161,14 @@ def cmd_hom_scan(run: RunConfig) -> int:
             filters=flt,
             model=model,
             temperature_c=config.temperature_c,
-            **imp,
+            pbs_extinction_db=imp.pbs_extinction_db,
+            pc_conversion_db=imp.pc_conversion_db,
+            flat_converters=imp.flat_converters,
         )
     )
     vis = q.visibility(points)
-    if run.pc0 != "both":
-        keep = run.pc0 == "on"
+    if args.pc0 != "both":
+        keep = args.pc0 == "on"
         points = [p for p in points if p.setting.pc0_on == keep]
 
     rows = [
@@ -201,7 +180,7 @@ def cmd_hom_scan(run: RunConfig) -> int:
         ["setting_id", "pc0_on", "triple", "delay_ps", "raw", "normalized"],
         rows,
     )
-    if run.output_format == "csv+svg":
+    if args.format == "csv+svg":
         for fname, xkey, xlabel in (
             ("scan_vs_triple.svg", lambda p: p.setting.triple_index, "driven triple index"),
             ("scan_vs_delay.svg", lambda p: p.delay_ps, "delay (ps)"),
@@ -225,18 +204,18 @@ def cmd_hom_scan(run: RunConfig) -> int:
     return 0
 
 
-def cmd_dip(run: RunConfig) -> int:
-    config = load_config(run)
+def cmd_dip(args: argparse.Namespace) -> int:
+    config = load_config(args)
     model = default_model()
-    out = Path(run.out_dir)
+    out = Path(args.out)
     pm = build_pm(config)
     taus = np.arange(-10.0, 10.0 + 1e-9, 0.05)
-    grid = build_grid(run, config)
+    grid = build_grid(args, config)
     # the unfiltered dip needs the wide window whatever --grid-halfwidth-nm says
     wide = SpectralGrid(
         center_wavelength_nm=config.center_wavelength_nm,
         half_width_nm=300.0,
-        samples=run.grid_samples or 4096,
+        samples=args.grid_samples,
     )
     curves = q.dip_scenarios(
         pm,
@@ -251,7 +230,7 @@ def cmd_dip(run: RunConfig) -> int:
     for name, p in curves.items():
         rows.extend((t, v, name) for t, v in zip(taus, p))
     write_csv(out / "dip.csv", ["tau_ps", "probability", "scenario"], rows)
-    if run.output_format == "csv+svg":
+    if args.format == "csv+svg":
         write_plot(
             out / "dip.svg",
             [Series(name, list(taus), list(p)) for name, p in curves.items()],
@@ -265,10 +244,10 @@ def cmd_dip(run: RunConfig) -> int:
     return 0
 
 
-def cmd_phasematch(run: RunConfig) -> int:
-    config = load_config(run)
+def cmd_phasematch(args: argparse.Namespace) -> int:
+    config = load_config(args)
     model = default_model()
-    out = Path(run.out_dir)
+    out = Path(args.out)
     pm = build_pm(config)
     t_op = config.temperature_c
 
@@ -308,7 +287,7 @@ def cmd_phasematch(run: RunConfig) -> int:
     w_pdc = fwhm(lam, shg)
     w_pc = fwhm(lam, 1.0 - transmission)
 
-    if run.output_format == "csv+svg":
+    if args.format == "csv+svg":
         write_plot(
             out / "phasematch_spectra.svg",
             [
@@ -334,14 +313,13 @@ def cmd_phasematch(run: RunConfig) -> int:
         f"slopes {pdc_fit[0]:.9g} and {pc_fit[0]:.9g} nm/C; "
         f"source FWHM {w_pdc:.3f} nm, converter FWHM {w_pc:.3f} nm "
         f"(ratio {w_pdc / w_pc:.3f}); "
-        f"uncalibrated group-index residual "
-        f"{0.0805 - float(raw_group_index_difference(model, 1551.7)):+.2e}"
+        f"uncalibrated group-index residual {calibration_residual(model):+.2e}"
     )
     return 0
 
 
-def cmd_rates(run: RunConfig) -> int:
-    out = Path(run.out_dir)
+def cmd_rates(args: argparse.Namespace) -> int:
+    out = Path(args.out)
     budget = rates_mod.default_loss_budget()
     total_db, transmission = rates_mod.total_loss(budget)
     source = rates_mod.SourceSpec()
@@ -397,8 +375,10 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--layout", metavar="PATH", help="layout file (defaults to the as-built geometry)")
     common.add_argument("--out", metavar="DIR", default=".", help="output directory")
-    common.add_argument("--grid-samples", type=int, metavar="N")
-    common.add_argument("--grid-halfwidth-nm", type=float, metavar="X")
+    common.add_argument("--grid-samples", type=int, metavar="N", default=SpectralGrid.samples)
+    common.add_argument(
+        "--grid-halfwidth-nm", type=float, metavar="X", default=SpectralGrid.half_width_nm
+    )
     common.add_argument("--filter", metavar="SHAPE:WIDTH", help="detection filter, e.g. lorentz:1.2 or none")
     common.add_argument("--preset", choices=sorted(PRESETS))
     common.add_argument("--pc0", choices=["on", "off", "both"], default="both")
@@ -411,21 +391,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    run = RunConfig(
-        command=args.command,
-        layout_path=args.layout,
-        out_dir=args.out,
-        grid_samples=args.grid_samples,
-        grid_halfwidth_nm=args.grid_halfwidth_nm,
-        filter_arg=args.filter,
-        preset=args.preset,
-        pc0=args.pc0,
-        output_format=args.format,
-    )
-    out = Path(run.out_dir)
     try:
-        out.mkdir(parents=True, exist_ok=True)
-        return COMMANDS[run.command](run)
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+        return COMMANDS[args.command](args)
     except (chip_mod.LayoutError, WavelengthRangeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

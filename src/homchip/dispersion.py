@@ -25,8 +25,8 @@ from functools import lru_cache
 from importlib import resources
 
 import numpy as np
-from scipy.constants import c as C_VACUUM
 
+from .grid import C_VACUUM
 from .modes import Polarization
 
 #: Measured group-index difference at the calibration wavelength.
@@ -53,7 +53,6 @@ class DispersionModel:
     sellmeier_extraordinary: tuple
     ng_offset_h: float = 0.0
     ng_offset_v: float = 0.0
-    reference_temperature_c: float = 43.6
     valid_range_um: tuple = (0.5, 5.0)
 
     def __post_init__(self):
@@ -125,28 +124,34 @@ def raw_group_index_difference(model: DispersionModel, wavelength_nm):
     return group_index_difference(bare, wavelength_nm)
 
 
-def calibrate(
-    model: DispersionModel,
-    wavelength_nm: float = CALIBRATION_WAVELENGTH_NM,
-    target_difference: float = DEFAULT_GROUP_INDEX_DIFFERENCE,
-) -> DispersionModel:
-    """Set the offsets so group_index_difference(wavelength) == target.
+def calibration_residual(model: DispersionModel) -> float:
+    """Measured minus bare-Sellmeier group-index difference at the
+    calibration wavelength: the part calibrate() absorbs into the offsets."""
+    return DEFAULT_GROUP_INDEX_DIFFERENCE - float(
+        raw_group_index_difference(model, CALIBRATION_WAVELENGTH_NM)
+    )
+
+
+def calibrate(model: DispersionModel) -> DispersionModel:
+    """Set the offsets so that the group-index difference at the
+    calibration wavelength equals the measured value.
 
     The correction is split evenly between the two polarizations and is
     computed from the raw Sellmeier difference, so calibrating twice
     gives identical offsets.  The absorbed residual is
-    target - raw_group_index_difference(...); report it, don't hide it.
+    calibration_residual(model); report it, don't hide it.
     """
-    residual = target_difference - float(raw_group_index_difference(model, wavelength_nm))
+    residual = calibration_residual(model)
     return replace(model, ng_offset_h=+residual / 2.0, ng_offset_v=-residual / 2.0)
 
 
-def walk_off_time(model: DispersionModel, length_mm, wavelength_nm=CALIBRATION_WAVELENGTH_NM):
-    """Birefringent walk-off dng * L / c in ps; positive = H arrives later."""
+def walk_off_time(model: DispersionModel, length_mm):
+    """Birefringent walk-off dng * L / c in ps at the calibration
+    wavelength; positive = H arrives later."""
     length_mm = np.asarray(length_mm, dtype=float)
     if np.any(length_mm < 0):
         raise ValueError("length_mm must be >= 0")
-    dng = group_index_difference(model, wavelength_nm)
+    dng = group_index_difference(model, CALIBRATION_WAVELENGTH_NM)
     return dng * (length_mm * 1e-3) / C_VACUUM * 1e12
 
 
@@ -246,11 +251,6 @@ def parse_coefficient_file(text: str) -> DispersionModel:
         ng_offset_h=values.get("ng_offset_h", 0.0),
         ng_offset_v=values.get("ng_offset_v", 0.0),
     )
-
-
-def load_coefficient_file(path) -> DispersionModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_coefficient_file(fh.read())
 
 
 @lru_cache(maxsize=1)

@@ -23,11 +23,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.constants import c as C_VACUUM
-from scipy.optimize import brentq
 
 from . import dispersion
-from .grid import SpectralGrid
+from .grid import C_VACUUM, SpectralGrid
 from .modes import N_MODES, Path, Polarization, mode_index
 
 OPERATING_TEMPERATURE_C = 43.6
@@ -60,17 +58,13 @@ class PcSpec:
     """One polarization converter (or one driven triple of segments)."""
 
     length_mm: float = 7.62
-    poling_period_um: float = 21.4
     voltage_v: float | None = None  # None = full-conversion drive
     voltage_length_product_v_cm: float = 15.0
-    center_shift_nm: float = 0.0
     temperature_c: float = OPERATING_TEMPERATURE_C
 
     def __post_init__(self):
         if self.length_mm <= 0:
             raise ValueError("length_mm must be > 0")
-        if self.poling_period_um <= 0:
-            raise ValueError("poling_period_um must be > 0")
         if self.voltage_length_product_v_cm <= 0:
             raise ValueError("voltage_length_product_v_cm must be > 0")
 
@@ -134,8 +128,8 @@ class FilterSpec:
     def __post_init__(self):
         if self.shape not in ("rectangular", "lorentzian", "none"):
             raise ValueError(f"unknown filter shape {self.shape!r}")
-        if self.shape != "none" and self.width_nm <= 0:
-            raise ValueError("width_nm must be > 0 for a real filter")
+        if self.shape != "none" and not 0 < self.width_nm < math.inf:
+            raise ValueError("width_nm must be positive and finite for a real filter")
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +241,7 @@ def shg_spectrum(
 
 def _pc_delta_length(pc: PcSpec, wavelength_nm, model, pm):
     """delta * L, with delta linearized around the converter center."""
-    center_nm = (
-        pm_center_vs_temperature(pm, "PC", pc.temperature_c) + pc.center_shift_nm
-    )
+    center_nm = pm_center_vs_temperature(pm, "PC", pc.temperature_c)
     dng = float(dispersion.group_index_difference(model, center_nm))
     lam = np.asarray(wavelength_nm, dtype=float)
     ddelta_dlam = -np.pi * dng / (center_nm * 1e-9) ** 2  # 1/m per m
@@ -408,11 +400,12 @@ def ideal_bs() -> BsSpec:
     return BsSpec(section_length_mm=section, kappa_per_mm=math.pi / (8.0 * section))
 
 
-def calibrate_bs(bs: BsSpec, max_voltage_v: float = 200.0) -> BsSpec:
+def calibrate_bs(bs: BsSpec) -> BsSpec:
     """Trim the coupler to a 50:50 split via equal voltages on both sections.
 
     Works for total couplings kappa*(2l) in [pi/4, 3pi/4], where the
-    undriven cross power is >= 1/2 and grows smaller with drive.
+    undriven cross power is >= 1/2 and grows smaller with drive.  The
+    drive is found by bisection below 200 V.
     """
 
     def imbalance(u):
@@ -425,12 +418,18 @@ def calibrate_bs(bs: BsSpec, max_voltage_v: float = 200.0) -> BsSpec:
         raise ValueError(
             "undriven cross power below 1/2; the equal-drive trim cannot reach 50:50"
         )
-    hi = 1.0
+    lo, hi = 0.0, 1.0
     while imbalance(hi) > 0:
-        hi *= 2.0
-        if hi > max_voltage_v:
+        lo, hi = hi, 2.0 * hi
+        if hi > 200.0:
             raise ValueError("no balanced point below the voltage limit")
-    u = brentq(imbalance, 0.0, hi, xtol=1e-13, rtol=8.9e-16)
+    while hi - lo > 1e-13:
+        mid = 0.5 * (lo + hi)
+        if imbalance(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    u = 0.5 * (lo + hi)
     return replace(bs, u11_v=u, u12_v=u)
 
 

@@ -7,11 +7,14 @@ an exact frequency reversal.  There is deliberately no sample at zero
 detuning; integrals are midpoint sums with weight d_omega.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.constants import c as C_VACUUM
+
+#: Speed of light in vacuum, m/s (exact by the SI definition of the metre).
+C_VACUUM = 299_792_458.0
 
 
 @dataclass(frozen=True)
@@ -23,10 +26,10 @@ class SpectralGrid:
     samples: int = 4096
 
     def __post_init__(self):
-        if self.center_wavelength_nm <= 0:
-            raise ValueError("center_wavelength_nm must be positive")
-        if self.half_width_nm <= 0:
-            raise ValueError("half_width_nm must be positive")
+        if not 0 < self.center_wavelength_nm < math.inf:
+            raise ValueError("center_wavelength_nm must be positive and finite")
+        if not 0 < self.half_width_nm < math.inf:
+            raise ValueError("half_width_nm must be positive and finite")
         if self.samples < 2 or self.samples % 2 != 0:
             raise ValueError("samples must be an even number >= 2")
 

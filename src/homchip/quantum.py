@@ -53,6 +53,9 @@ from .modes import N_MODES, Path, Polarization, mode_index
 OUT_UPPER = (mode_index(Path.UPPER, Polarization.H), mode_index(Path.UPPER, Polarization.V))
 OUT_LOWER = (mode_index(Path.LOWER, Polarization.H), mode_index(Path.LOWER, Polarization.V))
 
+#: Phase-matching lobes the grid must cover on its narrow side.
+MIN_LOBES = 3.0
+
 
 class GridCoverageError(ValueError):
     """Spectral grid too narrow for the requested source state."""
@@ -284,14 +287,13 @@ def build_source_state(
     grid: SpectralGrid,
     model=None,
     temperature_c: float | None = None,
-    min_lobes: float = 3.0,
 ) -> TwoPhotonAmplitude:
     """Type-II pair state at the source-section midpoint, unit norm."""
     res = el.pdc_amplitude(pm, grid, temperature_c=temperature_c, model=model)
-    if res.lobe_coverage < min_lobes:
+    if res.lobe_coverage < MIN_LOBES:
         raise GridCoverageError(
             f"grid covers {res.lobe_coverage:.2f} phase-matching lobes; "
-            f"need at least {min_lobes:g}"
+            f"need at least {MIN_LOBES:g}"
         )
     values = np.zeros((N_MODES, N_MODES, grid.samples), dtype=complex)
     i_h = mode_index(Path.UPPER, Polarization.H)
@@ -465,7 +467,7 @@ def _evolve(vectors: np.ndarray, steps) -> np.ndarray:
 
 
 def reference_mask_longest_off_delay(points) -> list:
-    """Default normalization reference: the largest-delay setting of the
+    """Normalization reference: the largest-delay setting of the
     undriven-first-converter branch."""
     off_triples = [p.setting.triple_index for p in points if not p.setting.pc0_on]
     if not off_triples:
@@ -476,10 +478,10 @@ def reference_mask_longest_off_delay(points) -> list:
     ]
 
 
-def normalize_scan(points, reference_rule=None) -> list:
-    """Divide raw coincidences by the mean over the reference settings."""
-    rule = reference_rule or reference_mask_longest_off_delay
-    mask = rule(points)
+def normalize_scan(points) -> list:
+    """Divide raw coincidences by the mean over the reference settings
+    (reference_mask_longest_off_delay)."""
+    mask = reference_mask_longest_off_delay(points)
     ref = [p.raw for p, keep in zip(points, mask) if keep]
     if not ref:
         raise ValueError("empty reference set; cannot define unit probability")

@@ -97,13 +97,10 @@ def expected_rates(source: SourceSpec, arm_efficiencies) -> RateReport:
     )
 
 
-def reconciliation_note(
-    budget: LossBudget | None = None,
-    stated_total_db: float = STATED_TOTAL_LOSS_DB,
-    klyshko: float = MEASURED_KLYSHKO,
-) -> str:
+def reconciliation_note(budget: LossBudget | None = None) -> str:
     """One-paragraph note on the loss-budget versus heralding tension."""
     budget = budget or default_loss_budget()
+    stated_total_db, klyshko = STATED_TOTAL_LOSS_DB, MEASURED_KLYSHKO
     implied_db = -10.0 * math.log10(klyshko)
     gap_db = implied_db - stated_total_db
     return (

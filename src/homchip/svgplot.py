@@ -18,9 +18,7 @@ class Series:
     label: str
     x: list
     y: list
-    color: str | None = None
     markers: bool = False
-    dashed: bool = False
 
 
 def _nice_ticks(lo, hi, target=6):
@@ -117,12 +115,10 @@ def line_plot(series, title="", xlabel="", ylabel="", hline=None) -> str:
             f'stroke="#555555" stroke-dasharray="6 4" stroke-width="1"/>'
         )
     for i, s in enumerate(series):
-        color = s.color or PALETTE[i % len(PALETTE)]
+        color = PALETTE[i % len(PALETTE)]
         pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(s.x, s.y))
-        dash = ' stroke-dasharray="5 4"' if s.dashed else ""
         out.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" '
-            f'stroke-width="1.6"{dash}/>'
+            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.6"/>'
         )
         if s.markers:
             for x, y in zip(s.x, s.y):
@@ -134,7 +130,7 @@ def line_plot(series, title="", xlabel="", ylabel="", hline=None) -> str:
         lx = MARGIN_L + plot_w - 180
         out.append(
             f'<line x1="{lx}" y1="{ly}" x2="{lx + 24}" y2="{ly}" stroke="{color}" '
-            f'stroke-width="2"{dash}/>'
+            'stroke-width="2"/>'
         )
         out.append(
             f'<text x="{lx + 30}" y="{ly + 4}" font-family="sans-serif" '

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from homchip.chip import (
+    _FLOAT_KEYS,
     ChipLayout,
     LayoutError,
     SwitchSetting,
@@ -220,6 +223,25 @@ def test_parse_semantic_errors_name_field():
         parse_layout("filter_shape = rect\n")  # missing width
     with pytest.raises(LayoutError):
         parse_layout("segment_count = 7\ndisabled_segments = 9\n")
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        (key, value)
+        for key in sorted(_FLOAT_KEYS)
+        for value in ("nan", "inf", "-inf")
+        if (key, value) != ("pbs_extinction_db", "inf")
+    ],
+)
+def test_parse_non_finite_rejected(key, value):
+    with pytest.raises(LayoutError) as err:
+        parse_layout(f"{key} = {value}\n")
+    assert err.value.key == key and key in str(err.value)
+
+
+def test_parse_infinite_extinction_is_ideal():
+    assert parse_layout("pbs_extinction_db = inf\n").pbs_extinction_db == math.inf
 
 
 def test_parse_duplicate_key_rejected():

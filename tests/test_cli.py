@@ -183,3 +183,50 @@ def test_dip_halfwidth_flag_keeps_unfiltered_window(tmp_path, capsys):
 
     assert rows(a, "unfiltered") == rows(b, "unfiltered")
     assert rows(a, "rectangular") != rows(b, "rectangular")
+
+
+@pytest.mark.parametrize(
+    "argv, layout_text",
+    [
+        (["hom-scan", "--filter", "lorentz:nan"], None),
+        (["hom-scan", "--filter", "rect:inf"], None),
+        (["hom-scan", "--grid-halfwidth-nm", "nan"], None),
+        (["hom-scan", "--grid-halfwidth-nm", "0"], None),
+        (["hom-scan", "--grid-samples", "0"], None),
+        (["dip", "--grid-halfwidth-nm", "0"], None),
+        (["dip", "--grid-samples", "0"], None),
+        (["hom-scan"], "temperature_c = nan\n"),
+        (["delay-schedule"], "pdc_length_mm = nan\n"),
+    ],
+    ids=[
+        "filter-nan",
+        "filter-inf",
+        "halfwidth-nan",
+        "halfwidth-0",
+        "samples-0",
+        "dip-halfwidth-0",
+        "dip-samples-0",
+        "layout-temperature-nan",
+        "layout-pdc-length-nan",
+    ],
+)
+def test_bad_numbers_exit_1_without_output(tmp_path, capsys, argv, layout_text):
+    out = tmp_path / "out"
+    if layout_text is not None:
+        layout = tmp_path / "chip.layout"
+        layout.write_text(layout_text)
+        argv = argv + ["--layout", str(layout)]
+    assert main(argv + ["--out", str(out), "--format", "csv"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not list(out.iterdir())
+
+
+def test_runtime_imports_no_scipy():
+    code = (
+        "import sys, homchip.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
