@@ -209,7 +209,7 @@ def cmd_dip(args: argparse.Namespace) -> int:
     model = default_model()
     out = Path(args.out)
     pm = build_pm(config)
-    taus = np.arange(-10.0, 10.0 + 1e-9, 0.05)
+    taus = np.arange(-200, 201) * 0.05  # integer steps, so the centre row is exactly 0
     grid = build_grid(args, config)
     # the unfiltered dip needs the wide window whatever --grid-halfwidth-nm says
     wide = SpectralGrid(

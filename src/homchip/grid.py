@@ -28,8 +28,9 @@ class SpectralGrid:
     def __post_init__(self):
         if not 0 < self.center_wavelength_nm < math.inf:
             raise ValueError("center_wavelength_nm must be positive and finite")
-        if not 0 < self.half_width_nm < math.inf:
-            raise ValueError("half_width_nm must be positive and finite")
+        # a half-width of center_wavelength_nm puts the grid edge at zero frequency
+        if not 0 < self.half_width_nm < self.center_wavelength_nm:
+            raise ValueError("half_width_nm must be positive and below center_wavelength_nm")
         if self.samples < 2 or self.samples % 2 != 0:
             raise ValueError("samples must be an even number >= 2")
 

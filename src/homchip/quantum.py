@@ -37,6 +37,15 @@ path, both behind the same spectral filter; this minimal projector set
 stands in for the unspecified general measurement description.
 Wavelength-flat losses are excluded here (they cancel in normalized
 quantities) and live in the rate budget instead.
+
+dip_profile bypasses the chain: it needs the delay kernel
+K(tau) = sum_k g_k exp(i Omega_k tau) dOmega at T delays.  Omega is
+uniform, Omega_{pB+q} = Omega_{pB} + q dOmega with B = ceil(sqrt N), so
+the exponential factors into a (T, B) table of in-block offsets and a
+(T, N/B) table of block starts joined by one matrix product: about
+2 T sqrt(N) exponentials instead of T N, for any delay array.  The
+midpoint sum is periodic in tau with period 2 pi / dOmega, so a delay
+with dOmega |tau| >= pi is rejected as aliased (GridCoverageError).
 """
 
 import math
@@ -58,7 +67,7 @@ MIN_LOBES = 3.0
 
 
 class GridCoverageError(ValueError):
-    """Spectral grid too narrow for the requested source state."""
+    """Spectral grid too narrow or too coarse for the requested result."""
 
 
 @dataclass(frozen=True)
@@ -529,7 +538,16 @@ def dip_profile(
     tau = 2 dt, because the exchanged amplitudes beat at twice the
     detuning.  The unfiltered profile is the triangle
     1/2 * min(1, |tau| / tau_w) with tau_w = dng * L / c.
+
+    K is evaluated by _delay_kernel, which factors exp(i Omega tau) on
+    the uniform grid into two ~sqrt(N)-wide tables and one matrix
+    product.  The grid resolves only |tau| < pi / dOmega, because the
+    midpoint sum is periodic in tau with period 2 pi / dOmega: a larger
+    delay raises GridCoverageError with the sample count that would
+    resolve it (N >= 1496 for the +-300 nm window and |tau| <= 10 ps).
     """
+    taus_s = np.asarray(taus_ps, dtype=float) * 1e-12
+    _check_delay_resolution(grid, taus_s)
     model = model or dispersion.default_model()
     res = el.pdc_amplitude(pm, grid, temperature_c=temperature_c, model=model)
     a = res.values.astype(complex)
@@ -546,10 +564,44 @@ def dip_profile(
     k0 = np.sum(np.abs(a) ** 2) * grid.d_omega
     if k0 <= 0:
         raise ValueError("joint spectrum vanishes; nothing passes the filters")
-    taus_s = np.asarray(taus_ps, dtype=float) * 1e-12
-    kernel = np.exp(1j * np.outer(taus_s, grid.detunings))
-    k_tau = kernel @ g * grid.d_omega
-    return 0.5 * (1.0 - np.real(k_tau) / k0)
+    return 0.5 * (1.0 - np.real(_delay_kernel(g, grid, taus_s)) / k0)
+
+
+def _check_delay_resolution(grid: SpectralGrid, taus_s: np.ndarray) -> None:
+    """Raise unless every delay is finite and satisfies dOmega * |tau| < pi."""
+    if not np.all(np.isfinite(taus_s)):
+        raise ValueError("delays must be finite")
+    tau_max = float(np.max(np.abs(taus_s), initial=0.0))
+    phase_step = grid.d_omega * tau_max
+    if phase_step >= math.pi:
+        # dOmega = 2 W / N, so N > 2 W tau_max / pi; the grid wants N even
+        needed = 2 * (math.floor(grid.half_width_omega * tau_max / math.pi) + 1)
+        raise GridCoverageError(
+            f"delay axis aliases: dOmega * max|tau| = {phase_step:.3f} >= pi "
+            f"at {grid.samples} samples; need at least {needed} samples"
+        )
+
+
+def _delay_kernel(g: np.ndarray, grid: SpectralGrid, taus_s: np.ndarray) -> np.ndarray:
+    """K(tau) = sum_k g_k exp(i Omega_k tau) dOmega, factored on the uniform grid.
+
+    With Omega_{pB+q} = Omega_{pB} + q dOmega, the exponential splits into
+    a (T, P) table over block starts and a (T, B) table over in-block
+    offsets, B = ceil(sqrt N), P = ceil(N / B); g is zero-padded to P*B
+    and read as G[p, q] = g[pB + q].  Then
+
+        K(tau) = sum_p exp(i Omega_{pB} tau) sum_q exp(i q dOmega tau) G[p, q] dOmega,
+
+    which costs T (B + P) exponentials and one (T, B) x (B, P) product.
+    Only Omega must be uniform; tau may be any array.
+    """
+    n = grid.samples
+    block = math.isqrt(n - 1) + 1
+    blocks = -(-n // block)
+    g_blocks = np.pad(g, (0, blocks * block - n)).reshape(blocks, block)
+    within = np.exp(1j * np.outer(taus_s, np.arange(block) * grid.d_omega))
+    starts = np.exp(1j * np.outer(taus_s, grid.detunings[::block]))
+    return np.sum(starts * (within @ g_blocks.T), axis=1) * grid.d_omega
 
 
 def dip_scenarios(

@@ -293,7 +293,7 @@ def test_criterion_13_determinism(tmp_path):
         ["delay-schedule"],
         ["hom-scan", "--preset", "ideal", "--filter", "lorentz:1.2",
          "--grid-samples", "1024", "--format", "csv"],
-        ["dip", "--grid-samples", "1024", "--format", "csv"],
+        ["dip", "--grid-samples", "2048", "--format", "csv"],
         ["rates"],
     ):
         a, b = tmp_path / f"a_{argv[0]}", tmp_path / f"b_{argv[0]}"

@@ -173,7 +173,7 @@ def test_module_entry_point(tmp_path):
 def test_dip_halfwidth_flag_keeps_unfiltered_window(tmp_path, capsys):
     # --grid-halfwidth-nm narrows only the filtered grid; the unfiltered
     # triangle keeps its +-300 nm window and is not truncated
-    base = ["dip", "--grid-samples", "1024", "--format", "csv"]
+    base = ["dip", "--grid-samples", "2048", "--format", "csv"]
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(base + ["--out", str(a)]) == 0
     assert main(base + ["--grid-halfwidth-nm", "3", "--out", str(b)]) == 0
@@ -195,6 +195,9 @@ def test_dip_halfwidth_flag_keeps_unfiltered_window(tmp_path, capsys):
         (["hom-scan", "--grid-samples", "0"], None),
         (["dip", "--grid-halfwidth-nm", "0"], None),
         (["dip", "--grid-samples", "0"], None),
+        (["hom-scan", "--grid-halfwidth-nm", "2000"], None),
+        (["dip", "--grid-halfwidth-nm", "2000"], None),
+        (["dip", "--grid-samples", "1024"], None),
         (["hom-scan"], "temperature_c = nan\n"),
         (["delay-schedule"], "pdc_length_mm = nan\n"),
     ],
@@ -206,6 +209,9 @@ def test_dip_halfwidth_flag_keeps_unfiltered_window(tmp_path, capsys):
         "samples-0",
         "dip-halfwidth-0",
         "dip-samples-0",
+        "halfwidth-reaches-zero-frequency",
+        "dip-halfwidth-reaches-zero-frequency",
+        "dip-delay-axis-aliased",
         "layout-temperature-nan",
         "layout-pdc-length-nan",
     ],

@@ -395,6 +395,25 @@ def test_dip_vanishing_spectrum_errors(pm, model):
         q.dip_profile(pm, grid, off_band, [0.0], model=model)
 
 
+def test_dip_rejects_aliased_delay_axis(pm, model):
+    # the +-300 nm grid at 1024 samples resolves |tau| < pi / dOmega = 6.85 ps
+    grid = SpectralGrid(half_width_nm=300.0, samples=1024)
+    limit_ps = math.pi / grid.d_omega * 1e12
+    assert limit_ps == pytest.approx(6.85, abs=0.01)
+    p = q.dip_profile(pm, grid, None, [-0.5, (1.0 - 1e-9) * limit_ps], model=model)
+    assert np.all(np.isfinite(p))
+    with pytest.raises(q.GridCoverageError, match=r"need at least 1026 samples"):
+        q.dip_profile(pm, grid, None, [0.0, -(1.0 + 1e-9) * limit_ps], model=model)
+    with pytest.raises(q.GridCoverageError, match=r"need at least 1496 samples"):
+        q.dip_profile(pm, grid, None, [10.0], model=model)
+    q.dip_profile(pm, SpectralGrid(half_width_nm=300.0, samples=1496), None, [10.0], model=model)
+    with pytest.raises(q.GridCoverageError):
+        q.dip_profile(pm, SpectralGrid(half_width_nm=300.0, samples=1494), None, [10.0], model=model)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            q.dip_profile(pm, grid, None, [0.0, bad], model=model)
+
+
 def test_scan_consistent_with_dip_at_doubled_delay(layout, pm, model, lorentz):
     # the chain's exchanged amplitudes beat at twice the detuning, so a
     # schedule delay dt lands at kernel delay tau = 2 dt
@@ -532,3 +551,28 @@ def test_delay_schedule_affine_over_random_layouts(geometry, broken, model):
         ]
         for m, d in zip(triples[1:], delays[1:]):
             assert d - delays[0] == pytest.approx((m - triples[0]) * step, abs=1e-9)
+
+
+@st.composite
+def kernel_inputs(draw):
+    samples = draw(
+        st.one_of(st.sampled_from([2, 1000, 8190, 8192]), st.integers(1, 4096).map(lambda h: 2 * h))
+    )
+    grid = SpectralGrid(half_width_nm=draw(st.floats(0.5, 300.0)), samples=samples)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.normal(size=samples) + 1j * rng.normal(size=samples)
+    # unsorted, non-uniform delays inside the alias bound |tau| < pi / dOmega
+    reach = draw(st.floats(0.0, 1.0, exclude_max=True)) * math.pi / grid.d_omega
+    taus_s = rng.uniform(-reach, reach, size=draw(st.integers(0, 600)))
+    return g, grid, taus_s
+
+
+@PROPERTY_SETTINGS
+@given(inputs=kernel_inputs())
+def test_delay_kernel_matches_dense_exponential(inputs):
+    g, grid, taus_s = inputs
+    dense = np.exp(1j * np.outer(taus_s, grid.detunings)) @ g * grid.d_omega
+    factored = q._delay_kernel(g, grid, taus_s)
+    assert factored.shape == taus_s.shape
+    bound = 1e-12 * np.sum(np.abs(g)) * grid.d_omega
+    assert np.max(np.abs(factored - dense), initial=0.0) <= bound
