@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass, field, fields, replace
 
 from . import dispersion
-from .elements import OPERATING_TEMPERATURE_C, OPERATING_WAVELENGTH_NM, FilterSpec
-from .grid import C_VACUUM
+from .elements import OPERATING_TEMPERATURE_C, FilterSpec
+from .grid import C_VACUUM, OPERATING_WAVELENGTH_NM
 
 DEFAULT_PUMP_WAVELENGTH_NM = OPERATING_WAVELENGTH_NM / 2.0  # degenerate pairs
 

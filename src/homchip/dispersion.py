@@ -26,12 +26,13 @@ from importlib import resources
 
 import numpy as np
 
-from .grid import C_VACUUM
+from .grid import C_VACUUM, OPERATING_WAVELENGTH_NM
 from .modes import Polarization
 
 #: Measured group-index difference at the calibration wavelength.
 DEFAULT_GROUP_INDEX_DIFFERENCE = 0.0805
-CALIBRATION_WAVELENGTH_NM = 1551.7
+#: The difference was measured at the operating wavelength.
+CALIBRATION_WAVELENGTH_NM = OPERATING_WAVELENGTH_NM
 
 #: Central-difference step for dn/dlambda, in nm.
 FD_STEP_NM = 0.1
@@ -78,7 +79,7 @@ def _check_range(model: DispersionModel, wavelength_nm, margin_nm=0.0):
     lo, hi = model.valid_range_um
     lo += margin_nm * 1e-3
     hi -= margin_nm * 1e-3
-    if np.any(lam_um < lo) or np.any(lam_um > hi):
+    if (lam_um < lo).any() or (lam_um > hi).any():
         raise WavelengthRangeError(
             f"wavelength {np.min(wavelength_nm):.6g}-{np.max(wavelength_nm):.6g} nm "
             f"outside coefficient validity {lo * 1e3:.6g}-{hi * 1e3:.6g} nm"
@@ -97,17 +98,22 @@ def refractive_index(model: DispersionModel, pol, wavelength_nm):
 
 
 def group_index(model: DispersionModel, pol, wavelength_nm):
-    """Group index n_g = n - lambda dn/dlambda plus the calibration offset."""
+    """Group index n_g = n - lambda dn/dlambda plus the calibration offset.
+
+    One range check, with the difference step as margin, covers the three
+    Sellmeier evaluations.
+    """
     _check_range(model, wavelength_nm, margin_nm=FD_STEP_NM)
+    if Polarization(pol) is Polarization.H:
+        coeffs, offset = model.sellmeier_ordinary, model.ng_offset_h
+    else:
+        coeffs, offset = model.sellmeier_extraordinary, model.ng_offset_v
     lam = np.asarray(wavelength_nm, dtype=float)
-    n = refractive_index(model, pol, lam)
+    n = _sellmeier_n(coeffs, lam * 1e-3)
     dn = (
-        refractive_index(model, pol, lam + FD_STEP_NM)
-        - refractive_index(model, pol, lam - FD_STEP_NM)
+        _sellmeier_n(coeffs, (lam + FD_STEP_NM) * 1e-3)
+        - _sellmeier_n(coeffs, (lam - FD_STEP_NM) * 1e-3)
     ) / (2.0 * FD_STEP_NM)
-    offset = (
-        model.ng_offset_h if Polarization(pol) is Polarization.H else model.ng_offset_v
-    )
     return n - lam * dn + offset
 
 

@@ -25,11 +25,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import dispersion
-from .grid import C_VACUUM, SpectralGrid
+from .grid import C_VACUUM, OPERATING_WAVELENGTH_NM, SpectralGrid
 from .modes import N_MODES, Path, Polarization, mode_index
 
 OPERATING_TEMPERATURE_C = 43.6
-OPERATING_WAVELENGTH_NM = 1551.7
 
 
 # ---------------------------------------------------------------------------
@@ -169,12 +168,14 @@ class PdcAmplitude:
 
     lobe_coverage counts how many phase-matching lobes fit on the narrow
     side of the grid; below 1 the main lobe is clipped and the result is
-    flagged rather than rejected.
+    flagged rather than rejected.  lobe_samples counts the grid samples
+    across one lobe width pi / a in Omega.
     """
 
     values: np.ndarray
     main_lobe_contained: bool
     lobe_coverage: float
+    lobe_samples: float
 
 
 def pdc_amplitude(
@@ -209,6 +210,7 @@ def pdc_amplitude(
         values=phi,
         main_lobe_contained=bool(coverage >= 1.0),
         lobe_coverage=float(coverage),
+        lobe_samples=float(lobe_edge / grid.d_omega),
     )
 
 
@@ -443,16 +445,20 @@ def propagation_transfer(
     grid: SpectralGrid,
     model: dispersion.DispersionModel | None = None,
 ) -> np.ndarray:
-    """Per-sample phases exp(i w n_g L / c) in the group-delay approximation.
+    """Per-sample phases exp(i w tau), tau = n_g L / c, in the group-delay
+    approximation, at w = omega0 + Omega.
 
     n_g is evaluated at the grid center, so the relative phase slope
     between the polarizations over the grid equals the walk-off time.
+    The N phases are the outer product of the grid's two phase blocks
+    (SpectralGrid.phase_blocks): about 2 sqrt(N) exponentials.
     """
     if length_mm < 0:
         raise ValueError("length_mm must be >= 0")
     model = model or dispersion.default_model()
     ng = float(dispersion.group_index(model, pol, grid.center_wavelength_nm))
-    return np.exp(1j * grid.omega_plus * ng * (length_mm * 1e-3) / C_VACUUM)
+    starts, within = grid.phase_blocks(ng * (length_mm * 1e-3) / C_VACUUM, carrier=True)
+    return np.outer(starts, within).ravel()[: grid.samples]
 
 
 def filter_amplitude(flt: FilterSpec, grid_or_wavelengths) -> np.ndarray:

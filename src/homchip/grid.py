@@ -16,12 +16,16 @@ import numpy as np
 #: Speed of light in vacuum, m/s (exact by the SI definition of the metre).
 C_VACUUM = 299_792_458.0
 
+#: Operating (pair degeneracy) wavelength, nm: the source and the converters
+#: phase-match there at the operating temperature.
+OPERATING_WAVELENGTH_NM = 1551.7
+
 
 @dataclass(frozen=True)
 class SpectralGrid:
     """Signal-detuning grid centered on the pair degeneracy wavelength."""
 
-    center_wavelength_nm: float = 1551.7
+    center_wavelength_nm: float = OPERATING_WAVELENGTH_NM
     half_width_nm: float = 6.0
     samples: int = 4096
 
@@ -75,6 +79,26 @@ class SpectralGrid:
     def flip(values: np.ndarray) -> np.ndarray:
         """Frequency reversal Omega -> -Omega (exact on this grid)."""
         return values[..., ::-1]
+
+    def phase_blocks(self, taus_s, carrier: bool = False):
+        """exp(i w_k tau) on this grid as two ~sqrt(N)-wide tables.
+
+        w is the detuning Omega, or omega0 + Omega with carrier=True.  The
+        grid is uniform, w_{pB+q} = w_{pB} + q dOmega with B = ceil(sqrt N),
+        so exp(i w_{pB+q} tau) = starts[..., p] * within[..., q] with
+
+            starts = exp(i w_{pB} tau),  p < P = ceil(N / B),
+            within = exp(i q dOmega tau),  q < B,
+
+        shapes tau.shape + (P,) and tau.shape + (B,): P + B exponentials per
+        delay instead of N.  When B does not divide N, the flat index pB + q
+        runs past N - 1 in the last block; callers drop or zero-pad it.
+        """
+        block = math.isqrt(self.samples - 1) + 1
+        axis = self.omega_plus if carrier else self.detunings
+        starts = np.exp(1j * np.multiply.outer(taus_s, axis[::block]))
+        within = np.exp(1j * np.multiply.outer(taus_s, np.arange(block) * self.d_omega))
+        return starts, within
 
     def samples_across_nm(self, width_nm: float) -> float:
         """How many grid samples span a spectral feature of the given width."""

@@ -9,20 +9,30 @@ partner A[s, r](-Omega) before squaring.
 
 The circuit is one list of steps, each an element in its sparsest exact
 form: per-mode propagation phases, a 2x2 converter block on the upper
-path, or a constant 4x4 splitter matrix.  The steps are used two ways.
+path, the balanced splitter's 2x2 path matrix, or the polarizing
+splitter's constant 4x4 matrix.  The steps are used two ways.
 
 hom_scan, the fast path, uses that the source emits one product mode
 pair, photon 1 in (upper, H) and photon 2 in (upper, V) with the joint
 amplitude phi(Omega), and that every element is linear: two per-photon
-mode vectors u1, u2 of shape (N, 4) carry the state exactly,
+mode vectors u1, u2 carry the state exactly,
 
     A[a, b](Omega) = u1[a](omega0 + Omega) u2[b](omega0 - Omega) phi(Omega),
 
-and A is formed only at detection, for the output pairs.  The
-source-to-splitter prefix depends on a setting only through the first
-converter, so a scan evolves it once per (pc0_on, pc0_efficiency); the
-triple converter matrix and the phases of each section length are
-computed once per scan.
+and A is formed only at detection, for the output pairs.  The vectors
+are held mode-major, one (4, 2, N) array whose rows 0-1 and 2-3 are the
+(2, 2, N) upper- and lower-path blocks (polarization, photon, sample).
+The source-to-splitter prefix depends on a setting only through the
+first converter, so a scan evolves it once per (pc0_on, pc0_efficiency);
+the triple converter matrix, the coupler matrix of each splitter drive
+and the phases of each section length are computed once per scan.  A
+setting's suffix acts on the path blocks: the lower path takes one
+diagonal, the product of its phases; the upper path takes the phases
+before the triple, the triple's Jones block and the product of the
+phases after it; the splitter mixes the two blocks, and detection reads
+them.  Each propagation phase exp(i (omega0 + Omega) tau) is the outer
+product of the grid's two phase blocks (SpectralGrid.phase_blocks, the
+ceil(sqrt N) split below), about 2 sqrt(N) exponentials per section.
 
 chain_transfers embeds the same steps as dense (N, 4, 4) matrices, and
 apply_element acts with them on the full tensor sample-by-sample:
@@ -41,15 +51,17 @@ quantities) and live in the rate budget instead.
 dip_profile bypasses the chain: it needs the delay kernel
 K(tau) = sum_k g_k exp(i Omega_k tau) dOmega at T delays.  Omega is
 uniform, Omega_{pB+q} = Omega_{pB} + q dOmega with B = ceil(sqrt N), so
-the exponential factors into a (T, B) table of in-block offsets and a
-(T, N/B) table of block starts joined by one matrix product: about
-2 T sqrt(N) exponentials instead of T N, for any delay array.  The
+the exponential factors (SpectralGrid.phase_blocks) into a (T, B) table
+of in-block offsets and a (T, N/B) table of block starts joined by one
+matrix product: about 2 T sqrt(N) exponentials instead of T N, for any
+delay array.  The
 midpoint sum is periodic in tau with period 2 pi / dOmega, so a delay
 with dOmega |tau| >= pi is rejected as aliased (GridCoverageError).
 """
 
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -64,6 +76,9 @@ OUT_LOWER = (mode_index(Path.LOWER, Polarization.H), mode_index(Path.LOWER, Pola
 
 #: Phase-matching lobes the grid must cover on its narrow side.
 MIN_LOBES = 3.0
+#: Grid samples required across a phase-matching lobe and across the
+#: narrowest detection filter.
+MIN_FEATURE_SAMPLES = 4.0
 
 
 class GridCoverageError(ValueError):
@@ -132,12 +147,12 @@ def mode_matrix_transfer(grid: SpectralGrid, matrix: np.ndarray, label) -> Eleme
 
 
 def _propagation_phases(grid: SpectralGrid, length_mm: float, model, paths) -> np.ndarray:
-    """Per-mode phases (N, 4) of a birefringent section on the given paths."""
-    diag = np.ones((grid.samples, N_MODES), dtype=complex)
+    """Per-mode phases (4, N) of a birefringent section on the given paths."""
+    diag = np.ones((N_MODES, grid.samples), dtype=complex)
     for pol in (Polarization.H, Polarization.V):
         phase = el.propagation_transfer(pol, length_mm, grid, model)
         for path in paths:
-            diag[:, mode_index(path, pol)] = phase
+            diag[mode_index(path, pol)] = phase
     return diag
 
 
@@ -162,8 +177,9 @@ def propagation_element(
 class _Step:
     """One chain element in its sparsest exact form.
 
-    kind "phase": data (N, 4), per-mode propagation phases (a diagonal);
+    kind "phase": data (4, N), per-mode propagation phases (a diagonal);
     kind "jones": data (2, 2) or (N, 2, 2), an (H, V) block on the upper path;
+    kind "paths": data (2, 2), a path matrix acting alike on both polarizations;
     kind "modes": data (4, 4), a frequency-independent mode matrix.
     """
 
@@ -177,33 +193,47 @@ class _Step:
             return jones_transfer(grid, self.data, label=self.label)
         if self.kind == "modes":
             return mode_matrix_transfer(grid, self.data, self.label)
+        if self.kind == "paths":  # MODE_ORDER is path-major
+            return mode_matrix_transfer(grid, np.kron(self.data, np.eye(2)), self.label)
         mats = np.zeros((grid.samples, N_MODES, N_MODES), dtype=complex)
         k = np.arange(N_MODES)
-        mats[:, k, k] = self.data
+        mats[:, k, k] = self.data.T
         return ElementTransfer(self.label, mats)
 
     def apply(self, vectors: np.ndarray) -> np.ndarray:
-        """Act on per-photon mode vectors (photons, N, 4) sampled at omega0 + Omega."""
+        """Act on per-photon mode vectors, mode-major (4, photons, N) and
+        sampled at omega0 + Omega; rows 0-1 are the upper-path block."""
         if self.kind == "phase":
-            return vectors * self.data
+            return vectors * self.data[:, None]
         if self.kind == "modes":
-            return vectors @ self.data.T
-        j, (h, v) = self.data, OUT_UPPER  # (upper, H), (upper, V)
-        out = vectors.copy()
-        out[..., h] = j[..., 0, 0] * vectors[..., h] + j[..., 0, 1] * vectors[..., v]
-        out[..., v] = j[..., 1, 0] * vectors[..., h] + j[..., 1, 1] * vectors[..., v]
+            return (self.data @ vectors.reshape(N_MODES, -1)).reshape(vectors.shape)
+        out = np.empty_like(vectors, order="C")
+        if self.kind == "jones":
+            out[2:] = vectors[2:]
+            _mix(self.data, vectors[:2], out[:2])
+        else:  # the (upper, lower) path blocks
+            _mix(self.data, vectors.reshape(2, -1), out.reshape(2, -1))
         return out
+
+
+def _mix(matrix: np.ndarray, pair: np.ndarray, out: np.ndarray) -> None:
+    """out[a] = matrix[a, 0] pair[0] + matrix[a, 1] pair[1] for a 2x2 matrix,
+    constant (2, 2) or per sample (N, 2, 2) broadcast along the last axis."""
+    for a in range(2):
+        np.multiply(matrix[..., a, 0], pair[0], out=out[a])
+        out[a] += matrix[..., a, 1] * pair[1]
 
 
 @dataclass
 class _Chain:
     """The circuit from the source midpoint to the outputs, as steps.
 
-    Holds what a scan shares: the converter and splitter matrices and the
-    phases of every section length met so far.  prefix() runs to the
-    polarizing-splitter exit and depends on the setting only through
-    (pc0_on, pc0_efficiency); suffix() is the rest.  Keywords as for
-    chain_transfers.
+    Holds what a scan shares: the converter matrices, the coupler matrix
+    of every BsSpec and the phases of every section length met so far.
+    prefix() runs to the polarizing-splitter exit and depends on the
+    setting only through (pc0_on, pc0_efficiency); suffix() is the rest:
+    phases and the triple's Jones block, then the balanced splitter.
+    Keywords as for chain_transfers.
     """
 
     layout: chip_mod.ChipLayout
@@ -228,6 +258,7 @@ class _Chain:
             triple = triple.with_conversion_db(self.pc_conversion_db)
         self.triple = self._converter(triple)
         self._phases = {}
+        self._couplers = {}
 
     def _converter(self, pc: el.PcSpec) -> np.ndarray:
         if self.flat_converters:
@@ -281,9 +312,10 @@ class _Chain:
         bs = self.bs
         if bs is None:
             bs = replace(el.ideal_bs(), u11_v=setting.bs_voltages[0], u12_v=setting.bs_voltages[1])
-        # the same (upper, lower) coupler for both polarizations; MODE_ORDER is path-major
-        coupler = np.kron(el.bs_transfer(bs), np.eye(2))
-        steps.append(_Step("balanced splitter", "modes", coupler))
+        if bs not in self._couplers:
+            self._couplers[bs] = el.bs_transfer(bs)
+        # the same (upper, lower) coupler for both polarizations
+        steps.append(_Step("balanced splitter", "paths", self._couplers[bs]))
         return steps
 
 
@@ -304,11 +336,21 @@ def build_source_state(
             f"grid covers {res.lobe_coverage:.2f} phase-matching lobes; "
             f"need at least {MIN_LOBES:g}"
         )
+    _check_feature_samples(grid, res.lobe_samples, "a phase-matching lobe")
     values = np.zeros((N_MODES, N_MODES, grid.samples), dtype=complex)
     i_h = mode_index(Path.UPPER, Polarization.H)
     i_v = mode_index(Path.UPPER, Polarization.V)
     values[i_h, i_v, :] = res.values
     return TwoPhotonAmplitude(grid=grid, values=values)
+
+
+def _check_feature_samples(grid: SpectralGrid, across: float, feature: str) -> None:
+    """Raise unless at least MIN_FEATURE_SAMPLES grid samples span the feature."""
+    if across < MIN_FEATURE_SAMPLES:
+        raise GridCoverageError(
+            f"grid puts {across:.2f} samples across {feature} at {grid.samples} "
+            f"samples; need at least {MIN_FEATURE_SAMPLES:g}"
+        )
 
 
 def apply_element(state: TwoPhotonAmplitude, transfer: ElementTransfer) -> TwoPhotonAmplitude:
@@ -387,6 +429,9 @@ def _filter_tuple(filters) -> tuple:
 def _filter_weight(grid: SpectralGrid, filters) -> np.ndarray:
     f_plus = np.ones(grid.samples, dtype=complex)
     for flt in _filter_tuple(filters):
+        if flt.shape != "none":
+            across = grid.samples_across_nm(flt.width_nm)
+            _check_feature_samples(grid, across, f"the {flt.width_nm:g} nm {flt.shape} filter")
         f_plus = f_plus * el.filter_amplitude(flt, grid.wavelength_plus_nm)
     f_minus = grid.flip(f_plus)
     return np.abs(f_plus * f_minus) ** 2
@@ -421,16 +466,18 @@ def _rank_one_coincidence(vectors, phi, weight, d_omega) -> float:
     """coincidence_probability of A[a, b](Omega) = u1[a](Omega) u2[b](-Omega) phi(Omega),
     formed only for the output pairs and their exchange partners.
 
-    vectors[0] is photon 1 and vectors[1] photon 2, both sampled at
-    omega0 + Omega; photon 2 is read on the flipped axis.
+    vectors is mode-major (4, 2, N): rows 0-1 (OUT_UPPER) and 2-3
+    (OUT_LOWER) are the path blocks, column 0 is photon 1 and column 1
+    photon 2, both sampled at omega0 + Omega; photon 2 is read on the
+    flipped axis.
     """
-    u1 = vectors[0].T
-    u2 = vectors[1, ::-1].T
-    upper, lower = np.array(OUT_UPPER)[:, None], np.array(OUT_LOWER)[None, :]
-    direct = u1[upper] * u2[lower] * phi  # A[a, b](Omega)
-    partner = u1[lower] * u2[upper] * phi  # A[b, a](Omega)
-    block = direct + partner[:, :, ::-1]
-    return float(np.sum(np.abs(block) ** 2 * weight) * d_omega)
+    u1 = vectors[:, 0]
+    u2 = vectors[:, 1, ::-1]
+    block = (u1[:2] * phi)[:, None] * u2[None, 2:]  # A[a, b](Omega)
+    partner = u1[None, 2:] * (u2[:2] * phi)[:, None]  # A[b, a](Omega)
+    block += partner[:, :, ::-1]
+    power = block.real**2 + block.imag**2
+    return float(np.sum(power.reshape(4, -1) @ weight) * d_omega)
 
 
 def hom_scan(
@@ -453,8 +500,8 @@ def hom_scan(
     source = build_source_state(pm, grid, model=chain.model, temperature_c=chain.temperature_c)
     phi = source.values[i_h, i_v]
     weight = _filter_weight(grid, filters)
-    start = np.zeros((2, grid.samples, N_MODES), dtype=complex)
-    start[0, :, i_h] = start[1, :, i_v] = 1.0
+    start = np.zeros((N_MODES, 2, grid.samples), dtype=complex)
+    start[i_h, 0] = start[i_v, 1] = 1.0
     prefixes = {}
     points = []
     for setting in settings:
@@ -462,7 +509,7 @@ def hom_scan(
         key = (setting.pc0_on, setting.pc0_efficiency)
         if key not in prefixes:
             prefixes[key] = _evolve(start, chain.prefix(setting))
-        vectors = _evolve(prefixes[key], suffix)
+        vectors = _apply_suffix(prefixes[key], suffix)
         raw = _rank_one_coincidence(vectors, phi, weight, grid.d_omega)
         delay = chip_mod.delay_schedule(layout, setting, chain.model)
         points.append(ScanPoint(setting=setting, delay_ps=delay, raw=raw))
@@ -473,6 +520,27 @@ def _evolve(vectors: np.ndarray, steps) -> np.ndarray:
     for step in steps:
         vectors = step.apply(vectors)
     return vectors
+
+
+def _apply_suffix(vectors: np.ndarray, steps) -> np.ndarray:
+    """_evolve over _Chain.suffix steps, on the path blocks.
+
+    Before the splitter the suffix holds only phases and the triple's
+    Jones block on the upper path.  Diagonals commute, so the lower block
+    takes the product of all the phases as one diagonal, and the upper
+    block takes the phases before the triple, the Jones block, then the
+    product of the phases after it; the splitter mixes the two blocks.
+    Every array is a whole (2, 2, N) block or a (4, N) diagonal.
+    """
+    *body, splitter = steps
+    k = next(i for i, step in enumerate(body) if step.kind == "jones")
+    before = reduce(np.multiply, [step.data for step in body[:k]])
+    after = reduce(np.multiply, [step.data for step in body[k + 1 :]])
+    out = np.empty_like(vectors)
+    np.multiply(vectors[2:], (before[2:] * after[2:])[:, None], out=out[2:])
+    _mix(body[k].data, vectors[:2] * before[:2, None], out[:2])
+    out[:2] *= after[:2, None]
+    return splitter.apply(out)
 
 
 def reference_mask_longest_off_delay(points) -> list:
@@ -595,12 +663,9 @@ def _delay_kernel(g: np.ndarray, grid: SpectralGrid, taus_s: np.ndarray) -> np.n
     which costs T (B + P) exponentials and one (T, B) x (B, P) product.
     Only Omega must be uniform; tau may be any array.
     """
-    n = grid.samples
-    block = math.isqrt(n - 1) + 1
-    blocks = -(-n // block)
-    g_blocks = np.pad(g, (0, blocks * block - n)).reshape(blocks, block)
-    within = np.exp(1j * np.outer(taus_s, np.arange(block) * grid.d_omega))
-    starts = np.exp(1j * np.outer(taus_s, grid.detunings[::block]))
+    starts, within = grid.phase_blocks(taus_s)
+    blocks, block = starts.shape[-1], within.shape[-1]
+    g_blocks = np.pad(g, (0, blocks * block - grid.samples)).reshape(blocks, block)
     return np.sum(starts * (within @ g_blocks.T), axis=1) * grid.d_omega
 
 

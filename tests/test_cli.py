@@ -198,6 +198,10 @@ def test_dip_halfwidth_flag_keeps_unfiltered_window(tmp_path, capsys):
         (["hom-scan", "--grid-halfwidth-nm", "2000"], None),
         (["dip", "--grid-halfwidth-nm", "2000"], None),
         (["dip", "--grid-samples", "1024"], None),
+        (["hom-scan", "--grid-samples", "2"], None),
+        (["hom-scan", "--grid-samples", "16"], None),
+        (["hom-scan", "--grid-samples", "32"], None),
+        (["hom-scan", "--filter", "lorentz:1.2", "--grid-samples", "34"], None),
         (["hom-scan"], "temperature_c = nan\n"),
         (["delay-schedule"], "pdc_length_mm = nan\n"),
     ],
@@ -212,6 +216,10 @@ def test_dip_halfwidth_flag_keeps_unfiltered_window(tmp_path, capsys):
         "halfwidth-reaches-zero-frequency",
         "dip-halfwidth-reaches-zero-frequency",
         "dip-delay-axis-aliased",
+        "samples-2",
+        "samples-16",
+        "samples-32",
+        "filter-undersampled",
         "layout-temperature-nan",
         "layout-pdc-length-nan",
     ],
@@ -225,6 +233,13 @@ def test_bad_numbers_exit_1_without_output(tmp_path, capsys, argv, layout_text):
     assert main(argv + ["--out", str(out), "--format", "csv"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("samples", ["48", "64"])
+def test_sparse_grid_above_density_floor_converges(tmp_path, capsys, samples):
+    # the density floor sits below the smallest grid that gives the converged value
+    assert main(["hom-scan", "--grid-samples", samples, "--out", str(tmp_path), "--format", "csv"]) == 0
+    assert "visibility = 0.7906" in capsys.readouterr().out
 
 
 def test_runtime_imports_no_scipy():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from homchip.dispersion import default_model, group_index_difference
+from homchip.dispersion import default_model, group_index, group_index_difference
 from homchip.elements import (
     BsSpec,
     FilterSpec,
@@ -327,6 +327,20 @@ def test_propagation_relative_phase_slope_is_walk_off(model):
     rel = np.unwrap(np.angle(ph_h * np.conj(ph_v)))
     slope = (rel[-1] - rel[0]) / (grid.detunings[-1] - grid.detunings[0])
     assert slope * 1e12 == pytest.approx(walk_off_time(model, 10.0), rel=1e-9)
+
+
+@pytest.mark.parametrize("samples", [2, 1000, 4096, 8192])
+def test_propagation_matches_direct_exponential(model, samples):
+    # the phases come from sqrt(N)-wide block tables; B = ceil(sqrt N)
+    # divides neither 1000 nor 8192, so the last block is trimmed
+    grid = SpectralGrid(samples=samples)
+    for pol in ("H", "V"):
+        ng = float(group_index(model, pol, grid.center_wavelength_nm))
+        for length_mm in (0.0, 1.27, 12.7, 25.4):
+            direct = np.exp(1j * grid.omega_plus * ng * (length_mm * 1e-3) / C)
+            phases = propagation_transfer(pol, length_mm, grid, model)
+            assert phases.shape == (samples,)
+            assert np.max(np.abs(phases - direct)) <= 1e-9
 
 
 def test_propagation_composes_additively(model):
