@@ -110,11 +110,11 @@ class ChipConfig:
 
     layout: ChipLayout
     setting: SwitchSetting
-    temperature_c: float = OPERATING_TEMPERATURE_C
-    pump_wavelength_nm: float = DEFAULT_PUMP_WAVELENGTH_NM
-    pbs_extinction_db: float = math.inf
-    pc_conversion_db: float | None = None  # None = ideal converters
-    filter: FilterSpec = field(default_factory=FilterSpec)
+    temperature_c: float
+    pump_wavelength_nm: float
+    pbs_extinction_db: float
+    pc_conversion_db: float | None  # None = ideal converters
+    filter: FilterSpec
 
     @property
     def center_wavelength_nm(self) -> float:
@@ -181,8 +181,8 @@ def delay_schedule(
         )
     validate_setting(layout, setting)
     model = model or dispersion.default_model()
-    wavelength_nm = dispersion.CALIBRATION_WAVELENGTH_NM
-    dng = float(dispersion.group_index_difference(model, wavelength_nm))
+    ng_h, ng_v = dispersion.calibration_group_indices(model)
+    dng = ng_h - ng_v
 
     # conversion point of the active triple, measured from the splitter exit
     z_conv_mm = (setting.triple_index + 0.5) * layout.segment_length_mm
@@ -201,7 +201,6 @@ def delay_schedule(
     delay_s = dng * effective_mm * 1e-3 / C_VACUUM
 
     if layout.branch_length_mismatch_mm:
-        ng_v = float(dispersion.group_index(model, "V", wavelength_nm))
         delay_s += ng_v * layout.branch_length_mismatch_mm * 1e-3 / C_VACUUM
     return delay_s * 1e12
 

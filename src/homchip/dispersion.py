@@ -74,7 +74,9 @@ def _sellmeier_n(coeffs, wavelength_um):
     return np.sqrt(n2)
 
 
-def _check_range(model: DispersionModel, wavelength_nm, margin_nm=0.0):
+def check_range(model: DispersionModel, wavelength_nm, margin_nm=0.0):
+    """Raise WavelengthRangeError unless every wavelength (nm) lies inside the
+    coefficient validity range, shrunk by margin_nm on each side."""
     lam_um = np.asarray(wavelength_nm, dtype=float) * 1e-3
     lo, hi = model.valid_range_um
     lo += margin_nm * 1e-3
@@ -88,7 +90,7 @@ def _check_range(model: DispersionModel, wavelength_nm, margin_nm=0.0):
 
 def refractive_index(model: DispersionModel, pol, wavelength_nm):
     """Phase index n(lambda) for one polarization; wavelength in nm."""
-    _check_range(model, wavelength_nm)
+    check_range(model, wavelength_nm)
     coeffs = (
         model.sellmeier_ordinary
         if Polarization(pol) is Polarization.H
@@ -103,7 +105,7 @@ def group_index(model: DispersionModel, pol, wavelength_nm):
     One range check, with the difference step as margin, covers the three
     Sellmeier evaluations.
     """
-    _check_range(model, wavelength_nm, margin_nm=FD_STEP_NM)
+    check_range(model, wavelength_nm, margin_nm=FD_STEP_NM)
     if Polarization(pol) is Polarization.H:
         coeffs, offset = model.sellmeier_ordinary, model.ng_offset_h
     else:
@@ -121,6 +123,15 @@ def group_index_difference(model: DispersionModel, wavelength_nm):
     """dng = n_gH - n_gV (calibrated); positive in the telecom band."""
     return group_index(model, Polarization.H, wavelength_nm) - group_index(
         model, Polarization.V, wavelength_nm
+    )
+
+
+@lru_cache(maxsize=16)
+def calibration_group_indices(model: DispersionModel) -> tuple:
+    """(n_gH, n_gV) at the calibration wavelength, evaluated once per model."""
+    return tuple(
+        float(group_index(model, pol, CALIBRATION_WAVELENGTH_NM))
+        for pol in (Polarization.H, Polarization.V)
     )
 
 

@@ -191,8 +191,11 @@ def pdc_amplitude(
     sinc(dng * L / (2c) * (Omega - Omega_c)) with the center detuning
     Omega_c set by the temperature-tuned degeneracy wavelength.
     Normalized to unit power on the grid; a too-narrow grid is flagged.
+    A grid reaching outside the dispersion model's validity range raises
+    WavelengthRangeError before anything else is computed.
     """
     model = model or dispersion.default_model()
+    dispersion.check_range(model, grid.wavelength_plus_nm[[0, -1]])
     t = pm.reference_temperature_c if temperature_c is None else temperature_c
     center_nm = pm_center_vs_temperature(pm, "PDC", t)
     dng = float(dispersion.group_index_difference(model, center_nm))
@@ -457,7 +460,7 @@ def propagation_transfer(
         raise ValueError("length_mm must be >= 0")
     model = model or dispersion.default_model()
     ng = float(dispersion.group_index(model, pol, grid.center_wavelength_nm))
-    starts, within = grid.phase_blocks(ng * (length_mm * 1e-3) / C_VACUUM, carrier=True)
+    starts, within = grid.phase_blocks(ng * (length_mm * 1e-3) / C_VACUUM, grid.omega_plus)
     return np.outer(starts, within).ravel()[: grid.samples]
 
 

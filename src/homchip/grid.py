@@ -80,22 +80,23 @@ class SpectralGrid:
         """Frequency reversal Omega -> -Omega (exact on this grid)."""
         return values[..., ::-1]
 
-    def phase_blocks(self, taus_s, carrier: bool = False):
-        """exp(i w_k tau) on this grid as two ~sqrt(N)-wide tables.
+    def phase_blocks(self, taus_s, axis: np.ndarray):
+        """exp(i w tau) over a uniform run of this grid as two ~sqrt-wide tables.
 
-        w is the detuning Omega, or omega0 + Omega with carrier=True.  The
-        grid is uniform, w_{pB+q} = w_{pB} + q dOmega with B = ceil(sqrt N),
-        so exp(i w_{pB+q} tau) = starts[..., p] * within[..., q] with
+        axis is a stretch of the grid with step dOmega: omega_plus for the
+        propagation phases, the Omega > 0 half detunings[N // 2:] for the
+        dip kernel.  With B = ceil(sqrt(len(axis))), w_{pB+q} = w_{pB} +
+        q dOmega, so exp(i w_{pB+q} tau) = starts[..., p] * within[..., q] with
 
-            starts = exp(i w_{pB} tau),  p < P = ceil(N / B),
+            starts = exp(i w_{pB} tau),  p < P = ceil(len(axis) / B),
             within = exp(i q dOmega tau),  q < B,
 
         shapes tau.shape + (P,) and tau.shape + (B,): P + B exponentials per
-        delay instead of N.  When B does not divide N, the flat index pB + q
-        runs past N - 1 in the last block; callers drop or zero-pad it.
+        delay instead of len(axis).  When B does not divide len(axis), the
+        flat index pB + q runs past its end in the last block; callers drop
+        or zero-pad it.
         """
-        block = math.isqrt(self.samples - 1) + 1
-        axis = self.omega_plus if carrier else self.detunings
+        block = math.isqrt(len(axis) - 1) + 1
         starts = np.exp(1j * np.multiply.outer(taus_s, axis[::block]))
         within = np.exp(1j * np.multiply.outer(taus_s, np.arange(block) * self.d_omega))
         return starts, within

@@ -48,15 +48,22 @@ stands in for the unspecified general measurement description.
 Wavelength-flat losses are excluded here (they cancel in normalized
 quantities) and live in the rate budget instead.
 
-dip_profile bypasses the chain: it needs the delay kernel
-K(tau) = sum_k g_k exp(i Omega_k tau) dOmega at T delays.  Omega is
-uniform, Omega_{pB+q} = Omega_{pB} + q dOmega with B = ceil(sqrt N), so
-the exponential factors (SpectralGrid.phase_blocks) into a (T, B) table
-of in-block offsets and a (T, N/B) table of block starts joined by one
-matrix product: about 2 T sqrt(N) exponentials instead of T N, for any
-delay array.  The
-midpoint sum is periodic in tau with period 2 pi / dOmega, so a delay
-with dOmega |tau| >= pi is rejected as aliased (GridCoverageError).
+dip_profile bypasses the chain: it needs Re K(tau) of the delay kernel
+K(tau) = sum_k g_k exp(i Omega_k tau) dOmega at T delays, where
+g = a conj(flip a) for the joint amplitude a.  So g(-Omega) = conj g(Omega)
+on the symmetric grid, which has no Omega = 0 sample, and the sum folds
+onto Omega > 0: Re K = 2 sum_{Omega_k > 0} Re(g_k exp(i Omega_k tau)) dOmega.
+That half axis is uniform, Omega_{N/2+pB+q} = Omega_{N/2+pB} + q dOmega
+with B = ceil(sqrt(N/2)), so the exponential factors
+(SpectralGrid.phase_blocks) into a (T, B) table of in-block offsets and a
+(T, N/(2B)) table of block starts joined by one matrix product: about
+2 T sqrt(N/2) exponentials instead of T N, for any delay array.
+dip_scenarios evaluates each shared input once (the source amplitude per
+grid, each filter and converter envelope on omega0 + Omega, flipped for
+photon 2) and gets its three filtered profiles from one pair of tables
+and one product.  The midpoint sum is periodic in tau with period
+2 pi / dOmega, so a delay with dOmega |tau| >= pi is rejected as aliased
+(GridCoverageError).
 """
 
 import math
@@ -118,11 +125,6 @@ class ScanPoint:
 # element -> transfer sampling
 
 
-def identity_transfer(grid: SpectralGrid, label="identity") -> ElementTransfer:
-    mats = np.broadcast_to(np.eye(N_MODES, dtype=complex), (grid.samples, N_MODES, N_MODES))
-    return ElementTransfer(label, np.array(mats))
-
-
 def jones_transfer(
     grid: SpectralGrid, jones: np.ndarray, paths=(Path.UPPER,), label="jones"
 ) -> ElementTransfer:
@@ -154,19 +156,6 @@ def _propagation_phases(grid: SpectralGrid, length_mm: float, model, paths) -> n
         for path in paths:
             diag[mode_index(path, pol)] = phase
     return diag
-
-
-def propagation_element(
-    grid: SpectralGrid,
-    length_mm: float,
-    model=None,
-    paths=(Path.UPPER, Path.LOWER),
-    label=None,
-) -> ElementTransfer:
-    """Birefringent propagation phases over a waveguide section."""
-    label = label or f"propagation {length_mm:g} mm"
-    phases = _propagation_phases(grid, length_mm, model, paths)
-    return _Step(label, "phase", phases).transfer(grid)
 
 
 # ---------------------------------------------------------------------------
@@ -607,32 +596,25 @@ def dip_profile(
     detuning.  The unfiltered profile is the triangle
     1/2 * min(1, |tau| / tau_w) with tau_w = dng * L / c.
 
-    K is evaluated by _delay_kernel, which factors exp(i Omega tau) on
-    the uniform grid into two ~sqrt(N)-wide tables and one matrix
-    product.  The grid resolves only |tau| < pi / dOmega, because the
-    midpoint sum is periodic in tau with period 2 pi / dOmega: a larger
-    delay raises GridCoverageError with the sample count that would
-    resolve it (N >= 1496 for the +-300 nm window and |tau| <= 10 ps).
+    Re K is evaluated by _delay_kernel, which folds the sum onto
+    Omega > 0 and factors exp(i Omega tau) on that uniform half axis
+    into two ~sqrt(N / 2)-wide tables and one matrix product.  The grid
+    resolves only |tau| < pi / dOmega, because the midpoint sum is
+    periodic in tau with period 2 pi / dOmega: a larger delay raises
+    GridCoverageError with the sample count that would resolve it
+    (N >= 1496 for the +-300 nm window and |tau| <= 10 ps).
     """
     taus_s = np.asarray(taus_ps, dtype=float) * 1e-12
     _check_delay_resolution(grid, taus_s)
     model = model or dispersion.default_model()
-    res = el.pdc_amplitude(pm, grid, temperature_c=temperature_c, model=model)
-    a = res.values.astype(complex)
-    lam_plus = grid.wavelength_plus_nm
-    lam_minus = grid.wavelength_minus_nm
-    for env in photon1_envelopes:
-        a = a * np.asarray(env(lam_plus), dtype=complex)
-    for env in photon2_envelopes:
-        a = a * np.asarray(env(lam_minus), dtype=complex)
+    source = el.pdc_amplitude(pm, grid, temperature_c=temperature_c, model=model).values
+    lam_plus, lam_minus = grid.wavelength_plus_nm, grid.wavelength_minus_nm
+    factors = [np.asarray(env(lam_plus), dtype=complex) for env in photon1_envelopes]
+    factors += [np.asarray(env(lam_minus), dtype=complex) for env in photon2_envelopes]
     for flt in _filter_tuple(filters):
-        a = a * el.filter_amplitude(flt, lam_plus) * el.filter_amplitude(flt, lam_minus)
-
-    g = a * np.conj(grid.flip(a))
-    k0 = np.sum(np.abs(a) ** 2) * grid.d_omega
-    if k0 <= 0:
-        raise ValueError("joint spectrum vanishes; nothing passes the filters")
-    return 0.5 * (1.0 - np.real(_delay_kernel(g, grid, taus_s)) / k0)
+        f_plus = el.filter_amplitude(flt, lam_plus)
+        factors += [f_plus, grid.flip(f_plus)]
+    return _dip_curves(grid, reduce(np.multiply, factors, source)[None], taus_s)[0]
 
 
 def _check_delay_resolution(grid: SpectralGrid, taus_s: np.ndarray) -> None:
@@ -650,23 +632,45 @@ def _check_delay_resolution(grid: SpectralGrid, taus_s: np.ndarray) -> None:
         )
 
 
+def _dip_curves(grid: SpectralGrid, joint: np.ndarray, taus_s: np.ndarray) -> np.ndarray:
+    """dip_profile's P(tau) for each row of the joint amplitudes (S, N): (S, T)."""
+    k0 = np.sum(np.abs(joint) ** 2, axis=-1) * grid.d_omega
+    if np.any(k0 <= 0):
+        raise ValueError("joint spectrum vanishes; nothing passes the filters")
+    g = joint * np.conj(grid.flip(joint))
+    return 0.5 * (1.0 - _delay_kernel(g, grid, taus_s) / k0[:, None])
+
+
 def _delay_kernel(g: np.ndarray, grid: SpectralGrid, taus_s: np.ndarray) -> np.ndarray:
-    """K(tau) = sum_k g_k exp(i Omega_k tau) dOmega, factored on the uniform grid.
+    """Re K(tau), K(tau) = sum_k g_k exp(i Omega_k tau) dOmega, for each row of
+    g (S, N) with g(-Omega) = conj g(Omega): shape (S, T).
 
-    With Omega_{pB+q} = Omega_{pB} + q dOmega, the exponential splits into
-    a (T, P) table over block starts and a (T, B) table over in-block
-    offsets, B = ceil(sqrt N), P = ceil(N / B); g is zero-padded to P*B
-    and read as G[p, q] = g[pB + q].  Then
+    The symmetric grid has no Omega = 0 sample and pairs Omega_k with
+    Omega_{N-1-k} = -Omega_k, whose terms are complex conjugates, so
 
-        K(tau) = sum_p exp(i Omega_{pB} tau) sum_q exp(i q dOmega tau) G[p, q] dOmega,
+        Re K(tau) = 2 sum_{Omega_k > 0} Re(g_k exp(i Omega_k tau)) dOmega.
 
-    which costs T (B + P) exponentials and one (T, B) x (B, P) product.
-    Only Omega must be uniform; tau may be any array.
+    The half axis Omega_{N/2 + j}, j < H = N / 2, is uniform, so the
+    exponential splits (SpectralGrid.phase_blocks) into a (T, P) table
+    over block starts and a (T, B) table over in-block offsets,
+    B = ceil(sqrt H), P = ceil(H / B).  Each row's half is zero-padded to
+    P*B and read as G[s, p, q] = g[s, N/2 + pB + q], and
+
+        Re K_s(tau) = 2 Re sum_p exp(i Omega_{N/2+pB} tau)
+                          sum_q exp(i q dOmega tau) G[s, p, q] dOmega,
+
+    which costs T (B + P) exponentials and one (T, B) x (B, S P) product
+    for all S rows.  Only Omega must be uniform; tau may be any array.
     """
-    starts, within = grid.phase_blocks(taus_s)
+    half = grid.samples // 2
+    starts, within = grid.phase_blocks(taus_s, grid.detunings[half:])
     blocks, block = starts.shape[-1], within.shape[-1]
-    g_blocks = np.pad(g, (0, blocks * block - grid.samples)).reshape(blocks, block)
-    return np.sum(starts * (within @ g_blocks.T), axis=1) * grid.d_omega
+    rows = len(g)
+    g_blocks = np.pad(g[:, half:], ((0, 0), (0, blocks * block - half)))
+    g_blocks = g_blocks.reshape(rows, blocks, block).transpose(2, 0, 1).reshape(block, -1)
+    inner = (within @ g_blocks).reshape(-1, rows, blocks)  # (T, S, P)
+    kernel = np.sum(starts[:, None, :] * inner, axis=-1)
+    return 2.0 * grid.d_omega * kernel.real.T
 
 
 def dip_scenarios(
@@ -689,34 +693,49 @@ def dip_scenarios(
     The unfiltered curve integrates the bare phase-matching spectrum,
     whose slow tails need a much wider grid than the filtered cases;
     pass unfiltered_grid to control that window separately.
+
+    Each profile equals its dip_profile call, but the shared inputs are
+    evaluated once: the source amplitude per grid, and each filter and
+    converter envelope on omega0 + Omega, with photon 2's factor the
+    flipped array (wavelength_minus_nm is flip(wavelength_plus_nm)).
+    The three filtered joint amplitudes share one _delay_kernel call, so
+    one pair of phase tables serves them; the unfiltered curve gets its
+    own pair on its grid.
     """
     layout = layout or chip_mod.ChipLayout()
     model = model or dispersion.default_model()
     t = pm.reference_temperature_c if temperature_c is None else temperature_c
-    center = grid.center_wavelength_nm
-    rect = el.FilterSpec("rectangular", center, rect_width_nm)
-    lorentz = el.FilterSpec("lorentzian", center, lorentz_width_nm)
+    taus_s = np.asarray(taus_ps, dtype=float) * 1e-12
+    wide = unfiltered_grid or grid
+    _check_delay_resolution(wide, taus_s)
+    _check_delay_resolution(grid, taus_s)
 
+    center = grid.center_wavelength_nm
+    lam = grid.wavelength_plus_nm
+    rect = el.filter_amplitude(el.FilterSpec("rectangular", center, rect_width_nm), lam)
+    lorentz = el.filter_amplitude(el.FilterSpec("lorentzian", center, lorentz_width_nm), lam)
     triple = el.PcSpec(length_mm=3.0 * layout.segment_length_mm, temperature_c=t)
     pc0 = el.PcSpec(length_mm=layout.pc0_length_mm, temperature_c=t).with_drive_efficiency(
         pc0_efficiency
     )
+    conv_triple = el.pc_conversion_amplitude(triple, lam, model, pm)
+    conv_pc0 = el.pc_conversion_amplitude(pc0, lam, model, pm)
 
-    def conv(pc):
-        return lambda lam: el.pc_conversion_amplitude(pc, lam, model, pm)
-
-    common = dict(pm=pm, grid=grid, taus_ps=taus_ps, model=model, temperature_c=t)
-    wide = dict(common, grid=unfiltered_grid or grid)
-    return {
-        "unfiltered": dip_profile(filters=None, **wide),
-        "rectangular": dip_profile(filters=rect, **common),
-        "segmented_lorentz_pc0_off": dip_profile(
-            filters=lorentz, photon1_envelopes=(conv(triple),), **common
-        ),
-        "two_converters_lorentz_pc0_on": dip_profile(
-            filters=lorentz,
-            photon1_envelopes=(conv(pc0), conv(triple)),
-            photon2_envelopes=(conv(pc0),),
-            **common,
+    wide_source = el.pdc_amplitude(pm, wide, temperature_c=t, model=model).values
+    if wide == grid:
+        source = wide_source
+    else:
+        source = el.pdc_amplitude(pm, grid, temperature_c=t, model=model).values
+    # factors in dip_profile's order: photon-1 envelopes, photon-2 envelopes, filters
+    flip = grid.flip
+    filtered = {
+        "rectangular": (rect, flip(rect)),
+        "segmented_lorentz_pc0_off": (conv_triple, lorentz, flip(lorentz)),
+        "two_converters_lorentz_pc0_on": (
+            conv_pc0, conv_triple, flip(conv_pc0), lorentz, flip(lorentz)
         ),
     }
+    joint = np.stack([reduce(np.multiply, factors, source) for factors in filtered.values()])
+    curves = {"unfiltered": _dip_curves(wide, wide_source[None], taus_s)[0]}
+    curves.update(zip(filtered, _dip_curves(grid, joint, taus_s)))
+    return curves

@@ -198,6 +198,8 @@ def test_dip_halfwidth_flag_keeps_unfiltered_window(tmp_path, capsys):
         (["hom-scan", "--grid-halfwidth-nm", "2000"], None),
         (["dip", "--grid-halfwidth-nm", "2000"], None),
         (["dip", "--grid-samples", "1024"], None),
+        (["hom-scan", "--grid-halfwidth-nm", "1500", "--grid-samples", "65536"], None),
+        (["dip", "--grid-halfwidth-nm", "1500", "--grid-samples", "65536"], None),
         (["hom-scan", "--grid-samples", "2"], None),
         (["hom-scan", "--grid-samples", "16"], None),
         (["hom-scan", "--grid-samples", "32"], None),
@@ -216,6 +218,8 @@ def test_dip_halfwidth_flag_keeps_unfiltered_window(tmp_path, capsys):
         "halfwidth-reaches-zero-frequency",
         "dip-halfwidth-reaches-zero-frequency",
         "dip-delay-axis-aliased",
+        "halfwidth-beyond-dispersion-range",
+        "dip-halfwidth-beyond-dispersion-range",
         "samples-2",
         "samples-16",
         "samples-32",

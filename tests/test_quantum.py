@@ -15,8 +15,9 @@ from homchip.chip import (
     valid_triples,
 )
 from homchip.dispersion import default_model, group_index_difference, walk_off_time
-from homchip.elements import BsSpec, FilterSpec, PmSpec
+from homchip.elements import BsSpec, FilterSpec, PcSpec, PmSpec, pc_conversion_amplitude
 from homchip.grid import SpectralGrid
+from homchip.modes import Path
 from homchip import quantum as q
 
 C = 299792458.0
@@ -48,6 +49,16 @@ def lorentz():
     return FilterSpec("lorentzian", LAM0, 1.2)
 
 
+def identity_transfer(grid):
+    return q.mode_matrix_transfer(grid, np.eye(4), "identity")
+
+
+def propagation_element(grid, length_mm, model):
+    """Dense transfer of a birefringent section on both paths."""
+    phases = q._propagation_phases(grid, length_mm, model, (Path.UPPER, Path.LOWER))
+    return q._Step(f"propagation {length_mm:g} mm", "phase", phases).transfer(grid)
+
+
 # ---------------------------------------------------------------- source
 
 
@@ -72,13 +83,13 @@ def test_source_state_requires_lobe_coverage(pm, model):
 
 def test_apply_identity_keeps_state(pm, grid, model):
     state = q.build_source_state(pm, grid, model=model)
-    out = q.apply_element(state, q.identity_transfer(grid))
+    out = q.apply_element(state, identity_transfer(grid))
     assert np.array_equal(out.values, state.values)
 
 
 def test_apply_element_rejects_wrong_grid(pm, grid, model):
     state = q.build_source_state(pm, grid, model=model)
-    other = q.identity_transfer(SpectralGrid(half_width_nm=6.0, samples=1024))
+    other = identity_transfer(SpectralGrid(half_width_nm=6.0, samples=1024))
     with pytest.raises(ValueError):
         q.apply_element(state, other)
 
@@ -86,10 +97,10 @@ def test_apply_element_rejects_wrong_grid(pm, grid, model):
 def test_propagation_phase_additivity(pm, grid, model):
     state = q.build_source_state(pm, grid, model=model)
     a = q.apply_element(
-        q.apply_element(state, q.propagation_element(grid, 3.0, model)),
-        q.propagation_element(grid, 4.5, model),
+        q.apply_element(state, propagation_element(grid, 3.0, model)),
+        propagation_element(grid, 4.5, model),
     )
-    b = q.apply_element(state, q.propagation_element(grid, 7.5, model))
+    b = q.apply_element(state, propagation_element(grid, 7.5, model))
     assert np.max(np.abs(a.values - b.values)) < 1e-9
 
 
@@ -168,7 +179,7 @@ def test_disabled_splitter_gives_half(layout, pm, grid, model):
         layout, SwitchSetting(True, 2), pm, grid, model=model, flat_converters=True
     )
     transfers = [
-        q.identity_transfer(grid) if t.label == "polarizing splitter" else t
+        identity_transfer(grid) if t.label == "polarizing splitter" else t
         for t in transfers
     ]
     state = q.build_source_state(pm, grid, model=model)
@@ -629,7 +640,10 @@ def kernel_inputs(draw):
     )
     grid = SpectralGrid(half_width_nm=draw(st.floats(0.5, 300.0)), samples=samples)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    g = rng.normal(size=samples) + 1j * rng.normal(size=samples)
+    # dip_profile's form g = a conj(flip a), one row per joint amplitude
+    shape = (draw(st.integers(1, 3)), samples)
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    g = a * np.conj(grid.flip(a))
     # unsorted, non-uniform delays inside the alias bound |tau| < pi / dOmega
     reach = draw(st.floats(0.0, 1.0, exclude_max=True)) * math.pi / grid.d_omega
     taus_s = rng.uniform(-reach, reach, size=draw(st.integers(0, 600)))
@@ -640,8 +654,69 @@ def kernel_inputs(draw):
 @given(inputs=kernel_inputs())
 def test_delay_kernel_matches_dense_exponential(inputs):
     g, grid, taus_s = inputs
-    dense = np.exp(1j * np.outer(taus_s, grid.detunings)) @ g * grid.d_omega
-    factored = q._delay_kernel(g, grid, taus_s)
-    assert factored.shape == taus_s.shape
-    bound = 1e-12 * np.sum(np.abs(g)) * grid.d_omega
-    assert np.max(np.abs(factored - dense), initial=0.0) <= bound
+    dense = np.real(g @ np.exp(1j * np.outer(grid.detunings, taus_s)) * grid.d_omega)
+    folded = q._delay_kernel(g, grid, taus_s)
+    assert folded.shape == (len(g),) + taus_s.shape
+    bound = 1e-12 * np.sum(np.abs(g), axis=1, keepdims=True) * grid.d_omega
+    assert np.all(np.abs(folded - dense) <= bound)
+
+
+@PROPERTY_SETTINGS
+@given(
+    center=st.floats(1000.0, 2500.0),
+    fraction=st.floats(1e-4, 0.99),
+    samples=st.integers(1, 4096).map(lambda h: 2 * h),
+)
+def test_minus_wavelengths_are_flipped_plus_wavelengths(center, fraction, samples):
+    grid = SpectralGrid(center, fraction * center, samples)
+    assert np.array_equal(grid.wavelength_minus_nm, grid.flip(grid.wavelength_plus_nm))
+
+
+@PROPERTY_SETTINGS
+@given(
+    samples=st.sampled_from([1000, 2048, 4096]),
+    temperature_c=st.floats(42.6, 44.6),
+    pc0_efficiency=st.floats(0.95, 1.0),
+    rect_width_nm=st.floats(1.5, 3.0),
+    lorentz_width_nm=st.floats(0.8, 2.0),
+    taus_ps=st.sampled_from(
+        [np.arange(-120, 121) * 0.05, np.array([3.7, -0.4, 0.0, 6.1, -2.9, 1.25])]
+    ),
+)
+def test_dip_scenarios_match_separate_profiles(
+    pm, model, samples, temperature_c, pc0_efficiency, rect_width_nm, lorentz_width_nm, taus_ps
+):
+    layout = ChipLayout()
+    grid = SpectralGrid(half_width_nm=6.0, samples=samples)
+    wide = SpectralGrid(half_width_nm=300.0, samples=samples)
+    curves = q.dip_scenarios(
+        pm, grid, taus_ps, layout=layout, model=model, temperature_c=temperature_c,
+        pc0_efficiency=pc0_efficiency, rect_width_nm=rect_width_nm,
+        lorentz_width_nm=lorentz_width_nm, unfiltered_grid=wide,
+    )
+    triple = PcSpec(length_mm=3.0 * layout.segment_length_mm, temperature_c=temperature_c)
+    pc0 = PcSpec(length_mm=layout.pc0_length_mm, temperature_c=temperature_c)
+    pc0 = pc0.with_drive_efficiency(pc0_efficiency)
+
+    def conv(pc):
+        return lambda lam: pc_conversion_amplitude(pc, lam, model, pm)
+
+    lorentz = FilterSpec("lorentzian", LAM0, lorentz_width_nm)
+    common = dict(taus_ps=taus_ps, model=model, temperature_c=temperature_c)
+    separate = {
+        "unfiltered": q.dip_profile(pm, wide, None, **common),
+        "rectangular": q.dip_profile(
+            pm, grid, FilterSpec("rectangular", LAM0, rect_width_nm), **common
+        ),
+        "segmented_lorentz_pc0_off": q.dip_profile(
+            pm, grid, lorentz, photon1_envelopes=(conv(triple),), **common
+        ),
+        "two_converters_lorentz_pc0_on": q.dip_profile(
+            pm, grid, lorentz, photon1_envelopes=(conv(pc0), conv(triple)),
+            photon2_envelopes=(conv(pc0),), **common
+        ),
+    }
+    assert list(curves) == list(separate)
+    for name, p in separate.items():
+        assert curves[name].shape == p.shape
+        assert np.max(np.abs(curves[name] - p)) <= 1e-12, name
