@@ -48,6 +48,8 @@ class DispersionModel:
 
     Coefficient tuples are flat (B1, C1, B2, C2, ...) pairs of the
     standard n^2 = 1 + sum B*l^2/(l^2 - C) expansion, lambda in um.
+    Any sequence is accepted and stored as a tuple, so the model stays
+    hashable (calibration_group_indices caches per model).
     """
 
     sellmeier_ordinary: tuple
@@ -57,6 +59,8 @@ class DispersionModel:
     valid_range_um: tuple = (0.5, 5.0)
 
     def __post_init__(self):
+        for name in ("sellmeier_ordinary", "sellmeier_extraordinary", "valid_range_um"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         for name in ("sellmeier_ordinary", "sellmeier_extraordinary"):
             coeffs = getattr(self, name)
             if len(coeffs) == 0 or len(coeffs) % 2 != 0:

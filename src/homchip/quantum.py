@@ -596,6 +596,11 @@ def dip_profile(
     detuning.  The unfiltered profile is the triangle
     1/2 * min(1, |tau| / tau_w) with tau_w = dng * L / c.
 
+    Envelopes are elementwise callables of wavelength in nm.  Every
+    envelope and filter is evaluated once on wavelength_plus_nm; photon
+    2 takes the flipped array, which is its value on wavelength_minus_nm
+    (the two axes are flips of each other bit for bit).
+
     Re K is evaluated by _delay_kernel, which folds the sum onto
     Omega > 0 and factors exp(i Omega tau) on that uniform half axis
     into two ~sqrt(N / 2)-wide tables and one matrix product.  The grid
@@ -608,13 +613,29 @@ def dip_profile(
     _check_delay_resolution(grid, taus_s)
     model = model or dispersion.default_model()
     source = el.pdc_amplitude(pm, grid, temperature_c=temperature_c, model=model).values
-    lam_plus, lam_minus = grid.wavelength_plus_nm, grid.wavelength_minus_nm
-    factors = [np.asarray(env(lam_plus), dtype=complex) for env in photon1_envelopes]
-    factors += [np.asarray(env(lam_minus), dtype=complex) for env in photon2_envelopes]
-    for flt in _filter_tuple(filters):
-        f_plus = el.filter_amplitude(flt, lam_plus)
-        factors += [f_plus, grid.flip(f_plus)]
-    return _dip_curves(grid, reduce(np.multiply, factors, source)[None], taus_s)[0]
+    lam = grid.wavelength_plus_nm
+    joint = _joint(
+        grid,
+        source,
+        [np.asarray(env(lam), dtype=complex) for env in photon1_envelopes],
+        [np.asarray(env(lam), dtype=complex) for env in photon2_envelopes],
+        [el.filter_amplitude(flt, lam) for flt in _filter_tuple(filters)],
+    )
+    return _dip_curves(grid, joint[None], taus_s)[0]
+
+
+def _joint(grid: SpectralGrid, source, photon1=(), photon2=(), filters=()) -> np.ndarray:
+    """Joint amplitude from the source and per-photon arrays on omega0 + Omega.
+
+    Photon 2 sits at omega0 - Omega, so its envelopes enter flipped, and
+    each filter acts on both photons.  The factors always multiply in one
+    order (photon 1, photon 2, then each filter on photon 1 and photon 2),
+    so every caller gets the same bits for the same inputs.
+    """
+    factors = list(photon1) + [grid.flip(env) for env in photon2]
+    for f in filters:
+        factors += [f, grid.flip(f)]
+    return reduce(np.multiply, factors, source)
 
 
 def _check_delay_resolution(grid: SpectralGrid, taus_s: np.ndarray) -> None:
@@ -694,11 +715,10 @@ def dip_scenarios(
     whose slow tails need a much wider grid than the filtered cases;
     pass unfiltered_grid to control that window separately.
 
-    Each profile equals its dip_profile call, but the shared inputs are
-    evaluated once: the source amplitude per grid, and each filter and
-    converter envelope on omega0 + Omega, with photon 2's factor the
-    flipped array (wavelength_minus_nm is flip(wavelength_plus_nm)).
-    The three filtered joint amplitudes share one _delay_kernel call, so
+    Each profile equals its dip_profile call (both build the joint
+    amplitude with _joint), but the shared inputs are evaluated once:
+    the source amplitude per grid, and each filter and converter
+    envelope on omega0 + Omega.  The three filtered joint amplitudes share one _delay_kernel call, so
     one pair of phase tables serves them; the unfiltered curve gets its
     own pair on its grid.
     """
@@ -722,20 +742,14 @@ def dip_scenarios(
     conv_pc0 = el.pc_conversion_amplitude(pc0, lam, model, pm)
 
     wide_source = el.pdc_amplitude(pm, wide, temperature_c=t, model=model).values
-    if wide == grid:
-        source = wide_source
-    else:
-        source = el.pdc_amplitude(pm, grid, temperature_c=t, model=model).values
-    # factors in dip_profile's order: photon-1 envelopes, photon-2 envelopes, filters
-    flip = grid.flip
+    source = el.pdc_amplitude(pm, grid, temperature_c=t, model=model).values
     filtered = {
-        "rectangular": (rect, flip(rect)),
-        "segmented_lorentz_pc0_off": (conv_triple, lorentz, flip(lorentz)),
-        "two_converters_lorentz_pc0_on": (
-            conv_pc0, conv_triple, flip(conv_pc0), lorentz, flip(lorentz)
+        "rectangular": _joint(grid, source, filters=(rect,)),
+        "segmented_lorentz_pc0_off": _joint(grid, source, (conv_triple,), (), (lorentz,)),
+        "two_converters_lorentz_pc0_on": _joint(
+            grid, source, (conv_pc0, conv_triple), (conv_pc0,), (lorentz,)
         ),
     }
-    joint = np.stack([reduce(np.multiply, factors, source) for factors in filtered.values()])
     curves = {"unfiltered": _dip_curves(wide, wide_source[None], taus_s)[0]}
-    curves.update(zip(filtered, _dip_curves(grid, joint, taus_s)))
+    curves.update(zip(filtered, _dip_curves(grid, np.stack(list(filtered.values())), taus_s)))
     return curves

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -81,6 +82,19 @@ def test_delay_zero_at_synchronization_point(model):
     d = delay_schedule(layout, SwitchSetting(pc0_on=True, triple_index=2), model)
     assert abs(d) <= 0.01
     assert d == pytest.approx(0.0, abs=1e-9)  # exact for the as-built geometry
+
+
+def test_delay_accepts_list_and_array_coefficients(model):
+    setting = SwitchSetting(pc0_on=False, triple_index=3)
+    expected = delay_schedule(ChipLayout(), setting, model)
+    for convert in (list, np.array):
+        m = replace(
+            model,
+            sellmeier_ordinary=convert(model.sellmeier_ordinary),
+            sellmeier_extraordinary=convert(model.sellmeier_extraordinary),
+            valid_range_um=convert(model.valid_range_um),
+        )
+        assert delay_schedule(ChipLayout(), setting, m) == expected
 
 
 def test_delay_on_branch_affine(model):

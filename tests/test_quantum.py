@@ -18,6 +18,7 @@ from homchip.dispersion import default_model, group_index_difference, walk_off_t
 from homchip.elements import BsSpec, FilterSpec, PcSpec, PmSpec, pc_conversion_amplitude
 from homchip.grid import SpectralGrid
 from homchip.modes import Path
+from homchip import elements as el
 from homchip import quantum as q
 
 C = 299792458.0
@@ -397,6 +398,27 @@ def test_dip_lorentz_strictly_wider(pm, model, lorentz):
         return x2 - x1
 
     assert fwhm(p_lor) / fwhm(p_tri) > 1.3
+
+
+def test_dip_envelopes_match_dense_oracle(pm, model, lorentz):
+    # photon 2's envelope and filter are evaluated on wavelength_minus_nm here
+    grid = SpectralGrid(half_width_nm=6.0, samples=1024)
+    taus = np.array([-4.0, -0.3, 0.0, 1.1, 5.5])
+
+    def photon1(lam):
+        return np.exp(-(((lam - LAM0 + 0.5) / 2.0) ** 2) + 0.3j * (lam - LAM0))
+
+    def photon2(lam):
+        return np.exp(-(((lam - LAM0 - 0.8) / 1.5) ** 2) - 0.7j * (lam - LAM0) ** 2)
+
+    p = q.dip_profile(pm, grid, lorentz, taus, (photon1,), (photon2,), model=model)
+    lam_p, lam_m = grid.wavelength_plus_nm, grid.wavelength_minus_nm
+    a = el.pdc_amplitude(pm, grid, model=model).values * photon1(lam_p) * photon2(lam_m)
+    a = a * el.filter_amplitude(lorentz, lam_p) * el.filter_amplitude(lorentz, lam_m)
+    g = a * np.conj(a[::-1])
+    kernel = np.real(g @ np.exp(1j * np.outer(grid.detunings, taus * 1e-12)))
+    oracle = 0.5 * (1.0 - kernel / np.sum(np.abs(a) ** 2))
+    assert np.max(np.abs(p - oracle)) <= 1e-12
 
 
 def test_dip_vanishing_spectrum_errors(pm, model):
