@@ -49,7 +49,7 @@ class DispersionModel:
     Coefficient tuples are flat (B1, C1, B2, C2, ...) pairs of the
     standard n^2 = 1 + sum B*l^2/(l^2 - C) expansion, lambda in um.
     Any sequence is accepted and stored as a tuple, so the model stays
-    hashable (calibration_group_indices caches per model).
+    hashable (group_index_at caches per model).
     """
 
     sellmeier_ordinary: tuple
@@ -130,11 +130,17 @@ def group_index_difference(model: DispersionModel, wavelength_nm):
     )
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=64)
+def group_index_at(model: DispersionModel, pol, wavelength_nm: float) -> float:
+    """group_index at one wavelength as a float, evaluated once per
+    (model, polarization, wavelength)."""
+    return float(group_index(model, pol, wavelength_nm))
+
+
 def calibration_group_indices(model: DispersionModel) -> tuple:
-    """(n_gH, n_gV) at the calibration wavelength, evaluated once per model."""
+    """(n_gH, n_gV) at the calibration wavelength."""
     return tuple(
-        float(group_index(model, pol, CALIBRATION_WAVELENGTH_NM))
+        group_index_at(model, pol, CALIBRATION_WAVELENGTH_NM)
         for pol in (Polarization.H, Polarization.V)
     )
 

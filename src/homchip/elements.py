@@ -451,15 +451,16 @@ def propagation_transfer(
     """Per-sample phases exp(i w tau), tau = n_g L / c, in the group-delay
     approximation, at w = omega0 + Omega.
 
-    n_g is evaluated at the grid center, so the relative phase slope
-    between the polarizations over the grid equals the walk-off time.
+    n_g is evaluated at the grid center (once per model, polarization and
+    center), so the relative phase slope between the polarizations over
+    the grid equals the walk-off time.
     The N phases are the outer product of the grid's two phase blocks
     (SpectralGrid.phase_blocks): about 2 sqrt(N) exponentials.
     """
     if length_mm < 0:
         raise ValueError("length_mm must be >= 0")
     model = model or dispersion.default_model()
-    ng = float(dispersion.group_index(model, pol, grid.center_wavelength_nm))
+    ng = dispersion.group_index_at(model, pol, grid.center_wavelength_nm)
     starts, within = grid.phase_blocks(ng * (length_mm * 1e-3) / C_VACUUM, grid.omega_plus)
     return np.outer(starts, within).ravel()[: grid.samples]
 

@@ -23,16 +23,34 @@ and A is formed only at detection, for the output pairs.  The vectors
 are held mode-major, one (4, 2, N) array whose rows 0-1 and 2-3 are the
 (2, 2, N) upper- and lower-path blocks (polarization, photon, sample).
 The source-to-splitter prefix depends on a setting only through the
-first converter, so a scan evolves it once per (pc0_on, pc0_efficiency);
-the triple converter matrix, the coupler matrix of each splitter drive
-and the phases of each section length are computed once per scan.  A
-setting's suffix acts on the path blocks: the lower path takes one
-diagonal, the product of its phases; the upper path takes the phases
-before the triple, the triple's Jones block and the product of the
-phases after it; the splitter mixes the two blocks, and detection reads
-them.  Each propagation phase exp(i (omega0 + Omega) tau) is the outer
-product of the grid's two phase blocks (SpectralGrid.phase_blocks, the
-ceil(sqrt N) split below), about 2 sqrt(N) exponentials per section.
+first converter (pc0_on, pc0_efficiency); the triple converter matrix
+and the coupler matrix of each splitter drive are computed once per
+scan.
+
+The suffix after the polarizing splitter holds only per-polarization
+section phases, the triple's Jones block J on the upper path and the
+path-only balanced splitter, and two settings differ only in where the
+triple sits.  Let Z_m be the phases up to triple m's midpoint z_m, D the
+product of all the suffix's section phases (common to both paths) and M
+the branch-mismatch phase on the upper path.  The upper path takes
+D M (Z_m^-1 J Z_m) and the lower path D.  D commutes with the splitter
+and multiplies A[a, b](Omega) and its exchange partner A[b, a](-Omega)
+by the same unit factor, so it cancels in the bucket coincidence.  What
+is left of the setting is its walk-off phase E_m = Z_mV conj(Z_mH) on
+the Jones off-diagonals, E_m on the H row and conj(E_m) on the V row.
+So for each first-converter state and splitter drive, hom_scan evolves
+the prefix once and folds its vectors, J, M and the splitter into two
+arrays A and B, and a setting's vectors are
+
+    A + B [E_m, conj(E_m)]
+
+(one multiply-add) before detection.  E_m is built from the same
+section tables as the step list's phases, not as one exponential of the
+group-index difference: the latter rounds differently from the oracle,
+enough to break its bound near an exact cancellation.  Each propagation
+phase exp(i (omega0 + Omega) tau) is the outer product of the grid's two
+phase blocks (SpectralGrid.phase_blocks, the ceil(sqrt N) split below),
+about 2 sqrt(N) exponentials per section.
 
 chain_transfers embeds the same steps as dense (N, 4, 4) matrices, and
 apply_element acts with them on the full tensor sample-by-sample:
@@ -222,7 +240,8 @@ class _Chain:
     prefix() runs to the polarizing-splitter exit and depends on the
     setting only through (pc0_on, pc0_efficiency); suffix() is the rest:
     phases and the triple's Jones block, then the balanced splitter.
-    Keywords as for chain_transfers.
+    fold_suffix() and walk_off() are the suffix in hom_scan's folded form
+    (module docstring).  Keywords as for chain_transfers.
     """
 
     layout: chip_mod.ChipLayout
@@ -277,35 +296,83 @@ class _Chain:
             _Step("polarizing splitter", "modes", self.pbs),
         ]
 
-    def suffix(self, setting: chip_mod.SwitchSetting) -> list:
+    def active_triple(self, setting: chip_mod.SwitchSetting) -> int:
+        """The setting's triple index, once the setting is valid for the layout."""
         if setting.triple_index is None:
             raise chip_mod.LayoutError(
                 "no active triple: no interference configuration", key="triple_index"
             )
         chip_mod.validate_setting(self.layout, setting)
-        layout, m = self.layout, setting.triple_index
-        seg = layout.segment_length_mm
-        z_mid = (m + 0.5) * seg  # triple midpoint, from the splitter exit
-        steps = [
-            self._propagation(z_mid, "segments up to triple midpoint"),
-            _Step(f"triple {m}", "jones", self.triple),
-            self._propagation(layout.segment_count * seg - z_mid, "remaining segments"),
-        ]
-        if layout.branch_length_mismatch_mm:
-            steps.append(
-                self._propagation(
-                    layout.branch_length_mismatch_mm, "branch mismatch", paths=(Path.UPPER,)
-                )
-            )
-        steps.append(self._propagation(layout.bs_block_length_mm, "output block"))
-        bs = self.bs
-        if bs is None:
-            bs = replace(el.ideal_bs(), u11_v=setting.bs_voltages[0], u12_v=setting.bs_voltages[1])
+        return setting.triple_index
+
+    def splitter(self, setting: chip_mod.SwitchSetting) -> el.BsSpec:
+        """The balanced splitter a setting drives (self.bs, if given)."""
+        if self.bs is not None:
+            return self.bs
+        return replace(el.ideal_bs(), u11_v=setting.bs_voltages[0], u12_v=setting.bs_voltages[1])
+
+    def coupler(self, bs: el.BsSpec) -> np.ndarray:
+        """The (2, 2) (upper, lower) path matrix of a splitter, for both polarizations."""
         if bs not in self._couplers:
             self._couplers[bs] = el.bs_transfer(bs)
-        # the same (upper, lower) coupler for both polarizations
-        steps.append(_Step("balanced splitter", "paths", self._couplers[bs]))
+        return self._couplers[bs]
+
+    def _to_triple(self, m: int) -> _Step:
+        z_mid = (m + 0.5) * self.layout.segment_length_mm  # from the splitter exit
+        return self._propagation(z_mid, "segments up to triple midpoint")
+
+    def _mismatch(self) -> _Step | None:
+        if not self.layout.branch_length_mismatch_mm:
+            return None
+        return self._propagation(
+            self.layout.branch_length_mismatch_mm, "branch mismatch", paths=(Path.UPPER,)
+        )
+
+    def suffix(self, setting: chip_mod.SwitchSetting) -> list:
+        m = self.active_triple(setting)
+        layout = self.layout
+        seg = layout.segment_length_mm
+        steps = [
+            self._to_triple(m),
+            _Step(f"triple {m}", "jones", self.triple),
+            self._propagation(layout.segment_count * seg - (m + 0.5) * seg, "remaining segments"),
+        ]
+        mismatch = self._mismatch()
+        if mismatch is not None:
+            steps.append(mismatch)
+        steps.append(self._propagation(layout.bs_block_length_mm, "output block"))
+        steps.append(_Step("balanced splitter", "paths", self.coupler(self.splitter(setting))))
         return steps
+
+    def fold_suffix(self, vectors: np.ndarray, bs: el.BsSpec) -> tuple:
+        """The suffix for every triple at once: arrays (A, B) such that the
+        suffix of a setting with triple m and splitter bs takes vectors to
+        D (A + B walk_off(m)).
+
+        vectors are the prefix's (4, 2, N); A and B are (path, polarization,
+        photon, N).  D, the per-polarization product of the suffix's section
+        phases, is common to both paths and cancels in coincidences (module
+        docstring), so hom_scan leaves it out.
+        """
+        j = self.triple
+        upper, lower = vectors[:2], vectors[2:]
+        diagonal = np.stack([j[..., 0, 0] * upper[0], j[..., 1, 1] * upper[1]])
+        cross = np.stack([j[..., 0, 1] * upper[1], j[..., 1, 0] * upper[0]])
+        mismatch = self._mismatch()
+        if mismatch is not None:
+            diagonal *= mismatch.data[:2, None]
+            cross *= mismatch.data[:2, None]
+        coupler = self.coupler(bs)
+        folded = np.empty((2,) + upper.shape, dtype=complex)
+        _mix(coupler, (diagonal, lower), folded)
+        return folded, coupler[:, 0, None, None, None] * cross
+
+    def walk_off(self, m: int) -> np.ndarray:
+        """(2, 1, N) rows E_m and conj(E_m), E_m = Z_V conj(Z_H) for suffix's
+        own phases Z of the sections up to triple m's midpoint."""
+        phases = self._to_triple(m).data  # rows 0-1: upper H, upper V
+        e = phases[1] * np.conj(phases[0])
+        return np.stack([e, np.conj(e)])[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +401,15 @@ def build_source_state(
 
 
 def _check_feature_samples(grid: SpectralGrid, across: float, feature: str) -> None:
-    """Raise unless at least MIN_FEATURE_SAMPLES grid samples span the feature."""
+    """Raise unless at least MIN_FEATURE_SAMPLES grid samples span the feature.
+
+    The message rounds the count down, so a value just below the floor
+    (3.9999999999999996) does not print as the floor itself.
+    """
     if across < MIN_FEATURE_SAMPLES:
         raise GridCoverageError(
-            f"grid puts {across:.2f} samples across {feature} at {grid.samples} "
-            f"samples; need at least {MIN_FEATURE_SAMPLES:g}"
+            f"grid puts {math.floor(across * 100) / 100:.2f} samples across {feature} "
+            f"at {grid.samples} samples; need at least {MIN_FEATURE_SAMPLES:g}"
         )
 
 
@@ -491,15 +562,19 @@ def hom_scan(
     weight = _filter_weight(grid, filters)
     start = np.zeros((N_MODES, 2, grid.samples), dtype=complex)
     start[i_h, 0] = start[i_v, 1] = 1.0
-    prefixes = {}
+    folds, walk_offs = {}, {}
     points = []
     for setting in settings:
-        suffix = chain.suffix(setting)
-        key = (setting.pc0_on, setting.pc0_efficiency)
-        if key not in prefixes:
-            prefixes[key] = _evolve(start, chain.prefix(setting))
-        vectors = _apply_suffix(prefixes[key], suffix)
-        raw = _rank_one_coincidence(vectors, phi, weight, grid.d_omega)
+        m = chain.active_triple(setting)
+        bs = chain.splitter(setting)
+        key = (setting.pc0_on, setting.pc0_efficiency, bs)
+        if key not in folds:
+            folds[key] = chain.fold_suffix(_evolve(start, chain.prefix(setting)), bs)
+        if m not in walk_offs:
+            walk_offs[m] = chain.walk_off(m)
+        folded, cross = folds[key]
+        vectors = folded + cross * walk_offs[m]
+        raw = _rank_one_coincidence(vectors.reshape(start.shape), phi, weight, grid.d_omega)
         delay = chip_mod.delay_schedule(layout, setting, chain.model)
         points.append(ScanPoint(setting=setting, delay_ps=delay, raw=raw))
     return points
@@ -509,27 +584,6 @@ def _evolve(vectors: np.ndarray, steps) -> np.ndarray:
     for step in steps:
         vectors = step.apply(vectors)
     return vectors
-
-
-def _apply_suffix(vectors: np.ndarray, steps) -> np.ndarray:
-    """_evolve over _Chain.suffix steps, on the path blocks.
-
-    Before the splitter the suffix holds only phases and the triple's
-    Jones block on the upper path.  Diagonals commute, so the lower block
-    takes the product of all the phases as one diagonal, and the upper
-    block takes the phases before the triple, the Jones block, then the
-    product of the phases after it; the splitter mixes the two blocks.
-    Every array is a whole (2, 2, N) block or a (4, N) diagonal.
-    """
-    *body, splitter = steps
-    k = next(i for i, step in enumerate(body) if step.kind == "jones")
-    before = reduce(np.multiply, [step.data for step in body[:k]])
-    after = reduce(np.multiply, [step.data for step in body[k + 1 :]])
-    out = np.empty_like(vectors)
-    np.multiply(vectors[2:], (before[2:] * after[2:])[:, None], out=out[2:])
-    _mix(body[k].data, vectors[:2] * before[:2, None], out[:2])
-    out[:2] *= after[:2, None]
-    return splitter.apply(out)
 
 
 def reference_mask_longest_off_delay(points) -> list:

@@ -239,6 +239,15 @@ def test_bad_numbers_exit_1_without_output(tmp_path, capsys, argv, layout_text):
     assert not list(out.iterdir())
 
 
+def test_density_floor_message_reads_below_floor(tmp_path, capsys):
+    # 40 samples put 3.9999999999999996 samples across the filter
+    argv = ["hom-scan", "--preset", "paper", "--filter", "lorentz:1.2", "--grid-samples", "40"]
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "grid puts 3.99 samples across the 1.2 nm lorentzian filter" in err
+    assert "need at least 4" in err
+
+
 @pytest.mark.parametrize("samples", ["48", "64"])
 def test_sparse_grid_above_density_floor_converges(tmp_path, capsys, samples):
     # the density floor sits below the smallest grid that gives the converged value

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -192,6 +193,10 @@ def test_disabled_splitter_gives_half(layout, pm, grid, model):
 def test_run_chain_requires_triple(layout, pm, grid):
     with pytest.raises(LayoutError):
         q.run_chain(layout, SwitchSetting(True, None), pm, grid)
+    # hom_scan checks each setting itself, without building the step list
+    for setting in (SwitchSetting(True, None), SwitchSetting(True, 2, disabled_segments={3})):
+        with pytest.raises(LayoutError):
+            q.hom_scan(layout, [setting], pm, grid)
 
 
 def test_both_photons_exit_vertical_at_sync(layout, pm, grid, model):
@@ -281,7 +286,8 @@ def test_visibility_ideal_and_unbalanced(layout, pm, grid, lorentz):
         q.hom_scan(layout, settings, pm, grid, filters=lorentz, flat_converters=True)
     )
     v_ideal = q.visibility(ideal)
-    assert v_ideal >= 0.999
+    assert 0.999 <= v_ideal <= 1.0
+    assert all(p.raw >= 0.0 for p in ideal)
     skew = BsSpec(section_length_mm=3.0, kappa_per_mm=math.asin(math.sqrt(0.6)) / 6.0)
     off = q.normalize_scan(
         q.hom_scan(
@@ -621,10 +627,14 @@ def test_every_chain_step_keeps_photon_norms(inputs, seed, pm, model):
 
     vectors = walk(vectors, chain.prefix(chosen[0]))
     suffix = chain.suffix(chosen[0])
-    blocks = q._apply_suffix(vectors, suffix)
+    folded, cross = chain.fold_suffix(vectors, chain.splitter(chosen[0]))
+    folded = folded + cross * chain.walk_off(chosen[0].triple_index)
     vectors = walk(vectors, suffix)
-    # the block-shaped suffix of hom_scan is the same map as the step list
-    assert np.max(np.abs(blocks - vectors)) <= 1e-12
+    # the folded suffix of hom_scan is the step list up to the phase common
+    # to both paths, the product of the lower-path phases
+    common = reduce(np.multiply, [step.data[2:] for step in suffix if step.kind == "phase"])
+    folded *= common[:, None]
+    assert np.max(np.abs(folded.reshape(vectors.shape) - vectors)) <= 1e-12
 
 
 @PROPERTY_SETTINGS
