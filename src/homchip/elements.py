@@ -444,7 +444,7 @@ def calibrate_bs(bs: BsSpec) -> BsSpec:
 
 def propagation_transfer(
     pol,
-    length_mm: float,
+    length_mm,
     grid: SpectralGrid,
     model: dispersion.DispersionModel | None = None,
 ) -> np.ndarray:
@@ -456,13 +456,19 @@ def propagation_transfer(
     the grid equals the walk-off time.
     The N phases are the outer product of the grid's two phase blocks
     (SpectralGrid.phase_blocks): about 2 sqrt(N) exponentials.
+
+    length_mm may be a scalar, giving shape (N,), or an array of K
+    lengths, giving (K, N); every row equals the scalar call for its
+    length bit for bit, because the phase blocks are elementwise in tau.
     """
-    if length_mm < 0:
+    lengths = np.asarray(length_mm, dtype=float)
+    if np.any(lengths < 0):
         raise ValueError("length_mm must be >= 0")
     model = model or dispersion.default_model()
     ng = dispersion.group_index_at(model, pol, grid.center_wavelength_nm)
-    starts, within = grid.phase_blocks(ng * (length_mm * 1e-3) / C_VACUUM, grid.omega_plus)
-    return np.outer(starts, within).ravel()[: grid.samples]
+    starts, within = grid.phase_blocks(ng * (lengths * 1e-3) / C_VACUUM, grid.omega_plus)
+    phases = starts[..., :, None] * within[..., None, :]
+    return phases.reshape(lengths.shape + (-1,))[..., : grid.samples]
 
 
 def filter_amplitude(flt: FilterSpec, grid_or_wavelengths) -> np.ndarray:

@@ -52,6 +52,19 @@ phase exp(i (omega0 + Omega) tau) is the outer product of the grid's two
 phase blocks (SpectralGrid.phase_blocks, the ceil(sqrt N) split below),
 about 2 sqrt(N) exponentials per section.
 
+The phases hom_scan reads are fixed by the chip's geometry: no setting,
+temperature, filter or imperfection changes them.  _geometry_tables
+builds them once per (ChipLayout, SpectralGrid, DispersionModel) key,
+all three frozen and hashable, with one propagation_transfer call per
+polarization: the (H, V) rows of the prefix sections and of the branch
+mismatch, and one row E_m per triple (the midpoint phases are dropped
+once E_m is formed).  A functools.lru_cache keeps GEOMETRY_CACHE_SIZE
+= 4 keys, 0.92 MB each at N = 4096 with 8 triples.  This is safe
+because the arrays are read-only, so no caller can alter what a later
+scan reads, and every row is an elementwise function of its key, so a
+warm scan repeats a cold one bit for bit.  The oracle's suffix builds
+its own per-mode phases from the same propagation_transfer rows.
+
 chain_transfers embeds the same steps as dense (N, 4, 4) matrices, and
 apply_element acts with them on the full tensor sample-by-sample:
 
@@ -86,7 +99,7 @@ and one product.  The midpoint sum is periodic in tau with period
 
 import math
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -104,6 +117,8 @@ MIN_LOBES = 3.0
 #: Grid samples required across a phase-matching lobe and across the
 #: narrowest detection filter.
 MIN_FEATURE_SAMPLES = 4.0
+#: Largest rounding residue a dip probability may show outside [0, 1].
+DIP_ROUNDING = 1e-12
 
 
 class GridCoverageError(ValueError):
@@ -166,14 +181,64 @@ def mode_matrix_transfer(grid: SpectralGrid, matrix: np.ndarray, label) -> Eleme
     return ElementTransfer(label, np.array(mats))
 
 
-def _propagation_phases(grid: SpectralGrid, length_mm: float, model, paths) -> np.ndarray:
-    """Per-mode phases (4, N) of a birefringent section on the given paths."""
-    diag = np.ones((N_MODES, grid.samples), dtype=complex)
-    for pol in (Polarization.H, Polarization.V):
-        phase = el.propagation_transfer(pol, length_mm, grid, model)
-        for path in paths:
-            diag[mode_index(path, pol)] = phase
-    return diag
+def _section_phases(grid: SpectralGrid, lengths_mm, model) -> np.ndarray:
+    """(H, V) phases of birefringent sections, shape lengths.shape + (2, N)."""
+    return np.stack(
+        [el.propagation_transfer(pol, lengths_mm, grid, model) for pol in Polarization], axis=-2
+    )
+
+
+#: Geometry tables kept by _geometry_tables, one per (layout, grid, model).
+#: An entry holds 3 or 4 (2, N) section tables and one row per triple: at
+#: N = 4096 and 8 triples, 0.92 MB (1.05 MB with a branch mismatch).
+GEOMETRY_CACHE_SIZE = 4
+
+
+@dataclass(frozen=True, eq=False)
+class _GeometryTables:
+    """The propagation phases a chip's geometry fixes on a grid, read-only.
+
+    source_half, pc0_half and pbs_region are the (H, V) phases (2, N) of
+    the prefix sections; mismatch those of the upper branch's extra
+    length (None without one).  walk_off (T, N) holds, in row m - 1,
+    triple m's walk-off phase E_m = Z_V conj(Z_H) of the sections from the
+    splitter exit to its midpoint.
+    """
+
+    source_half: np.ndarray
+    pc0_half: np.ndarray
+    pbs_region: np.ndarray
+    mismatch: np.ndarray | None
+    walk_off: np.ndarray
+
+
+@lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
+def _geometry_tables(
+    layout: chip_mod.ChipLayout, grid: SpectralGrid, model: dispersion.DispersionModel
+) -> _GeometryTables:
+    """Build every geometry table of a chip with one propagation_transfer
+    call per polarization; memoized, since no setting, temperature,
+    filter or imperfection changes them (module docstring)."""
+    sections = [layout.pdc_length_mm / 2.0, layout.pc0_length_mm / 2.0, layout.pbs_length_mm]
+    if layout.branch_length_mismatch_mm:
+        sections.append(layout.branch_length_mismatch_mm)
+    midpoints = [(m + 0.5) * layout.segment_length_mm for m in layout.triple_indices]
+    # one block, allocated before the build's temporaries: copied out of
+    # them afterwards, the tables raised a scan process's peak RSS by 5 %
+    # instead of 1 %
+    block = np.empty((2 * len(sections) + len(midpoints), grid.samples), dtype=complex)
+    rows = block[: 2 * len(sections)].reshape(len(sections), 2, -1)
+    walk_off = block[2 * len(sections) :]
+    h, v = (el.propagation_transfer(pol, sections + midpoints, grid, model) for pol in Polarization)
+    rows[:, 0], rows[:, 1] = h[: len(sections)], v[: len(sections)]
+    # one N-sample product per triple: numpy swaps the factors of a complex
+    # product whose temporary operand holds 256 KiB or more, and the swapped
+    # product rounds differently, so a (T, N) product would change E's bits
+    for row, z_h, z_v in zip(walk_off, h[len(sections) :], v[len(sections) :]):
+        row[:] = z_v * np.conj(z_h)
+    for table in (rows, walk_off):
+        table.flags.writeable = False
+    return _GeometryTables(*rows[:3], rows[3] if len(rows) > 3 else None, walk_off)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +249,8 @@ def _propagation_phases(grid: SpectralGrid, length_mm: float, model, paths) -> n
 class _Step:
     """One chain element in its sparsest exact form.
 
-    kind "phase": data (4, N), per-mode propagation phases (a diagonal);
+    kind "phase": data (2, N), (H, V) propagation phases on both paths, or
+        (4, N), per-mode phases (a diagonal);
     kind "jones": data (2, 2) or (N, 2, 2), an (H, V) block on the upper path;
     kind "paths": data (2, 2), a path matrix acting alike on both polarizations;
     kind "modes": data (4, 4), a frequency-independent mode matrix.
@@ -204,14 +270,16 @@ class _Step:
             return mode_matrix_transfer(grid, np.kron(self.data, np.eye(2)), self.label)
         mats = np.zeros((grid.samples, N_MODES, N_MODES), dtype=complex)
         k = np.arange(N_MODES)
-        mats[:, k, k] = self.data.T
+        diag = self.data if len(self.data) == N_MODES else np.concatenate([self.data] * 2)
+        mats[:, k, k] = diag.T
         return ElementTransfer(self.label, mats)
 
     def apply(self, vectors: np.ndarray) -> np.ndarray:
         """Act on per-photon mode vectors, mode-major (4, photons, N) and
         sampled at omega0 + Omega; rows 0-1 are the upper-path block."""
-        if self.kind == "phase":
-            return vectors * self.data[:, None]
+        if self.kind == "phase":  # (path, polarization, photon, N) times the rows
+            blocks = vectors.reshape((2, 2) + vectors.shape[1:])
+            return (blocks * self.data.reshape(-1, 2, 1, vectors.shape[-1])).reshape(vectors.shape)
         if self.kind == "modes":
             return (self.data @ vectors.reshape(N_MODES, -1)).reshape(vectors.shape)
         out = np.empty_like(vectors, order="C")
@@ -236,7 +304,7 @@ class _Chain:
     """The circuit from the source midpoint to the outputs, as steps.
 
     Holds what a scan shares: the converter matrices, the coupler matrix
-    of every BsSpec and the phases of every section length met so far.
+    of every BsSpec and the chip's memoized geometry tables.
     prefix() runs to the polarizing-splitter exit and depends on the
     setting only through (pc0_on, pc0_efficiency); suffix() is the rest:
     phases and the triple's Jones block, then the balanced splitter.
@@ -265,19 +333,13 @@ class _Chain:
         if self.pc_conversion_db is not None:
             triple = triple.with_conversion_db(self.pc_conversion_db)
         self.triple = self._converter(triple)
-        self._phases = {}
+        self.tables = _geometry_tables(self.layout, self.grid, self.model)
         self._couplers = {}
 
     def _converter(self, pc: el.PcSpec) -> np.ndarray:
         if self.flat_converters:
             return el.pc_flat_matrix(pc)
         return el.pc_chain_matrix(pc, self.grid.wavelength_plus_nm, self.model, self.pm)
-
-    def _propagation(self, length_mm, label, paths=(Path.UPPER, Path.LOWER)) -> _Step:
-        key = (length_mm, paths)
-        if key not in self._phases:
-            self._phases[key] = _propagation_phases(self.grid, length_mm, self.model, paths)
-        return _Step(label, "phase", self._phases[key])
 
     def prefix(self, setting: chip_mod.SwitchSetting) -> list:
         pc0 = el.PcSpec(length_mm=self.layout.pc0_length_mm, temperature_c=self.temperature_c)
@@ -286,13 +348,13 @@ class _Chain:
             if setting.pc0_on
             else replace(pc0, voltage_v=0.0)
         )
-        half_pc0 = self.layout.pc0_length_mm / 2.0
+        tables = self.tables
         return [
-            self._propagation(self.layout.pdc_length_mm / 2.0, "source second half"),
-            self._propagation(half_pc0, "first converter, front half"),
+            _Step("source second half", "phase", tables.source_half),
+            _Step("first converter, front half", "phase", tables.pc0_half),
             _Step("first converter", "jones", self._converter(pc0)),
-            self._propagation(half_pc0, "first converter, back half"),
-            self._propagation(self.layout.pbs_length_mm, "splitter region"),
+            _Step("first converter, back half", "phase", tables.pc0_half),
+            _Step("splitter region", "phase", tables.pbs_region),
             _Step("polarizing splitter", "modes", self.pbs),
         ]
 
@@ -317,30 +379,31 @@ class _Chain:
             self._couplers[bs] = el.bs_transfer(bs)
         return self._couplers[bs]
 
-    def _to_triple(self, m: int) -> _Step:
-        z_mid = (m + 0.5) * self.layout.segment_length_mm  # from the splitter exit
-        return self._propagation(z_mid, "segments up to triple midpoint")
-
-    def _mismatch(self) -> _Step | None:
-        if not self.layout.branch_length_mismatch_mm:
-            return None
-        return self._propagation(
-            self.layout.branch_length_mismatch_mm, "branch mismatch", paths=(Path.UPPER,)
-        )
-
     def suffix(self, setting: chip_mod.SwitchSetting) -> list:
         m = self.active_triple(setting)
         layout = self.layout
         seg = layout.segment_length_mm
+        z_mid = (m + 0.5) * seg  # from the splitter exit
+        # per-mode (4, N) phases, the section rows on both paths
+        to_triple, remaining, block = (
+            np.concatenate([rows, rows])
+            for rows in _section_phases(
+                self.grid,
+                [z_mid, layout.segment_count * seg - z_mid, layout.bs_block_length_mm],
+                self.model,
+            )
+        )
         steps = [
-            self._to_triple(m),
+            _Step("segments up to triple midpoint", "phase", to_triple),
             _Step(f"triple {m}", "jones", self.triple),
-            self._propagation(layout.segment_count * seg - (m + 0.5) * seg, "remaining segments"),
+            _Step("remaining segments", "phase", remaining),
         ]
-        mismatch = self._mismatch()
-        if mismatch is not None:
-            steps.append(mismatch)
-        steps.append(self._propagation(layout.bs_block_length_mm, "output block"))
+        mismatch = self.tables.mismatch
+        if mismatch is not None:  # upper path only
+            steps.append(
+                _Step("branch mismatch", "phase", np.concatenate([mismatch, np.ones_like(mismatch)]))
+            )
+        steps.append(_Step("output block", "phase", block))
         steps.append(_Step("balanced splitter", "paths", self.coupler(self.splitter(setting))))
         return steps
 
@@ -358,20 +421,20 @@ class _Chain:
         upper, lower = vectors[:2], vectors[2:]
         diagonal = np.stack([j[..., 0, 0] * upper[0], j[..., 1, 1] * upper[1]])
         cross = np.stack([j[..., 0, 1] * upper[1], j[..., 1, 0] * upper[0]])
-        mismatch = self._mismatch()
+        mismatch = self.tables.mismatch
         if mismatch is not None:
-            diagonal *= mismatch.data[:2, None]
-            cross *= mismatch.data[:2, None]
+            diagonal *= mismatch[:, None]
+            cross *= mismatch[:, None]
         coupler = self.coupler(bs)
         folded = np.empty((2,) + upper.shape, dtype=complex)
         _mix(coupler, (diagonal, lower), folded)
         return folded, coupler[:, 0, None, None, None] * cross
 
     def walk_off(self, m: int) -> np.ndarray:
-        """(2, 1, N) rows E_m and conj(E_m), E_m = Z_V conj(Z_H) for suffix's
-        own phases Z of the sections up to triple m's midpoint."""
-        phases = self._to_triple(m).data  # rows 0-1: upper H, upper V
-        e = phases[1] * np.conj(phases[0])
+        """(2, 1, N) rows E_m and conj(E_m), E_m = Z_V conj(Z_H) for the
+        phases Z of the sections up to triple m's midpoint, which suffix()
+        builds alike."""
+        e = self.tables.walk_off[m - 1]
         return np.stack([e, np.conj(e)])[:, None]
 
 
@@ -562,7 +625,7 @@ def hom_scan(
     weight = _filter_weight(grid, filters)
     start = np.zeros((N_MODES, 2, grid.samples), dtype=complex)
     start[i_h, 0] = start[i_v, 1] = 1.0
-    folds, walk_offs = {}, {}
+    folds = {}
     points = []
     for setting in settings:
         m = chain.active_triple(setting)
@@ -570,10 +633,8 @@ def hom_scan(
         key = (setting.pc0_on, setting.pc0_efficiency, bs)
         if key not in folds:
             folds[key] = chain.fold_suffix(_evolve(start, chain.prefix(setting)), bs)
-        if m not in walk_offs:
-            walk_offs[m] = chain.walk_off(m)
         folded, cross = folds[key]
-        vectors = folded + cross * walk_offs[m]
+        vectors = folded + cross * chain.walk_off(m)
         raw = _rank_one_coincidence(vectors.reshape(start.shape), phi, weight, grid.d_omega)
         delay = chip_mod.delay_schedule(layout, setting, chain.model)
         points.append(ScanPoint(setting=setting, delay_ps=delay, raw=raw))
@@ -708,12 +769,24 @@ def _check_delay_resolution(grid: SpectralGrid, taus_s: np.ndarray) -> None:
 
 
 def _dip_curves(grid: SpectralGrid, joint: np.ndarray, taus_s: np.ndarray) -> np.ndarray:
-    """dip_profile's P(tau) for each row of the joint amplitudes (S, N): (S, T)."""
+    """dip_profile's P(tau) for each row of the joint amplitudes (S, N): (S, T).
+
+    |Re K(tau)| <= K(0) (Cauchy-Schwarz), so P lies in [0, 1]; K(0) and the
+    kernel sum the same terms in different orders, which leaves residues
+    like -4.4e-16 at tau = 0.  Those are clipped; anything more than
+    DIP_ROUNDING outside [0, 1] is a defect and raises ValueError.
+    """
     k0 = np.sum(np.abs(joint) ** 2, axis=-1) * grid.d_omega
     if np.any(k0 <= 0):
         raise ValueError("joint spectrum vanishes; nothing passes the filters")
     g = joint * np.conj(grid.flip(joint))
-    return 0.5 * (1.0 - _delay_kernel(g, grid, taus_s) / k0[:, None])
+    p = 0.5 * (1.0 - _delay_kernel(g, grid, taus_s) / k0[:, None])
+    inside = (p >= -DIP_ROUNDING) & (p <= 1.0 + DIP_ROUNDING)
+    if not np.all(inside):
+        raise ValueError(
+            f"dip probability {p[~inside].flat[0]!r} lies outside [0, 1] beyond rounding"
+        )
+    return np.clip(p, 0.0, 1.0)
 
 
 def _delay_kernel(g: np.ndarray, grid: SpectralGrid, taus_s: np.ndarray) -> np.ndarray:

@@ -1,9 +1,12 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from homchip.cli import main, parse_filter_arg
+
+LAYOUTS = Path(__file__).resolve().parent.parent / "layouts"
 
 
 def read_lines(path):
@@ -93,6 +96,22 @@ def test_dip_outputs_four_scenarios(tmp_path, capsys):
     }
     assert len(lines) == 1 + 4 * 401
     assert (tmp_path / "dip.svg").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--grid-samples", "8192"],
+        ["--layout", str(LAYOUTS / "characterized_device.layout"), "--grid-samples", "2048"],
+    ],
+)
+def test_dip_probabilities_are_never_negative(tmp_path, capsys, argv):
+    # both runs leave a rounding residue below zero at tau = 0 unless it is clipped
+    assert main(["dip", "--out", str(tmp_path), "--format", "csv"] + argv) == 0
+    rows = [line.split(",") for line in read_lines(tmp_path / "dip.csv")[1:]]
+    probabilities = [float(p) for _, p, _ in rows]
+    assert min(probabilities) >= 0.0
+    assert max(probabilities) <= 1.0
 
 
 def test_phasematch_summary(tmp_path, capsys):

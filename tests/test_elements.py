@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from homchip.dispersion import default_model, group_index, group_index_difference
@@ -341,6 +343,26 @@ def test_propagation_matches_direct_exponential(model, samples):
             phases = propagation_transfer(pol, length_mm, grid, model)
             assert phases.shape == (samples,)
             assert np.max(np.abs(phases - direct)) <= 1e-9
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    lengths=st.lists(st.floats(0.0, 80.0), min_size=1, max_size=20),
+    samples=st.one_of(st.sampled_from([2, 1000, 4096, 8192]), st.integers(1, 4096).map(lambda h: 2 * h)),
+    half_width_nm=st.floats(0.5, 300.0),
+)
+def test_propagation_rows_equal_scalar_calls(model, lengths, samples, half_width_nm):
+    grid = SpectralGrid(half_width_nm=half_width_nm, samples=samples)
+    for pol in ("H", "V"):
+        rows = propagation_transfer(pol, np.array(lengths), grid, model)
+        assert rows.shape == (len(lengths), samples)
+        for length_mm, row in zip(lengths, rows):
+            assert np.array_equal(row, propagation_transfer(pol, length_mm, grid, model))
+
+
+def test_propagation_rejects_negative_lengths(model):
+    with pytest.raises(ValueError):
+        propagation_transfer("H", [1.0, -0.5], SpectralGrid(samples=64), model)
 
 
 def test_propagation_composes_additively(model):

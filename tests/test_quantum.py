@@ -15,10 +15,15 @@ from homchip.chip import (
     enumerate_settings,
     valid_triples,
 )
-from homchip.dispersion import default_model, group_index_difference, walk_off_time
+from homchip.dispersion import (
+    CALIBRATION_WAVELENGTH_NM,
+    calibrate,
+    default_model,
+    group_index_difference,
+    walk_off_time,
+)
 from homchip.elements import BsSpec, FilterSpec, PcSpec, PmSpec, pc_conversion_amplitude
 from homchip.grid import SpectralGrid
-from homchip.modes import Path
 from homchip import elements as el
 from homchip import quantum as q
 
@@ -57,7 +62,7 @@ def identity_transfer(grid):
 
 def propagation_element(grid, length_mm, model):
     """Dense transfer of a birefringent section on both paths."""
-    phases = q._propagation_phases(grid, length_mm, model, (Path.UPPER, Path.LOWER))
+    phases = q._section_phases(grid, length_mm, model)
     return q._Step(f"propagation {length_mm:g} mm", "phase", phases).transfer(grid)
 
 
@@ -637,21 +642,21 @@ def test_every_chain_step_keeps_photon_norms(inputs, seed, pm, model):
     assert np.max(np.abs(folded.reshape(vectors.shape) - vectors)) <= 1e-12
 
 
-@PROPERTY_SETTINGS
-@given(
-    geometry=st.fixed_dictionaries(
-        dict(
-            pdc_length_mm=st.floats(5.0, 40.0),
-            pc0_length_mm=st.floats(2.0, 15.0),
-            pbs_length_mm=st.floats(1.0, 8.0),
-            segment_length_mm=st.floats(0.5, 5.0),
-            segment_count=st.integers(3, 16),
-            bs_block_length_mm=st.floats(2.0, 20.0),
-            branch_length_mismatch_mm=st.floats(0.0, 0.05),
-        )
-    ),
-    broken=st.sets(st.integers(1, 16), max_size=2),
+LAYOUT_GEOMETRY = st.fixed_dictionaries(
+    dict(
+        pdc_length_mm=st.floats(5.0, 40.0),
+        pc0_length_mm=st.floats(2.0, 15.0),
+        pbs_length_mm=st.floats(1.0, 8.0),
+        segment_length_mm=st.floats(0.5, 5.0),
+        segment_count=st.integers(3, 16),
+        bs_block_length_mm=st.floats(2.0, 20.0),
+        branch_length_mismatch_mm=st.floats(0.0, 0.05),
+    )
 )
+
+
+@PROPERTY_SETTINGS
+@given(geometry=LAYOUT_GEOMETRY, broken=st.sets(st.integers(1, 16), max_size=2))
 def test_delay_schedule_affine_over_random_layouts(geometry, broken, model):
     layout = ChipLayout(**geometry)
     disabled = {s for s in broken if s <= layout.segment_count}
@@ -663,6 +668,127 @@ def test_delay_schedule_affine_over_random_layouts(geometry, broken, model):
         ]
         for m, d in zip(triples[1:], delays[1:]):
             assert d - delays[0] == pytest.approx((m - triples[0]) * step, abs=1e-9)
+
+
+@PROPERTY_SETTINGS
+@given(geometry=LAYOUT_GEOMETRY, broken=st.sets(st.integers(1, 16), max_size=2))
+def test_delay_schedule_is_route_delay_difference(geometry, broken, model):
+    # the schedule against the chain's own phases: track each photon along
+    # its route and sum the group delays of the geometry tables' sections
+    layout = ChipLayout(**geometry)
+    disabled = {s for s in broken if s <= layout.segment_count}
+    # centered on the calibration wavelength, where the schedule takes n_g;
+    # dOmega tau < pi for every section, so one sample step resolves tau
+    grid = SpectralGrid(CALIBRATION_WAVELENGTH_NM, half_width_nm=0.5, samples=512)
+    tables = q._geometry_tables(layout, grid, model)
+
+    def group_delay(row):
+        # exp(i w tau) advances by dOmega tau per sample; samples 0 and 1
+        # share a phase block, so their ratio is rounded least
+        return float(np.angle(row[1] * np.conj(row[0]))) / grid.d_omega
+
+    h, v = 0, 1
+    source, pc0_half, pbs = (
+        [group_delay(rows[pol]) for pol in (h, v)]
+        for rows in (tables.source_half, tables.pc0_half, tables.pbs_region)
+    )
+    for pc0_on in (False, True):
+        for m in valid_triples(layout, disabled):
+            arrival = {}
+            for pol in (h, v):  # photon 1 is born H, photon 2 V, mid-source
+                t = source[pol] + pc0_half[pol]
+                if pc0_on:  # swapped at the first converter's midpoint
+                    pol = 1 - pol
+                t += pc0_half[pol] + pbs[pol]
+                # the polarizing splitter sends H to the segmented branch
+                arrival["segmented" if pol == h else "lower"] = t
+            # the segmented photon turns V at triple m's midpoint z_m; up to
+            # z_m it lags the lower (V) photon by tau_H - tau_V, the negative
+            # of E_m's group delay
+            arrival["segmented"] -= group_delay(tables.walk_off[m - 1])
+            if tables.mismatch is not None:
+                arrival["segmented"] += group_delay(tables.mismatch[v])
+            expected_ps = (arrival["segmented"] - arrival["lower"]) * 1e12
+            schedule = delay_schedule(layout, SwitchSetting(pc0_on, m, disabled), model)
+            assert schedule == pytest.approx(expected_ps, abs=1e-9), (pc0_on, m)
+
+
+# ---------------------------------------------------------------- geometry tables
+
+
+def _scan_raws(layout, grid, model, pm, filters=None):
+    points = q.hom_scan(layout, enumerate_settings(layout), pm, grid, filters=filters, model=model)
+    return [p.raw for p in points]
+
+
+def test_hom_scan_same_bits_on_cold_and_warm_tables(pm, model, lorentz):
+    layout = ChipLayout(branch_length_mismatch_mm=0.02)
+    grid = SpectralGrid(half_width_nm=6.0, samples=1024)
+    q._geometry_tables.cache_clear()
+    cold = _scan_raws(layout, grid, model, pm, lorentz)
+    hits = q._geometry_tables.cache_info().hits
+    warm = _scan_raws(layout, grid, model, pm, lorentz)
+    assert q._geometry_tables.cache_info().hits > hits
+    assert warm == cold
+
+
+def _perturbed_model(model):
+    coeffs = list(model.sellmeier_extraordinary)
+    coeffs[0] *= 1.001
+    return calibrate(replace(model, sellmeier_extraordinary=coeffs))
+
+
+@pytest.mark.parametrize("differ", ["segment_length_mm", "samples", "model"])
+def test_geometry_tables_interleaved_keys_match_cold(differ, pm, model):
+    grid = SpectralGrid(half_width_nm=6.0, samples=512)
+    key = (ChipLayout(), grid, model)
+    if differ == "segment_length_mm":
+        other = (ChipLayout(segment_length_mm=2.6), grid, model)
+    elif differ == "samples":
+        other = (ChipLayout(), replace(grid, samples=640), model)
+    else:  # calibrated to the same dng, so only the absolute phases differ
+        other = (ChipLayout(), grid, _perturbed_model(model))
+    cold = {}
+    for k in (key, other):
+        q._geometry_tables.cache_clear()
+        tables = q._geometry_tables(*k)
+        cold[k] = (np.array(tables.source_half), np.array(tables.walk_off), _scan_raws(*k, pm))
+    assert not all(np.array_equal(a, b) for a, b in zip(cold[key][:2], cold[other][:2]))
+    for k in (key, other, key, other):
+        tables = q._geometry_tables(*k)
+        assert np.array_equal(tables.source_half, cold[k][0])
+        assert np.array_equal(tables.walk_off, cold[k][1])
+        assert _scan_raws(*k, pm) == cold[k][2]
+
+
+def test_geometry_tables_are_read_only(model):
+    layout = ChipLayout(branch_length_mismatch_mm=0.02)
+    tables = q._geometry_tables(layout, SpectralGrid(samples=512), model)
+    arrays = (tables.source_half, tables.pc0_half, tables.pbs_region, tables.mismatch)
+    for array in arrays + (tables.walk_off,):
+        with pytest.raises(ValueError):
+            array[0, 0] = 1.0
+    chain = q._Chain(layout, PmSpec(), SpectralGrid(samples=512), model=model)
+    for step in chain.prefix(SwitchSetting()):
+        if step.kind == "phase":
+            with pytest.raises(ValueError):
+                step.data[...] = 1.0
+
+
+@pytest.mark.parametrize("scale, residue", [(1.0 + 1e-15, 0.0), (1.0 + 1e-9, None), (-1.01, None)])
+def test_dip_curves_clip_residues_and_raise_on_defects(monkeypatch, scale, residue):
+    grid = SpectralGrid(half_width_nm=6.0, samples=256)
+    joint = np.exp(-(grid.detunings / grid.half_width_omega) ** 2)[None].astype(complex)
+    taus_s = np.array([0.0])
+    # Re K(0) = scale K(0): P(0) = (1 - scale) / 2, a residue below 0 at
+    # 1 + 1e-15, a defect below 0 at 1 + 1e-9 and above 1 at -1.01
+    k0 = np.sum(np.abs(joint) ** 2) * grid.d_omega
+    monkeypatch.setattr(q, "_delay_kernel", lambda g, grid, taus: np.full((1, 1), scale * k0))
+    if residue is None:
+        with pytest.raises(ValueError, match="outside"):
+            q._dip_curves(grid, joint, taus_s)
+    else:
+        assert q._dip_curves(grid, joint, taus_s)[0, 0] == residue
 
 
 @st.composite
