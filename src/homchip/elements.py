@@ -244,8 +244,10 @@ def shg_spectrum(
 # polarization converter
 
 
-def _pc_delta_length(pc: PcSpec, wavelength_nm, model, pm):
+def _pc_delta_length(pc: PcSpec, wavelength_nm, model=None, pm=None):
     """delta * L, with delta linearized around the converter center."""
+    model = model or dispersion.default_model()
+    pm = pm or PmSpec()
     center_nm = pm_center_vs_temperature(pm, "PC", pc.temperature_c)
     dng = float(dispersion.group_index_difference(model, center_nm))
     lam = np.asarray(wavelength_nm, dtype=float)
@@ -254,21 +256,30 @@ def _pc_delta_length(pc: PcSpec, wavelength_nm, model, pm):
     return delta * pc.length_mm * 1e-3
 
 
+def _over_gamma(x, gamma_l):
+    """x / g, and 0 where g = 0."""
+    return np.where(gamma_l > 0, x / np.where(gamma_l > 0, gamma_l, 1.0), 0.0)
+
+
+def _coupled_mode_terms(kappa_l, delta_l):
+    """g = |(k, d)| L, sin g and the conversion amplitude -i (k/g) sin g of
+    the coupled-mode solution for the products kappa*L, delta*L; the sine
+    and the amplitude are 0 where g = 0."""
+    kappa_l = np.asarray(kappa_l, dtype=float)
+    gamma_l = np.hypot(kappa_l, np.asarray(delta_l, dtype=float))
+    sin_term = np.where(gamma_l > 0, np.sin(gamma_l), 0.0)
+    return gamma_l, sin_term, -1j * _over_gamma(kappa_l, gamma_l) * sin_term
+
+
 def _coupled_mode_matrix(kappa_l, delta_l):
     """Codirectional coupled-mode matrix for products kappa*L, delta*L.
 
     [[cos g + i (d/g) sin g, -i (k/g) sin g],
      [-i (k/g) sin g,         cos g - i (d/g) sin g]]  with g = |(k, d)| L.
     """
-    kappa_l = np.asarray(kappa_l, dtype=float)
-    delta_l = np.asarray(delta_l, dtype=float)
-    gamma_l = np.hypot(kappa_l, delta_l)
-    sin_term = np.where(gamma_l > 0, np.sin(gamma_l), 0.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        k_frac = np.where(gamma_l > 0, kappa_l / np.where(gamma_l > 0, gamma_l, 1.0), 0.0)
-        d_frac = np.where(gamma_l > 0, delta_l / np.where(gamma_l > 0, gamma_l, 1.0), 0.0)
+    gamma_l, sin_term, off = _coupled_mode_terms(kappa_l, delta_l)
+    d_frac = _over_gamma(np.asarray(delta_l, dtype=float), gamma_l)
     diag = np.cos(gamma_l) + 1j * d_frac * sin_term
-    off = -1j * k_frac * sin_term
     out = np.empty(np.broadcast(kappa_l, delta_l).shape + (2, 2), dtype=complex)
     out[..., 0, 0] = diag
     out[..., 1, 1] = np.conj(diag)
@@ -289,8 +300,6 @@ def pc_transfer(
     Unitary for any drive; U = 0 is the identity up to the mismatch
     propagation phases.
     """
-    model = model or dispersion.default_model()
-    pm = pm or PmSpec()
     delta_l = _pc_delta_length(pc, wavelength_nm, model, pm)
     return _coupled_mode_matrix(pc.kappa_length, delta_l)
 
@@ -312,8 +321,6 @@ def pc_chain_matrix(
     the polarization swap effectively happens at the element midpoint,
     matching the delay-schedule bookkeeping.
     """
-    model = model or dispersion.default_model()
-    pm = pm or PmSpec()
     delta_l = _pc_delta_length(pc, wavelength_nm, model, pm)
     m = _coupled_mode_matrix(pc.kappa_length, delta_l)
     phase = np.exp(-1j * np.asarray(delta_l))
@@ -330,8 +337,9 @@ def pc_flat_matrix(pc: PcSpec) -> np.ndarray:
 
 
 def pc_conversion_amplitude(pc, wavelength_nm, model=None, pm=None) -> np.ndarray:
-    """H->V conversion amplitude -i (kappa/gamma) sin(gamma L)."""
-    return pc_transfer(pc, wavelength_nm, model, pm)[..., 1, 0]
+    """H->V conversion amplitude -i (kappa/gamma) sin(gamma L): the [1, 0]
+    entry of pc_transfer, bit for bit, without building the matrix."""
+    return _coupled_mode_terms(pc.kappa_length, _pc_delta_length(pc, wavelength_nm, model, pm))[2]
 
 
 def pc_transmission_spectrum(pc, grid_or_wavelengths, model=None, pm=None) -> np.ndarray:
@@ -455,7 +463,7 @@ def propagation_transfer(
     center), so the relative phase slope between the polarizations over
     the grid equals the walk-off time.
     The N phases are the outer product of the grid's two phase blocks
-    (SpectralGrid.phase_blocks): about 2 sqrt(N) exponentials.
+    (SpectralGrid.phase_blocks): cos/sin tables of about 2 sqrt(N) entries.
 
     length_mm may be a scalar, giving shape (N,), or an array of K
     lengths, giving (K, N); every row equals the scalar call for its

@@ -91,14 +91,17 @@ class SpectralGrid:
             starts = exp(i w_{pB} tau),  p < P = ceil(len(axis) / B),
             within = exp(i q dOmega tau),  q < B,
 
-        shapes tau.shape + (P,) and tau.shape + (B,): P + B exponentials per
+        shapes tau.shape + (P,) and tau.shape + (B,): P + B cos/sin pairs per
         delay instead of len(axis).  When B does not divide len(axis), the
         flat index pB + q runs past its end in the last block; callers drop
-        or zero-pad it.
+        or zero-pad it.  The tables are cos + i sin (_cis): the same bits as
+        np.exp(1j * angle) for real angles (up to the sign of a zero
+        imaginary part at angle -0.0), without the complex temporary and
+        numpy's complex-exponential loop.
         """
         block = math.isqrt(len(axis) - 1) + 1
-        starts = np.exp(1j * np.multiply.outer(taus_s, axis[::block]))
-        within = np.exp(1j * np.multiply.outer(taus_s, np.arange(block) * self.d_omega))
+        starts = _cis(np.multiply.outer(taus_s, axis[::block]))
+        within = _cis(np.multiply.outer(taus_s, np.arange(block) * self.d_omega))
         return starts, within
 
     def samples_across_nm(self, width_nm: float) -> float:
@@ -106,3 +109,12 @@ class SpectralGrid:
         lam0 = self.center_wavelength_nm * 1e-9
         width_omega = 2.0 * np.pi * C_VACUUM * (width_nm * 1e-9) / lam0**2
         return width_omega / self.d_omega
+
+
+def _cis(angles: np.ndarray) -> np.ndarray:
+    """exp(i angles) for real angles: cos and sin written straight into the
+    real and imaginary parts of one complex array."""
+    out = np.empty(np.shape(angles), dtype=complex)
+    np.cos(angles, out=out.real)
+    np.sin(angles, out=out.imag)
+    return out

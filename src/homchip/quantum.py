@@ -50,7 +50,7 @@ group-index difference: the latter rounds differently from the oracle,
 enough to break its bound near an exact cancellation.  Each propagation
 phase exp(i (omega0 + Omega) tau) is the outer product of the grid's two
 phase blocks (SpectralGrid.phase_blocks, the ceil(sqrt N) split below),
-about 2 sqrt(N) exponentials per section.
+cos/sin tables of about 2 sqrt(N) entries per section.
 
 The phases hom_scan reads are fixed by the chip's geometry: no setting,
 temperature, filter or imperfection changes them.  _geometry_tables
@@ -85,10 +85,11 @@ g = a conj(flip a) for the joint amplitude a.  So g(-Omega) = conj g(Omega)
 on the symmetric grid, which has no Omega = 0 sample, and the sum folds
 onto Omega > 0: Re K = 2 sum_{Omega_k > 0} Re(g_k exp(i Omega_k tau)) dOmega.
 That half axis is uniform, Omega_{N/2+pB+q} = Omega_{N/2+pB} + q dOmega
-with B = ceil(sqrt(N/2)), so the exponential factors
+with B = ceil(sqrt(N/2)), so exp(i Omega tau) factors
 (SpectralGrid.phase_blocks) into a (T, B) table of in-block offsets and a
-(T, N/(2B)) table of block starts joined by one matrix product: about
-2 T sqrt(N/2) exponentials instead of T N, for any delay array.
+(T, N/(2B)) table of block starts joined by one matrix product: cos/sin
+tables of about 2 T sqrt(N/2) entries instead of T N complex
+exponentials, for any delay array.
 dip_scenarios evaluates each shared input once (the source amplitude per
 grid, each filter and converter envelope on omega0 + Omega, flipped for
 photon 2) and gets its three filtered profiles from one pair of tables
@@ -111,6 +112,8 @@ from .modes import N_MODES, Path, Polarization, mode_index
 
 OUT_UPPER = (mode_index(Path.UPPER, Polarization.H), mode_index(Path.UPPER, Polarization.V))
 OUT_LOWER = (mode_index(Path.LOWER, Polarization.H), mode_index(Path.LOWER, Polarization.V))
+#: The source's mode pair: photon 1 in (upper, H), photon 2 in (upper, V).
+SOURCE_MODES = (mode_index(Path.UPPER, Polarization.H), mode_index(Path.UPPER, Polarization.V))
 
 #: Phase-matching lobes the grid must cover on its narrow side.
 MIN_LOBES = 3.0
@@ -449,6 +452,14 @@ def build_source_state(
     temperature_c: float | None = None,
 ) -> TwoPhotonAmplitude:
     """Type-II pair state at the source-section midpoint, unit norm."""
+    values = np.zeros((N_MODES, N_MODES, grid.samples), dtype=complex)
+    values[SOURCE_MODES] = _source_amplitude(pm, grid, model, temperature_c)
+    return TwoPhotonAmplitude(grid=grid, values=values)
+
+
+def _source_amplitude(pm: el.PmSpec, grid: SpectralGrid, model, temperature_c) -> np.ndarray:
+    """The source's joint amplitude phi (N,), the only nonzero row of the
+    pair state, once the grid covers and resolves its phase-matching lobe."""
     res = el.pdc_amplitude(pm, grid, temperature_c=temperature_c, model=model)
     if res.lobe_coverage < MIN_LOBES:
         raise GridCoverageError(
@@ -456,11 +467,7 @@ def build_source_state(
             f"need at least {MIN_LOBES:g}"
         )
     _check_feature_samples(grid, res.lobe_samples, "a phase-matching lobe")
-    values = np.zeros((N_MODES, N_MODES, grid.samples), dtype=complex)
-    i_h = mode_index(Path.UPPER, Polarization.H)
-    i_v = mode_index(Path.UPPER, Polarization.V)
-    values[i_h, i_v, :] = res.values
-    return TwoPhotonAmplitude(grid=grid, values=values)
+    return res.values
 
 
 def _check_feature_samples(grid: SpectralGrid, across: float, feature: str) -> None:
@@ -618,12 +625,10 @@ def hom_scan(
     rounding.
     """
     chain = _Chain(layout, pm, grid, **chain_kwargs)
-    i_h = mode_index(Path.UPPER, Polarization.H)
-    i_v = mode_index(Path.UPPER, Polarization.V)
-    source = build_source_state(pm, grid, model=chain.model, temperature_c=chain.temperature_c)
-    phi = source.values[i_h, i_v]
+    phi = _source_amplitude(pm, grid, chain.model, chain.temperature_c)
     weight = _filter_weight(grid, filters)
     start = np.zeros((N_MODES, 2, grid.samples), dtype=complex)
+    i_h, i_v = SOURCE_MODES
     start[i_h, 0] = start[i_v, 1] = 1.0
     folds = {}
     points = []
@@ -798,26 +803,31 @@ def _delay_kernel(g: np.ndarray, grid: SpectralGrid, taus_s: np.ndarray) -> np.n
 
         Re K(tau) = 2 sum_{Omega_k > 0} Re(g_k exp(i Omega_k tau)) dOmega.
 
-    The half axis Omega_{N/2 + j}, j < H = N / 2, is uniform, so the
-    exponential splits (SpectralGrid.phase_blocks) into a (T, P) table
-    over block starts and a (T, B) table over in-block offsets,
-    B = ceil(sqrt H), P = ceil(H / B).  Each row's half is zero-padded to
+    The half axis Omega_{N/2 + j}, j < H = N / 2, is uniform, so
+    exp(i Omega tau) splits (SpectralGrid.phase_blocks, cos/sin tables)
+    into a (T, P) table over block starts and a (T, B) table over in-block
+    offsets, B = ceil(sqrt H), P = ceil(H / B).  Each row's half is zero-padded to
     P*B and read as G[s, p, q] = g[s, N/2 + pB + q], and
 
         Re K_s(tau) = 2 Re sum_p exp(i Omega_{N/2+pB} tau)
                           sum_q exp(i q dOmega tau) G[s, p, q] dOmega,
 
-    which costs T (B + P) exponentials and one (T, B) x (B, S P) product
+    which costs T (B + P) cos/sin pairs and one (T, B) x (B, S P) product
     for all S rows.  Only Omega must be uniform; tau may be any array.
+    G is laid out with one copy, and the block starts multiply the product
+    in place, in the operand order and summation order that give the same
+    bits as the complex-exponential form the tests keep as a reference.
     """
     half = grid.samples // 2
     starts, within = grid.phase_blocks(taus_s, grid.detunings[half:])
     blocks, block = starts.shape[-1], within.shape[-1]
     rows = len(g)
-    g_blocks = np.pad(g[:, half:], ((0, 0), (0, blocks * block - half)))
-    g_blocks = g_blocks.reshape(rows, blocks, block).transpose(2, 0, 1).reshape(block, -1)
-    inner = (within @ g_blocks).reshape(-1, rows, blocks)  # (T, S, P)
-    kernel = np.sum(starts[:, None, :] * inner, axis=-1)
+    g_blocks = np.zeros((block, rows, blocks), dtype=complex)  # G[q, s, p], zero-padded
+    for row, half_row in zip(g_blocks.transpose(1, 2, 0), g[:, half:]):
+        row.flat[:half] = half_row  # row[p, q] in flat order pB + q
+    inner = (within @ g_blocks.reshape(block, -1)).reshape(-1, rows, blocks)  # (T, S, P)
+    np.multiply(starts[:, None, :], inner, out=inner)
+    kernel = np.sum(inner, axis=-1)
     return 2.0 * grid.d_omega * kernel.real.T
 
 

@@ -253,6 +253,30 @@ def test_pc_full_voltage_matches_voltage_length_product():
     assert PcSpec(length_mm=7.62).full_voltage_v == pytest.approx(19.685, abs=0.001)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    efficiency=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+    length_mm=st.floats(1.0, 30.0),
+    temperature_c=st.floats(41.6, 45.6),
+    offsets_nm=st.lists(st.floats(-300.0, 300.0), min_size=0, max_size=50),
+    scalar_offset_nm=st.one_of(st.just(0.0), st.floats(-300.0, 300.0)),
+)
+def test_pc_conversion_amplitude_is_transfer_entry_bit_for_bit(
+    model, pm, efficiency, length_mm, temperature_c, offsets_nm, scalar_offset_nm
+):
+    pc = PcSpec(length_mm=length_mm, temperature_c=temperature_c).with_drive_efficiency(efficiency)
+    # the phase-matched sample: gamma L = 0 for an undriven converter
+    center = pm_center_vs_temperature(pm, "PC", temperature_c)
+    lam = np.array([center] + [center + d for d in offsets_nm])
+    for wavelengths in (lam, center + scalar_offset_nm, center):
+        conv = pc_conversion_amplitude(pc, wavelengths, model, pm)
+        entry = pc_transfer(pc, wavelengths, model, pm)[..., 1, 0]
+        assert np.shape(conv) == np.shape(entry)
+        assert np.array_equal(conv, entry)
+    if efficiency == 0.0:
+        assert pc_conversion_amplitude(pc, center, model, pm) == 0.0
+
+
 # ---------------------------------------------------------------- splitters
 
 
@@ -358,6 +382,31 @@ def test_propagation_rows_equal_scalar_calls(model, lengths, samples, half_width
         assert rows.shape == (len(lengths), samples)
         for length_mm, row in zip(lengths, rows):
             assert np.array_equal(row, propagation_transfer(pol, length_mm, grid, model))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    samples=st.one_of(st.sampled_from([2, 4096, 8192]), st.integers(1, 4096).map(lambda h: 2 * h)),
+    half_width_nm=st.floats(0.5, 300.0),
+    on_half_detunings=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(0, 40),
+    reach_s=st.floats(1e-15, 1e-9),
+)
+def test_phase_blocks_equal_complex_exponential(
+    samples, half_width_nm, on_half_detunings, seed, count, reach_s
+):
+    grid = SpectralGrid(half_width_nm=half_width_nm, samples=samples)
+    # the dip kernel's Omega > 0 half axis, or the propagation phases' omega0 + Omega
+    axis = grid.detunings[samples // 2 :] if on_half_detunings else grid.omega_plus
+    rng = np.random.default_rng(seed)
+    taus_s = np.concatenate([[0.0], rng.uniform(-reach_s, reach_s, count)])
+    starts, within = grid.phase_blocks(taus_s, axis)
+    block = within.shape[-1]
+    assert np.array_equal(starts, np.exp(1j * np.multiply.outer(taus_s, axis[::block])))
+    assert np.array_equal(
+        within, np.exp(1j * np.multiply.outer(taus_s, np.arange(block) * grid.d_omega))
+    )
 
 
 def test_propagation_rejects_negative_lengths(model):

@@ -878,3 +878,53 @@ def test_dip_scenarios_match_separate_profiles(
     for name, p in separate.items():
         assert curves[name].shape == p.shape
         assert np.max(np.abs(curves[name] - p)) <= 1e-12, name
+
+
+def _exp_delay_kernel(g, grid, taus_s):
+    """The dip kernel as first factored: np.exp phase tables, np.pad, a
+    transpose copy and an out-of-place block-start product.  Kept as the
+    reference that q._delay_kernel must match bit for bit."""
+    half = grid.samples // 2
+    axis = grid.detunings[half:]
+    block = math.isqrt(half - 1) + 1
+    starts = np.exp(1j * np.multiply.outer(taus_s, axis[::block]))
+    within = np.exp(1j * np.multiply.outer(taus_s, np.arange(block) * grid.d_omega))
+    blocks, rows = starts.shape[-1], len(g)
+    g_blocks = np.pad(g[:, half:], ((0, 0), (0, blocks * block - half)))
+    g_blocks = g_blocks.reshape(rows, blocks, block).transpose(2, 0, 1).reshape(block, -1)
+    inner = (within @ g_blocks).reshape(-1, rows, blocks)
+    kernel = np.sum(starts[:, None, :] * inner, axis=-1)
+    return 2.0 * grid.d_omega * kernel.real.T
+
+
+@pytest.mark.parametrize(
+    "taus_ps",
+    [
+        np.arange(-200, 201) * 0.05,  # the CLI's delay axis
+        np.arange(-10.0, 10.0 + 1e-9, 0.05),  # the benchmark's arange grids
+        np.arange(-7.0, 7.0 + 1e-9, 0.05),
+        np.arange(-14.0, 14.0 + 1e-9, 0.05),
+    ],
+    ids=["cli", "arange-10", "arange-7", "arange-14"],
+)
+@settings(max_examples=3, deadline=None, derandomize=True)
+@given(
+    temperature_c=st.one_of(st.just(43.6), st.floats(42.6, 44.6)),
+    pc0_efficiency=st.floats(0.95, 1.0),
+)
+def test_dip_scenarios_same_bits_as_exponential_kernel(
+    pm, model, taus_ps, temperature_c, pc0_efficiency
+):
+    grid = SpectralGrid(half_width_nm=6.0, samples=4096)
+    wide = SpectralGrid(half_width_nm=300.0, samples=4096)
+    kwargs = dict(
+        model=model, temperature_c=temperature_c, pc0_efficiency=pc0_efficiency,
+        unfiltered_grid=wide,
+    )
+    curves = q.dip_scenarios(pm, grid, taus_ps, **kwargs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(q, "_delay_kernel", _exp_delay_kernel)
+        reference = q.dip_scenarios(pm, grid, taus_ps, **kwargs)
+    assert list(curves) == list(reference)
+    for name, p in reference.items():
+        assert np.array_equal(curves[name], p), name
