@@ -368,24 +368,36 @@ COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per command, each with only the flags it reads, so
+    a flag a command would ignore is a usage error (exit 2)."""
     parser = argparse.ArgumentParser(
         prog="homchip",
         description="Simulator for the electro-optic two-photon interference chip",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--layout", metavar="PATH", help="layout file (defaults to the as-built geometry)")
-    common.add_argument("--out", metavar="DIR", default=".", help="output directory")
-    common.add_argument("--grid-samples", type=int, metavar="N", default=SpectralGrid.samples)
-    common.add_argument(
+    output = argparse.ArgumentParser(add_help=False)  # every command; rates writes CSV anyway
+    output.add_argument("--out", metavar="DIR", default=".", help="output directory")
+    output.add_argument("--format", choices=["csv", "csv+svg"], default="csv+svg")
+    layout = argparse.ArgumentParser(add_help=False)
+    layout.add_argument("--layout", metavar="PATH", help="layout file (defaults to the as-built geometry)")
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--grid-samples", type=int, metavar="N", default=SpectralGrid.samples)
+    grid.add_argument(
         "--grid-halfwidth-nm", type=float, metavar="X", default=SpectralGrid.half_width_nm
     )
-    common.add_argument("--filter", metavar="SHAPE:WIDTH", help="detection filter, e.g. lorentz:1.2 or none")
-    common.add_argument("--preset", choices=sorted(PRESETS))
-    common.add_argument("--pc0", choices=["on", "off", "both"], default="both")
-    common.add_argument("--format", choices=["csv", "csv+svg"], default="csv+svg")
+    scan = argparse.ArgumentParser(add_help=False)
+    scan.add_argument("--filter", metavar="SHAPE:WIDTH", help="detection filter, e.g. lorentz:1.2 or none")
+    scan.add_argument("--preset", choices=sorted(PRESETS))
+    scan.add_argument("--pc0", choices=["on", "off", "both"], default="both")
+    parents = {
+        "delay-schedule": [output, layout],
+        "hom-scan": [output, layout, grid, scan],
+        "dip": [output, layout, grid],
+        "phasematch": [output, layout],
+        "rates": [output],
+    }
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        sub.add_parser(name, parents=[common])
+        sub.add_parser(name, parents=parents[name])
     return parser
 
 

@@ -276,16 +276,27 @@ def _coupled_mode_matrix(kappa_l, delta_l):
 
     [[cos g + i (d/g) sin g, -i (k/g) sin g],
      [-i (k/g) sin g,         cos g - i (d/g) sin g]]  with g = |(k, d)| L.
+
+    Shape (..., 2, 2), a view of component-major (2, 2, ...) rows
+    (_coupled_mode_rows), so each entry [..., a, b] is one contiguous row.
     """
+    return _entries_last(_coupled_mode_rows(kappa_l, delta_l))
+
+
+def _coupled_mode_rows(kappa_l, delta_l):
+    """_coupled_mode_matrix, component-major: entry [a, b] is row rows[a, b]."""
     gamma_l, sin_term, off = _coupled_mode_terms(kappa_l, delta_l)
     d_frac = _over_gamma(np.asarray(delta_l, dtype=float), gamma_l)
-    diag = np.cos(gamma_l) + 1j * d_frac * sin_term
-    out = np.empty(np.broadcast(kappa_l, delta_l).shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = diag
-    out[..., 1, 1] = np.conj(diag)
-    out[..., 0, 1] = off
-    out[..., 1, 0] = off
-    return out
+    rows = np.empty((2, 2) + np.broadcast(kappa_l, delta_l).shape, dtype=complex)
+    rows[0, 0] = np.cos(gamma_l) + 1j * d_frac * sin_term
+    rows[1, 1] = np.conj(rows[0, 0])
+    rows[0, 1] = rows[1, 0] = off
+    return rows
+
+
+def _entries_last(rows):
+    """The (..., 2, 2) view of component-major (2, 2, ...) matrix rows."""
+    return np.moveaxis(rows, (0, 1), (-2, -1))
 
 
 def pc_transfer(
@@ -319,15 +330,17 @@ def pc_chain_matrix(
     sin(gamma L), and an undriven converter is the exact identity.  The
     converted wave then carries the mean of the two group delays, i.e.
     the polarization swap effectively happens at the element midpoint,
-    matching the delay-schedule bookkeeping.
+    matching the delay-schedule bookkeeping.  Shape and layout as for
+    _coupled_mode_matrix.
     """
     delta_l = _pc_delta_length(pc, wavelength_nm, model, pm)
-    m = _coupled_mode_matrix(pc.kappa_length, delta_l)
+    rows = _coupled_mode_rows(pc.kappa_length, delta_l)
     phase = np.exp(-1j * np.asarray(delta_l))
-    out = np.array(m)
-    out[..., 0, 0] = m[..., 0, 0] * phase
-    out[..., 1, 1] = m[..., 1, 1] * np.conj(phase)
-    return out
+    # in place; for a scalar wavelength rows[0, 0] is a copy, since a
+    # product onto its own 0-d row rounds differently
+    np.multiply(rows[0, 0], phase, out=rows[0, 0, ...])
+    np.multiply(rows[1, 1], np.conj(phase), out=rows[1, 1, ...])
+    return _entries_last(rows)
 
 
 def pc_flat_matrix(pc: PcSpec) -> np.ndarray:

@@ -20,12 +20,16 @@ mode vectors u1, u2 carry the state exactly,
     A[a, b](Omega) = u1[a](omega0 + Omega) u2[b](omega0 - Omega) phi(Omega),
 
 and A is formed only at detection, for the output pairs.  The vectors
-are held mode-major, one (4, 2, N) array whose rows 0-1 and 2-3 are the
-(2, 2, N) upper- and lower-path blocks (polarization, photon, sample).
-The source-to-splitter prefix depends on a setting only through the
-first converter (pc0_on, pc0_efficiency); the triple converter matrix
-and the coupler matrix of each splitter drive are computed once per
-scan.
+are held mode-major, (2, 2, N) path blocks (polarization, photon,
+sample).  Up to the polarizing splitter the lower path is empty, so the
+prefix steps act on the upper-path block alone, and the splitter's step
+expands it to one (4, 2, N) array whose rows 0-1 and 2-3 are the upper-
+and lower-path blocks.  The source-to-splitter prefix depends on a
+setting only through the first converter (pc0_on, pc0_efficiency); the
+triple converter matrix and the coupler matrix of each splitter drive
+are computed once per scan.  The converter matrices are component-major
+(elements.pc_chain_matrix): each entry J[..., a, b] is one contiguous
+row, which the products below read.
 
 The suffix after the polarizing splitter holds only per-polarization
 section phases, the triple's Jones block J on the upper path and the
@@ -44,7 +48,13 @@ arrays A and B, and a setting's vectors are
 
     A + B [E_m, conj(E_m)]
 
-(one multiply-add) before detection.  E_m is built from the same
+(one multiply-add) before detection.  hom_scan groups the settings by
+that key, so one fold is alive at a time: A and B are written in place
+into two arrays allocated once per scan, each setting's vectors reuse the
+group's prefix array, and detection writes into rows allocated once per
+scan.  Each product keeps its operand order, since numpy's complex
+product is not bitwise commutative, so the in-place forms give the same
+bits.  E_m is built from the same
 section tables as the step list's phases, not as one exponential of the
 group-index difference: the latter rounds differently from the oracle,
 enough to break its bound near an exact cancellation.  Each propagation
@@ -279,12 +289,19 @@ class _Step:
 
     def apply(self, vectors: np.ndarray) -> np.ndarray:
         """Act on per-photon mode vectors, mode-major (4, photons, N) and
-        sampled at omega0 + Omega; rows 0-1 are the upper-path block."""
+        sampled at omega0 + Omega; rows 0-1 are the upper-path block.  A
+        (2, photons, N) input is that block alone, the lower path empty,
+        as it is up to the polarizing splitter, whose step expands it."""
+        upper_only = len(vectors) == 2
         if self.kind == "phase":  # (path, polarization, photon, N) times the rows
+            if upper_only:
+                return vectors * self.data[:2, None]
             blocks = vectors.reshape((2, 2) + vectors.shape[1:])
             return (blocks * self.data.reshape(-1, 2, 1, vectors.shape[-1])).reshape(vectors.shape)
-        if self.kind == "modes":
-            return (self.data @ vectors.reshape(N_MODES, -1)).reshape(vectors.shape)
+        if self.kind == "modes":  # an empty lower path drops the matrix's columns 2-3
+            columns = self.data[:, : len(vectors)]
+            out = columns @ vectors.reshape(len(vectors), -1)
+            return out.reshape((N_MODES,) + vectors.shape[1:])
         out = np.empty_like(vectors, order="C")
         if self.kind == "jones":
             out[2:] = vectors[2:]
@@ -311,7 +328,7 @@ class _Chain:
     prefix() runs to the polarizing-splitter exit and depends on the
     setting only through (pc0_on, pc0_efficiency); suffix() is the rest:
     phases and the triple's Jones block, then the balanced splitter.
-    fold_suffix() and walk_off() are the suffix in hom_scan's folded form
+    fold_suffix() and unfold() are the suffix in hom_scan's folded form
     (module docstring).  Keywords as for chain_transfers.
     """
 
@@ -410,35 +427,46 @@ class _Chain:
         steps.append(_Step("balanced splitter", "paths", self.coupler(self.splitter(setting))))
         return steps
 
-    def fold_suffix(self, vectors: np.ndarray, bs: el.BsSpec) -> tuple:
-        """The suffix for every triple at once: arrays (A, B) such that the
-        suffix of a setting with triple m and splitter bs takes vectors to
-        D (A + B walk_off(m)).
+    def fold_suffix(self, vectors: np.ndarray, bs: el.BsSpec, folded, cross) -> None:
+        """The suffix for every triple at once: writes arrays A (folded) and
+        B (cross) such that the suffix of a setting with triple m and
+        splitter bs takes vectors to D (A + B [E_m, conj(E_m)]) (unfold).
 
         vectors are the prefix's (4, 2, N); A and B are (path, polarization,
-        photon, N).  D, the per-polarization product of the suffix's section
-        phases, is common to both paths and cancels in coincidences (module
-        docstring), so hom_scan leaves it out.
+        photon, N), written in place: until the coupler mixes them, the
+        lower-path blocks of A and B hold the triple's diagonal and cross
+        products, and B's upper-path block is scratch.  D, the
+        per-polarization product of the suffix's section phases, is common
+        to both paths and cancels in coincidences (module docstring), so
+        hom_scan leaves it out.
         """
         j = self.triple
         upper, lower = vectors[:2], vectors[2:]
-        diagonal = np.stack([j[..., 0, 0] * upper[0], j[..., 1, 1] * upper[1]])
-        cross = np.stack([j[..., 0, 1] * upper[1], j[..., 1, 0] * upper[0]])
+        diagonal, scratch = folded[1], cross[0]
+        for pol in (0, 1):
+            np.multiply(j[..., pol, pol], upper[pol], out=diagonal[pol])
+            np.multiply(j[..., pol, 1 - pol], upper[1 - pol], out=cross[1, pol])
         mismatch = self.tables.mismatch
         if mismatch is not None:
             diagonal *= mismatch[:, None]
-            cross *= mismatch[:, None]
+            cross[1] *= mismatch[:, None]
         coupler = self.coupler(bs)
-        folded = np.empty((2,) + upper.shape, dtype=complex)
-        _mix(coupler, (diagonal, lower), folded)
-        return folded, coupler[:, 0, None, None, None] * cross
+        for a in (0, 1):  # A[a] = coupler[a, 0] diagonal + coupler[a, 1] lower
+            np.multiply(coupler[a, 0], diagonal, out=folded[a])
+            np.multiply(coupler[a, 1], lower, out=scratch)
+            folded[a] += scratch
+        for a in (0, 1):  # B[a] = coupler[a, 0] cross, the lower-path block last
+            np.multiply(coupler[a, 0], cross[1], out=cross[a])
 
-    def walk_off(self, m: int) -> np.ndarray:
-        """(2, 1, N) rows E_m and conj(E_m), E_m = Z_V conj(Z_H) for the
+    def unfold(self, m: int, folded, cross, out) -> None:
+        """Write a setting's vectors A + B [E_m, conj(E_m)], (path,
+        polarization, photon, N), into out: E_m = Z_V conj(Z_H) for the
         phases Z of the sections up to triple m's midpoint, which suffix()
-        builds alike."""
+        builds alike, multiplies B's H rows and conj(E_m) its V rows."""
         e = self.tables.walk_off[m - 1]
-        return np.stack([e, np.conj(e)])[:, None]
+        np.multiply(cross[:, 0], e, out=out[:, 0])
+        np.multiply(cross[:, 1], np.conj(e), out=out[:, 1])
+        out += folded
 
 
 # ---------------------------------------------------------------------------
@@ -592,22 +620,37 @@ def grid_flip_swap(values: np.ndarray) -> np.ndarray:
 # scans
 
 
-def _rank_one_coincidence(vectors, phi, weight, d_omega) -> float:
+class _RankOneDetector:
     """coincidence_probability of A[a, b](Omega) = u1[a](Omega) u2[b](-Omega) phi(Omega),
-    formed only for the output pairs and their exchange partners.
+    formed only for the output pairs and their exchange partners, into
+    buffers allocated once per scan.
 
     vectors is mode-major (4, 2, N): rows 0-1 (OUT_UPPER) and 2-3
     (OUT_LOWER) are the path blocks, column 0 is photon 1 and column 1
     photon 2, both sampled at omega0 + Omega; photon 2 is read on the
     flipped axis.
     """
-    u1 = vectors[:, 0]
-    u2 = vectors[:, 1, ::-1]
-    block = (u1[:2] * phi)[:, None] * u2[None, 2:]  # A[a, b](Omega)
-    partner = u1[None, 2:] * (u2[:2] * phi)[:, None]  # A[b, a](Omega)
-    block += partner[:, :, ::-1]
-    power = block.real**2 + block.imag**2
-    return float(np.sum(power.reshape(4, -1) @ weight) * d_omega)
+
+    def __init__(self, phi, weight, d_omega):
+        self.phi, self.weight, self.d_omega = phi, weight, d_omega
+        self.scaled = np.empty((2, len(phi)), dtype=complex)
+        self.block, self.partner = np.empty((2, 2, 2, len(phi)), dtype=complex)
+        self.power = np.empty((2, 2, len(phi)))
+
+    def __call__(self, vectors) -> float:
+        u1 = vectors[:, 0]
+        u2 = vectors[:, 1, ::-1]
+        scaled, block, partner = self.scaled, self.block, self.partner
+        np.multiply(u1[:2], self.phi, out=scaled)
+        np.multiply(scaled[:, None], u2[None, 2:], out=block)  # A[a, b](Omega)
+        np.multiply(u2[:2], self.phi, out=scaled)
+        # A[b, a](-Omega), reversed in its multiply
+        np.multiply(u1[None, 2:, ::-1], scaled[:, None, ::-1], out=partner)
+        block += partner
+        squares = block.view(float)  # (re, im) pairs
+        np.square(squares, out=squares)
+        np.add(squares[..., 0::2], squares[..., 1::2], out=self.power)
+        return float(np.sum(self.power.reshape(4, -1) @ self.weight) * self.d_omega)
 
 
 def hom_scan(
@@ -622,28 +665,40 @@ def hom_scan(
 
     Runs the per-photon engine of the module docstring; keywords as for
     chain_transfers.  Equals coincidence_probability(run_chain(...)) to
-    rounding.
+    rounding.  Settings are evaluated grouped by their prefix and splitter
+    drive, one fold alive at a time, and returned in input order.
     """
     chain = _Chain(layout, pm, grid, **chain_kwargs)
     phi = _source_amplitude(pm, grid, chain.model, chain.temperature_c)
     weight = _filter_weight(grid, filters)
-    start = np.zeros((N_MODES, 2, grid.samples), dtype=complex)
-    i_h, i_v = SOURCE_MODES
-    start[i_h, 0] = start[i_v, 1] = 1.0
-    folds = {}
-    points = []
-    for setting in settings:
+    settings = list(settings)
+    groups = {}
+    for index, setting in enumerate(settings):
         m = chain.active_triple(setting)
         bs = chain.splitter(setting)
-        key = (setting.pc0_on, setting.pc0_efficiency, bs)
-        if key not in folds:
-            folds[key] = chain.fold_suffix(_evolve(start, chain.prefix(setting)), bs)
-        folded, cross = folds[key]
-        vectors = folded + cross * chain.walk_off(m)
-        raw = _rank_one_coincidence(vectors.reshape(start.shape), phi, weight, grid.d_omega)
-        delay = chip_mod.delay_schedule(layout, setting, chain.model)
-        points.append(ScanPoint(setting=setting, delay_ps=delay, raw=raw))
-    return points
+        groups.setdefault((setting.pc0_on, setting.pc0_efficiency, bs), []).append((index, m))
+    detect = _RankOneDetector(phi, weight, grid.d_omega)
+    # the upper-path block (polarization, photon, N): photon 1 in H, photon 2 in V
+    start = np.zeros((2, 2, grid.samples), dtype=complex)
+    i_h, i_v = SOURCE_MODES
+    start[i_h, 0] = start[i_v, 1] = 1.0
+    # two arrays rather than one 1 MB block: freeing that block lifted
+    # malloc's trim threshold, and the benchmark's peak RSS with it
+    folded = np.empty((2, 2, 2, grid.samples), dtype=complex)
+    cross = np.empty_like(folded)
+    raws = [0.0] * len(settings)
+    for (_, _, bs), members in groups.items():
+        vectors = _evolve(start, chain.prefix(settings[members[0][0]]))
+        chain.fold_suffix(vectors, bs, folded, cross)
+        # folded, the prefix array is free to take each setting's vectors
+        for index, m in members:
+            chain.unfold(m, folded, cross, vectors.reshape(folded.shape))
+            raws[index] = detect(vectors)
+        del vectors  # before the next group's prefix is built
+    return [
+        ScanPoint(setting=s, delay_ps=chip_mod.delay_schedule(layout, s, chain.model), raw=raw)
+        for s, raw in zip(settings, raws)
+    ]
 
 
 def _evolve(vectors: np.ndarray, steps) -> np.ndarray:

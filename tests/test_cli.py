@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from homchip.cli import main, parse_filter_arg
+from homchip.cli import build_parser, main, parse_filter_arg
 
 LAYOUTS = Path(__file__).resolve().parent.parent / "layouts"
 
@@ -283,3 +283,61 @@ def test_runtime_imports_no_scipy():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+#: The flags each command reads; every command takes --out and --format.
+READ_FLAGS = {
+    "delay-schedule": {"--out", "--format", "--layout"},
+    "hom-scan": {
+        "--out", "--format", "--layout", "--grid-samples", "--grid-halfwidth-nm",
+        "--filter", "--preset", "--pc0",
+    },
+    "dip": {"--out", "--format", "--layout", "--grid-samples", "--grid-halfwidth-nm"},
+    "phasematch": {"--out", "--format", "--layout"},
+    "rates": {"--out", "--format"},
+}
+FLAG_VALUES = {
+    "--out": "results",
+    "--format": "csv",
+    "--layout": "chip.layout",
+    "--grid-samples": "2048",
+    "--grid-halfwidth-nm": "3.5",
+    "--filter": "rect:0.5",
+    "--preset": "ideal",
+    "--pc0": "on",
+}
+
+
+@pytest.mark.parametrize("command", sorted(READ_FLAGS))
+def test_command_takes_only_the_flags_it_reads(command, capsys):
+    parser = build_parser()
+    for flag, value in FLAG_VALUES.items():
+        if flag in READ_FLAGS[command]:
+            parsed = parser.parse_args([command, flag, value])
+            assert str(getattr(parsed, flag[2:].replace("-", "_"))) == value
+        else:
+            with pytest.raises(SystemExit) as exit_info:
+                parser.parse_args([command, flag, value])
+            assert exit_info.value.code == 2
+            assert "unrecognized arguments: " + flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rates", "--layout", "/nonexistent"],
+        ["dip", "--filter", "rect:0.5", "--preset", "ideal", "--pc0", "on"],
+        ["delay-schedule", "--grid-samples", "3", "--filter", "bogus"],
+    ],
+    ids=["rates-layout", "dip-scan-flags", "delay-schedule-grid-and-filter"],
+)
+def test_unread_flag_exits_2_without_output(tmp_path, argv):
+    out = tmp_path / "out"
+    result = subprocess.run(
+        [sys.executable, "-m", "homchip"] + argv + ["--out", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 2
+    assert "unrecognized arguments" in result.stderr
+    assert not out.exists()

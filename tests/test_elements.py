@@ -29,6 +29,7 @@ from homchip.elements import (
     shg_spectrum,
 )
 from homchip.grid import SpectralGrid
+from homchip import elements as el
 
 C = 299792458.0
 LAM0 = 1551.7
@@ -275,6 +276,62 @@ def test_pc_conversion_amplitude_is_transfer_entry_bit_for_bit(
         assert np.array_equal(conv, entry)
     if efficiency == 0.0:
         assert pc_conversion_amplitude(pc, center, model, pm) == 0.0
+
+
+def _elementwise_coupled_mode_matrix(kappa_l, delta_l):
+    """The coupled-mode matrix written entry by entry into an (..., 2, 2)
+    array, as it was built before its component-major layout."""
+    gamma_l, sin_term, off = el._coupled_mode_terms(kappa_l, delta_l)
+    d_frac = el._over_gamma(np.asarray(delta_l, dtype=float), gamma_l)
+    diag = np.cos(gamma_l) + 1j * d_frac * sin_term
+    out = np.empty(np.broadcast(kappa_l, delta_l).shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = diag
+    out[..., 1, 1] = np.conj(diag)
+    out[..., 0, 1] = off
+    out[..., 1, 0] = off
+    return out
+
+
+def _elementwise_pc_chain_matrix(pc, wavelength_nm, model, pm):
+    delta_l = el._pc_delta_length(pc, wavelength_nm, model, pm)
+    m = _elementwise_coupled_mode_matrix(pc.kappa_length, delta_l)
+    phase = np.exp(-1j * np.asarray(delta_l))
+    out = np.array(m)
+    out[..., 0, 0] = m[..., 0, 0] * phase
+    out[..., 1, 1] = m[..., 1, 1] * np.conj(phase)
+    return out
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    efficiency=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+    length_mm=st.floats(1.0, 30.0),
+    temperature_c=st.floats(41.6, 45.6),
+    samples=st.sampled_from([1, 7, 512, 4096]),
+    scalar_offset_nm=st.one_of(st.just(0.0), st.floats(-300.0, 300.0)),
+)
+def test_converter_matrices_are_component_major_and_bit_identical(
+    model, pm, efficiency, length_mm, temperature_c, samples, scalar_offset_nm
+):
+    # efficiency 0 is an undriven converter; the phase-matched center is
+    # its gamma L = 0 sample
+    pc = PcSpec(length_mm=length_mm, temperature_c=temperature_c).with_drive_efficiency(efficiency)
+    center = pm_center_vs_temperature(pm, "PC", temperature_c)
+    grid = SpectralGrid(center, half_width_nm=6.0, samples=2 * samples)
+    for wavelengths in (grid.wavelength_plus_nm, center + scalar_offset_nm, center):
+        delta_l = el._pc_delta_length(pc, wavelengths, model, pm)
+        pairs = [
+            (pc_chain_matrix(pc, wavelengths, model, pm),
+             _elementwise_pc_chain_matrix(pc, wavelengths, model, pm)),
+            (el._coupled_mode_matrix(pc.kappa_length, delta_l),
+             _elementwise_coupled_mode_matrix(pc.kappa_length, delta_l)),
+        ]
+        for matrix, reference in pairs:
+            assert matrix.shape == reference.shape == np.shape(wavelengths) + (2, 2)
+            assert np.array_equal(matrix, reference)
+            for a in (0, 1):
+                for b in (0, 1):
+                    assert matrix[..., a, b].flags.c_contiguous
 
 
 # ---------------------------------------------------------------- splitters

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from functools import reduce
 
@@ -15,6 +16,7 @@ from homchip.chip import (
     enumerate_settings,
     valid_triples,
 )
+from homchip.cli import PRESETS, Imperfections
 from homchip.dispersion import (
     CALIBRATION_WAVELENGTH_NM,
     calibrate,
@@ -632,14 +634,154 @@ def test_every_chain_step_keeps_photon_norms(inputs, seed, pm, model):
 
     vectors = walk(vectors, chain.prefix(chosen[0]))
     suffix = chain.suffix(chosen[0])
-    folded, cross = chain.fold_suffix(vectors, chain.splitter(chosen[0]))
-    folded = folded + cross * chain.walk_off(chosen[0].triple_index)
+    folded, cross, unfolded = np.empty((3, 2, 2, 2, grid.samples), dtype=complex)
+    chain.fold_suffix(vectors, chain.splitter(chosen[0]), folded, cross)
+    chain.unfold(chosen[0].triple_index, folded, cross, unfolded)
     vectors = walk(vectors, suffix)
     # the folded suffix of hom_scan is the step list up to the phase common
     # to both paths, the product of the lower-path phases
     common = reduce(np.multiply, [step.data[2:] for step in suffix if step.kind == "phase"])
-    folded *= common[:, None]
-    assert np.max(np.abs(folded.reshape(vectors.shape) - vectors)) <= 1e-12
+    unfolded *= common[:, None]
+    assert np.max(np.abs(unfolded.reshape(vectors.shape) - vectors)) <= 1e-12
+
+
+# ---------------------------------------------------------------- scan engine bits
+
+
+def _stacked_fold(chain, vectors, bs):
+    """fold_suffix as first written: np.stack and _mix temporaries, returning
+    new (A, B) arrays."""
+    j = chain.triple
+    upper, lower = vectors[:2], vectors[2:]
+    diagonal = np.stack([j[..., 0, 0] * upper[0], j[..., 1, 1] * upper[1]])
+    cross = np.stack([j[..., 0, 1] * upper[1], j[..., 1, 0] * upper[0]])
+    mismatch = chain.tables.mismatch
+    if mismatch is not None:
+        diagonal *= mismatch[:, None]
+        cross *= mismatch[:, None]
+    coupler = chain.coupler(bs)
+    folded = np.empty((2,) + upper.shape, dtype=complex)
+    q._mix(coupler, (diagonal, lower), folded)
+    return folded, coupler[:, 0, None, None, None] * cross
+
+
+def _out_of_place_coincidence(vectors, phi, weight, d_omega):
+    """The rank-one detection as first written, every product a new array."""
+    u1 = vectors[:, 0]
+    u2 = vectors[:, 1, ::-1]
+    block = (u1[:2] * phi)[:, None] * u2[None, 2:]
+    partner = u1[None, 2:] * (u2[:2] * phi)[:, None]
+    block += partner[:, :, ::-1]
+    power = block.real**2 + block.imag**2
+    return float(np.sum(power.reshape(4, -1) @ weight) * d_omega)
+
+
+def _four_mode_scan_raws(layout, settings, pm, grid, filters=None, **kwargs):
+    """hom_scan's raws from its engine as first written: the prefix evolved
+    on all four modes (4, 2, N), settings in input order with a fold kept per
+    key, and one folded + cross * [E_m, conj E_m] per setting.  Kept as the
+    reference that q.hom_scan must match bit for bit."""
+    chain = q._Chain(layout, pm, grid, **kwargs)
+    phi = q._source_amplitude(pm, grid, chain.model, chain.temperature_c)
+    weight = q._filter_weight(grid, filters)
+    start = np.zeros((4, 2, grid.samples), dtype=complex)
+    start[0, 0] = start[1, 1] = 1.0
+    folds, raws = {}, []
+    for setting in settings:
+        m = chain.active_triple(setting)
+        bs = chain.splitter(setting)
+        key = (setting.pc0_on, setting.pc0_efficiency, bs)
+        if key not in folds:
+            vectors = start
+            for step in chain.prefix(setting):
+                vectors = step.apply(vectors)
+            folds[key] = _stacked_fold(chain, vectors, bs)
+        folded, cross = folds[key]
+        e = chain.tables.walk_off[m - 1]
+        vectors = folded + cross * np.stack([e, np.conj(e)])[:, None]
+        raws.append(_out_of_place_coincidence(vectors.reshape(start.shape), phi, weight, grid.d_omega))
+    return raws
+
+
+@st.composite
+def _scan_engine_inputs(draw):
+    layout = ChipLayout(branch_length_mismatch_mm=draw(st.sampled_from([0.0, 0.02])))
+    preset = draw(st.sampled_from(["ideal", "paper", "drawn"]))
+    if preset == "drawn":
+        imp = Imperfections(
+            pbs_extinction_db=draw(st.one_of(st.just(math.inf), st.floats(10.0, 40.0))),
+            pc_conversion_db=draw(st.one_of(st.none(), st.floats(15.0, 30.0))),
+            pc0_efficiency=draw(st.floats(0.9, 1.0)),
+            flat_converters=draw(st.booleans()),
+        )
+    else:
+        imp = PRESETS[preset]
+    template = SwitchSetting(pc0_efficiency=imp.pc0_efficiency)
+    full = enumerate_settings(layout, template)
+    # shuffled, some repeated, some driving the coupler differently
+    volts = (draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)))
+    chosen = draw(st.permutations(full + draw(st.lists(st.sampled_from(full), max_size=4))))
+    chosen = [replace(s, bs_voltages=volts) if draw(st.booleans()) else s for s in chosen]
+    kwargs = dict(
+        temperature_c=draw(st.floats(41.6, 45.6)),
+        pbs_extinction_db=imp.pbs_extinction_db,
+        pc_conversion_db=imp.pc_conversion_db,
+        flat_converters=imp.flat_converters,
+    )
+    samples = draw(st.sampled_from([512, 1000, 4096]))
+    return layout, chosen, draw(detection_filters()), kwargs, samples
+
+
+@PROPERTY_SETTINGS
+@given(inputs=_scan_engine_inputs())
+def test_hom_scan_matches_four_mode_engine_bit_for_bit(inputs, pm, model):
+    layout, chosen, filters, kwargs, samples = inputs
+    grid = SpectralGrid(half_width_nm=6.0, samples=samples)
+    points = q.hom_scan(layout, chosen, pm, grid, filters=filters, model=model, **kwargs)
+    reference = _four_mode_scan_raws(layout, chosen, pm, grid, filters, model=model, **kwargs)
+    assert [p.setting for p in points] == chosen
+    assert [p.raw.hex() for p in points] == [raw.hex() for raw in reference]
+    assert [p.delay_ps for p in points] == [delay_schedule(layout, s, model) for s in chosen]
+
+
+#: The traced peak of test_warm_scan_traced_memory_peak's scan, 3.515 MB
+#: measured, plus a margin of a third of a (2, 2, 4096) complex temporary.
+WARM_SCAN_PEAK_BYTES = 3_600_000
+
+
+def test_warm_scan_traced_memory_peak(pm, model):
+    # one warm 16-setting scan at N = 4096, paper preset, lorentz:1.2: the
+    # buffers are the fold (A, B), the group's prefix vectors and the
+    # detection rows; a reintroduced (2, 2, N) temporary (256 KiB) at the
+    # peak crosses the bound
+    imp = PRESETS["paper"]
+    layout = ChipLayout()
+    settings = enumerate_settings(layout, SwitchSetting(pc0_efficiency=imp.pc0_efficiency))
+    assert len(settings) == 16
+    grid = SpectralGrid(samples=4096)
+    lorentz = FilterSpec("lorentzian", LAM0, 1.2)
+
+    def scan():
+        return q.hom_scan(
+            layout,
+            settings,
+            pm,
+            grid,
+            filters=lorentz,
+            model=model,
+            pbs_extinction_db=imp.pbs_extinction_db,
+            pc_conversion_db=imp.pc_conversion_db,
+            flat_converters=imp.flat_converters,
+        )
+
+    scan()
+    tracemalloc.start()
+    try:
+        scan()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= WARM_SCAN_PEAK_BYTES, peak
 
 
 LAYOUT_GEOMETRY = st.fixed_dictionaries(
