@@ -142,6 +142,18 @@ def validate_setting(layout: ChipLayout, setting: SwitchSetting) -> None:
             )
 
 
+def active_triple(layout: ChipLayout, setting: SwitchSetting) -> int:
+    """The setting's triple index, once the setting is valid for the layout."""
+    if setting.triple_index is None:
+        raise LayoutError(
+            "no active triple: the photons reach the splitter in orthogonal "
+            "polarizations and there is no interference configuration",
+            key="triple_index",
+        )
+    validate_setting(layout, setting)
+    return setting.triple_index
+
+
 def valid_triples(layout: ChipLayout, disabled_segments=frozenset()) -> list:
     """Triples whose three segments are all healthy."""
     disabled = set(disabled_segments)
@@ -173,19 +185,13 @@ def delay_schedule(
     geometry: independent of the splitter voltages and the converter
     drive level.  Group indices are taken at the calibration wavelength.
     """
-    if setting.triple_index is None:
-        raise LayoutError(
-            "no active triple: the photons reach the splitter in orthogonal "
-            "polarizations and there is no interference configuration",
-            key="triple_index",
-        )
-    validate_setting(layout, setting)
+    m = active_triple(layout, setting)
     model = model or dispersion.default_model()
     ng_h, ng_v = dispersion.calibration_group_indices(model)
     dng = ng_h - ng_v
 
     # conversion point of the active triple, measured from the splitter exit
-    z_conv_mm = (setting.triple_index + 0.5) * layout.segment_length_mm
+    z_conv_mm = (m + 0.5) * layout.segment_length_mm
 
     if setting.pc0_on:
         # walk-off history cancels except for: (half pair-source + half

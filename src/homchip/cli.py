@@ -321,7 +321,6 @@ def cmd_phasematch(args: argparse.Namespace) -> int:
 def cmd_rates(args: argparse.Namespace) -> int:
     out = Path(args.out)
     budget = rates_mod.default_loss_budget()
-    total_db, transmission = rates_mod.total_loss(budget)
     source = rates_mod.SourceSpec()
     report = rates_mod.expected_rates(source, (0.05, 0.05))
     klyshko = rates_mod.klyshko_efficiency(2000.0, 100.0)
@@ -330,8 +329,8 @@ def cmd_rates(args: argparse.Namespace) -> int:
     lines = ["loss budget", "-" * 42]
     for label, db in budget.items:
         lines.append(f"  {label:<28s} {db:6.2f} dB")
-    lines.append(f"  {'itemized total':<28s} {total_db:6.2f} dB")
-    lines.append(f"  {'itemized transmission':<28s} {transmission:8.4f}")
+    lines.append(f"  {'itemized total':<28s} {budget.total_db:6.2f} dB")
+    lines.append(f"  {'itemized transmission':<28s} {budget.transmission:8.4f}")
     lines.append("")
     lines.append("expected rates")
     lines.append("-" * 42)
@@ -346,8 +345,8 @@ def cmd_rates(args: argparse.Namespace) -> int:
 
     rows = [(label, db, "dB") for label, db in budget.items]
     rows += [
-        ("itemized_total", total_db, "dB"),
-        ("itemized_transmission", transmission, ""),
+        ("itemized_total", budget.total_db, "dB"),
+        ("itemized_transmission", budget.transmission, ""),
         ("pair_rate", report.pair_rate_hz, "Hz"),
         ("singles_per_arm", report.singles_hz[0], "Hz"),
         ("coincidences", report.coincidences_hz, "Hz"),

@@ -182,52 +182,12 @@ def walk_off_time(model: DispersionModel, length_mm):
     return dng * (length_mm * 1e-3) / C_VACUUM * 1e12
 
 
-def spectral_phase_taylor(model, pol_pair, length_mm, center_wavelength_nm, order):
-    """Taylor coefficients of the inter-polarization spectral phase.
-
-    The phase is Phi(omega) = (beta_a - beta_b) * L / 2 for
-    pol_pair = (a, b).  Returns [Phi0, Phi1, Phi2][: order + 1] with
-    mixed engineering units: Phi0 in rad, Phi1 in ps, Phi2 in fs^2.
-    """
-    if order not in (0, 1, 2):
-        raise ValueError(f"unsupported Taylor order {order!r}; expected 0, 1 or 2")
-    pol_a, pol_b = (Polarization(p) for p in pol_pair)
-    length_m = float(length_mm) * 1e-3
-    lam_m = center_wavelength_nm * 1e-9
-
-    n_a = float(refractive_index(model, pol_a, center_wavelength_nm))
-    n_b = float(refractive_index(model, pol_b, center_wavelength_nm))
-    phi0 = np.pi * (n_a - n_b) * length_m / lam_m
-    coeffs = [phi0]
-
-    if order >= 1:
-        ng_a = float(group_index(model, pol_a, center_wavelength_nm))
-        ng_b = float(group_index(model, pol_b, center_wavelength_nm))
-        coeffs.append(length_m * (ng_a - ng_b) / (2.0 * C_VACUUM) * 1e12)
-
-    if order >= 2:
-        coeffs.append(
-            _gdd_fs2(model, pol_a, pol_b, length_mm, center_wavelength_nm)
-        )
-    return coeffs
-
-
 def _group_index_slope(model, pol, wavelength_nm):
     """dn_g/dlambda in 1/m, central difference with the documented step."""
     h = FD_STEP_NM
     hi = group_index(model, pol, wavelength_nm + h)
     lo = group_index(model, pol, wavelength_nm - h)
     return (hi - lo) / (2.0 * h * 1e-9)
-
-
-def _gdd_fs2(model, pol_a, pol_b, length_mm, wavelength_nm):
-    lam_m = wavelength_nm * 1e-9
-    length_m = float(length_mm) * 1e-3
-    slope_diff = _group_index_slope(model, pol_a, wavelength_nm) - _group_index_slope(
-        model, pol_b, wavelength_nm
-    )
-    gdd_s2 = -(lam_m**2) * length_m / (4.0 * np.pi * C_VACUUM**2) * slope_diff
-    return gdd_s2 * 1e30
 
 
 def converter_gdd(model: DispersionModel, length_mm, wavelength_nm=1550.0):
@@ -239,7 +199,13 @@ def converter_gdd(model: DispersionModel, length_mm, wavelength_nm=1550.0):
     """
     if float(length_mm) <= 0:
         raise ValueError("length_mm must be > 0")
-    return _gdd_fs2(model, Polarization.V, Polarization.H, length_mm, wavelength_nm)
+    lam_m = wavelength_nm * 1e-9
+    length_m = float(length_mm) * 1e-3
+    slope_diff = _group_index_slope(model, Polarization.V, wavelength_nm) - _group_index_slope(
+        model, Polarization.H, wavelength_nm
+    )
+    gdd_s2 = -(lam_m**2) * length_m / (4.0 * np.pi * C_VACUUM**2) * slope_diff
+    return gdd_s2 * 1e30
 
 
 def parse_coefficient_file(text: str) -> DispersionModel:

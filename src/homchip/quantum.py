@@ -171,21 +171,18 @@ class ScanPoint:
 # element -> transfer sampling
 
 
-def jones_transfer(
-    grid: SpectralGrid, jones: np.ndarray, paths=(Path.UPPER,), label="jones"
-) -> ElementTransfer:
-    """Embed a (possibly per-sample) 2x2 (H, V) matrix on the given paths."""
+def jones_transfer(grid: SpectralGrid, jones: np.ndarray, label="jones") -> ElementTransfer:
+    """Embed a (possibly per-sample) 2x2 (H, V) matrix on the upper path."""
     jones = np.asarray(jones, dtype=complex)
     if jones.ndim == 2:
         jones = np.broadcast_to(jones, (grid.samples, 2, 2))
     if jones.shape != (grid.samples, 2, 2):
         raise ValueError(f"jones block has shape {jones.shape}")
     mats = np.tile(np.eye(N_MODES, dtype=complex), (grid.samples, 1, 1))
-    for path in paths:
-        idx = [mode_index(path, Polarization.H), mode_index(path, Polarization.V)]
-        for i in range(2):
-            for j in range(2):
-                mats[:, idx[i], idx[j]] = jones[:, i, j]
+    idx = [mode_index(Path.UPPER, Polarization.H), mode_index(Path.UPPER, Polarization.V)]
+    for i in range(2):
+        for j in range(2):
+            mats[:, idx[i], idx[j]] = jones[:, i, j]
     return ElementTransfer(label, mats)
 
 
@@ -378,15 +375,6 @@ class _Chain:
             _Step("polarizing splitter", "modes", self.pbs),
         ]
 
-    def active_triple(self, setting: chip_mod.SwitchSetting) -> int:
-        """The setting's triple index, once the setting is valid for the layout."""
-        if setting.triple_index is None:
-            raise chip_mod.LayoutError(
-                "no active triple: no interference configuration", key="triple_index"
-            )
-        chip_mod.validate_setting(self.layout, setting)
-        return setting.triple_index
-
     def splitter(self, setting: chip_mod.SwitchSetting) -> el.BsSpec:
         """The balanced splitter a setting drives (self.bs, if given)."""
         if self.bs is not None:
@@ -400,7 +388,7 @@ class _Chain:
         return self._couplers[bs]
 
     def suffix(self, setting: chip_mod.SwitchSetting) -> list:
-        m = self.active_triple(setting)
+        m = chip_mod.active_triple(self.layout, setting)
         layout = self.layout
         seg = layout.segment_length_mm
         z_mid = (m + 0.5) * seg  # from the splitter exit
@@ -674,7 +662,7 @@ def hom_scan(
     settings = list(settings)
     groups = {}
     for index, setting in enumerate(settings):
-        m = chain.active_triple(setting)
+        m = chip_mod.active_triple(layout, setting)
         bs = chain.splitter(setting)
         groups.setdefault((setting.pc0_on, setting.pc0_efficiency, bs), []).append((index, m))
     detect = _RankOneDetector(phi, weight, grid.d_omega)
@@ -707,23 +695,12 @@ def _evolve(vectors: np.ndarray, steps) -> np.ndarray:
     return vectors
 
 
-def reference_mask_longest_off_delay(points) -> list:
-    """Normalization reference: the largest-delay setting of the
-    undriven-first-converter branch."""
-    off_triples = [p.setting.triple_index for p in points if not p.setting.pc0_on]
-    if not off_triples:
-        return [False] * len(points)
-    m_ref = max(off_triples)
-    return [
-        (not p.setting.pc0_on) and p.setting.triple_index == m_ref for p in points
-    ]
-
-
 def normalize_scan(points) -> list:
-    """Divide raw coincidences by the mean over the reference settings
-    (reference_mask_longest_off_delay)."""
-    mask = reference_mask_longest_off_delay(points)
-    ref = [p.raw for p, keep in zip(points, mask) if keep]
+    """Divide raw coincidences by the mean over the reference settings: the
+    largest-delay setting of the undriven-first-converter branch."""
+    off = [p for p in points if not p.setting.pc0_on]
+    m_ref = max((p.setting.triple_index for p in off), default=None)
+    ref = [p.raw for p in off if p.setting.triple_index == m_ref]
     if not ref:
         raise ValueError("empty reference set; cannot define unit probability")
     mean = sum(ref) / len(ref)

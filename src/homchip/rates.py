@@ -70,11 +70,6 @@ def default_loss_budget() -> LossBudget:
     return LossBudget(items=DEFAULT_LOSS_ITEMS)
 
 
-def total_loss(budget: LossBudget) -> tuple:
-    """(total dB, linear transmission)."""
-    return budget.total_db, budget.transmission
-
-
 def klyshko_efficiency(singles_hz: float, coincidences_hz: float) -> float:
     """Heralding efficiency: coincidences over singles."""
     if singles_hz <= 0:

@@ -1,12 +1,15 @@
+import re
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
 from homchip.cli import build_parser, main, parse_filter_arg
 
 LAYOUTS = Path(__file__).resolve().parent.parent / "layouts"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def read_lines(path):
@@ -283,6 +286,29 @@ def test_runtime_imports_no_scipy():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+#: The package root's public names: those of the README's "Library use"
+#: example, and default_model, which the benchmark's start-up probe calls.
+ROOT_NAMES = {
+    "ChipLayout", "PmSpec", "SpectralGrid", "FilterSpec", "enumerate_settings",
+    "hom_scan", "normalize_scan", "visibility", "default_model",
+}
+
+
+def test_package_root_holds_the_library_use_names(capsys):
+    import homchip
+
+    public = {
+        name for name, value in vars(homchip).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert public == ROOT_NAMES
+    assert isinstance(homchip.__version__, str)
+    section = README.read_text(encoding="utf-8").split("## Library use", 1)[1]
+    example = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(example, "README.md", "exec"), {})
+    assert re.fullmatch(r"visibility = 0\.\d{3}\n", capsys.readouterr().out)
 
 
 #: The flags each command reads; every command takes --out and --format.

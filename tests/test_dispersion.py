@@ -12,7 +12,6 @@ from homchip.dispersion import (
     parse_coefficient_file,
     raw_group_index_difference,
     refractive_index,
-    spectral_phase_taylor,
     walk_off_time,
 )
 from homchip.modes import Polarization
@@ -112,31 +111,6 @@ def test_walk_off_linearity(model):
     assert a + b == pytest.approx(both, rel=1e-12)
     with pytest.raises(ValueError):
         walk_off_time(model, -1.0)
-
-
-def test_spectral_phase_taylor_first_order(model):
-    coeffs = spectral_phase_taylor(model, ("H", "V"), 7.62, LAM0, order=1)
-    expected_ps = 7.62e-3 * 0.0805 / (2 * C) * 1e12
-    assert coeffs[1] == pytest.approx(expected_ps, rel=1e-9)
-    assert coeffs[1] == pytest.approx(1.02, abs=0.01)
-
-
-def test_spectral_phase_taylor_zero_length(model):
-    assert spectral_phase_taylor(model, ("H", "V"), 0.0, LAM0, order=2) == [
-        0.0,
-        0.0,
-        pytest.approx(0.0, abs=1e-30),
-    ]
-
-
-def test_spectral_phase_taylor_matches_converter_gdd(model):
-    coeffs = spectral_phase_taylor(model, ("V", "H"), 7.5, 1550.0, order=2)
-    assert coeffs[2] == pytest.approx(converter_gdd(model, 7.5, 1550.0), rel=1e-12)
-
-
-def test_spectral_phase_taylor_rejects_bad_order(model):
-    with pytest.raises(ValueError):
-        spectral_phase_taylor(model, ("H", "V"), 7.62, LAM0, order=3)
 
 
 def test_converter_gdd_value_and_scaling(model):

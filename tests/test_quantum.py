@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from homchip.chip import (
     ChipLayout,
+    active_triple,
     LayoutError,
     SwitchSetting,
     delay_schedule,
@@ -688,7 +689,7 @@ def _four_mode_scan_raws(layout, settings, pm, grid, filters=None, **kwargs):
     start[0, 0] = start[1, 1] = 1.0
     folds, raws = {}, []
     for setting in settings:
-        m = chain.active_triple(setting)
+        m = active_triple(layout, setting)
         bs = chain.splitter(setting)
         key = (setting.pc0_on, setting.pc0_efficiency, bs)
         if key not in folds:

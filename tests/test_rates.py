@@ -7,25 +7,26 @@ from homchip.rates import (
     expected_rates,
     klyshko_efficiency,
     reconciliation_note,
-    total_loss,
 )
 
 
 def test_default_budget_totals():
-    db, lin = total_loss(default_loss_budget())
+    budget = default_loss_budget()
+    db, lin = budget.total_db, budget.transmission
     assert db == pytest.approx(6.5)
     assert lin == pytest.approx(10 ** -0.65)
 
 
 def test_empty_budget():
-    db, lin = total_loss(LossBudget())
+    budget = LossBudget()
+    db, lin = budget.total_db, budget.transmission
     assert db == 0.0
     assert lin == 1.0
 
 
 def test_eleven_db_transmission():
     budget = LossBudget(items=(("total", 11.0),))
-    _, lin = total_loss(budget)
+    lin = budget.transmission
     assert lin == pytest.approx(0.0794, abs=0.0001)
 
 
