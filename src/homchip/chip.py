@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass, field, fields, replace
 
 from . import dispersion
-from .elements import OPERATING_TEMPERATURE_C, FilterSpec
-from .grid import C_VACUUM, OPERATING_WAVELENGTH_NM
+from .elements import OPERATING_TEMPERATURE_C, FilterSpec, PmSpec
+from .grid import C_VACUUM, OPERATING_WAVELENGTH_NM, SpectralGrid
 
 DEFAULT_PUMP_WAVELENGTH_NM = OPERATING_WAVELENGTH_NM / 2.0  # degenerate pairs
 
@@ -106,7 +106,8 @@ class SwitchSetting:
 
 @dataclass(frozen=True)
 class ChipConfig:
-    """Parsed layout file: geometry, electrical state, and environment."""
+    """A command's configuration: the parsed layout file (geometry,
+    electrical state, environment) and the values only flags set."""
 
     layout: ChipLayout
     setting: SwitchSetting
@@ -115,10 +116,22 @@ class ChipConfig:
     pbs_extinction_db: float
     pc_conversion_db: float | None  # None = ideal converters
     filter: FilterSpec
+    grid_samples: int = SpectralGrid.samples
+    grid_halfwidth_nm: float = SpectralGrid.half_width_nm
+    flat_converters: bool = False  # frequency-independent converters
 
     @property
     def center_wavelength_nm(self) -> float:
         return 2.0 * self.pump_wavelength_nm
+
+    @property
+    def grid(self) -> SpectralGrid:
+        """The scan's (and the filtered dip's) grid, built when read."""
+        return SpectralGrid(self.center_wavelength_nm, self.grid_halfwidth_nm, self.grid_samples)
+
+    @property
+    def pm(self) -> PmSpec:
+        return PmSpec(pdc_length_mm=self.layout.pdc_length_mm)
 
 
 def validate_setting(layout: ChipLayout, setting: SwitchSetting) -> None:
@@ -238,6 +251,27 @@ FILTER_ALIASES = {
 KNOWN_KEYS = _FLOAT_KEYS | {"segment_count", "disabled_segments", "filter_shape"}
 
 
+def parse_filter(spelling: str, center_nm: float, width_nm: float | None = None) -> FilterSpec:
+    """The detection filter of a layout's filter_shape and filter_width_nm
+    (``spelling`` is the shape, ``width_nm`` the width), or of the --filter
+    flag's 'none' or 'shape:width_nm'.
+
+    Shapes are 'none' and the keys of FILTER_ALIASES, in any case.  'none'
+    ignores ``width_nm`` but takes no width of its own; a real shape needs
+    a width.
+    """
+    shape, colon, width = spelling.partition(":")
+    if shape.lower() == "none" and not colon:
+        return FilterSpec(center_nm=center_nm)
+    if shape.lower() not in FILTER_ALIASES:
+        raise ValueError(f"unknown filter shape {shape!r}")
+    if colon:
+        width_nm = float(width)
+    if width_nm is None:
+        raise LayoutError("filter_width_nm required for a real filter", key="filter_width_nm")
+    return FilterSpec(FILTER_ALIASES[shape.lower()], center_nm, width_nm)
+
+
 def parse_layout(text: str) -> ChipConfig:
     """Parse the line-based ``key = value`` layout format.
 
@@ -277,12 +311,12 @@ def parse_layout(text: str) -> ChipConfig:
                     key=key,
                 )
         elif key == "filter_shape":
-            shape = rhs.lower()
-            if shape != "none" and shape not in FILTER_ALIASES:
+            # a bare shape: its width is the filter_width_nm key
+            if rhs.lower() != "none" and rhs.lower() not in FILTER_ALIASES:
                 raise LayoutError(
                     f"unknown filter shape {rhs!r}", line=lineno, column=column, key=key
                 )
-            raw[key] = FILTER_ALIASES.get(shape, shape)
+            raw[key] = rhs
         else:
             try:
                 value = float(rhs)
@@ -317,13 +351,9 @@ def parse_layout(text: str) -> ChipConfig:
     validate_setting(layout, setting)
 
     pump_nm = raw.get("pump_wavelength_nm", DEFAULT_PUMP_WAVELENGTH_NM)
-    shape = raw.get("filter_shape", "none")
-    if shape == "none":
-        flt = FilterSpec(center_nm=2.0 * pump_nm)
-    else:
-        if "filter_width_nm" not in raw:
-            raise LayoutError("filter_width_nm required for a real filter", key="filter_width_nm")
-        flt = FilterSpec(shape=shape, center_nm=2.0 * pump_nm, width_nm=raw["filter_width_nm"])
+    if pump_nm <= 0:
+        raise LayoutError("must be > 0", key="pump_wavelength_nm")
+    flt = parse_filter(raw.get("filter_shape", "none"), 2.0 * pump_nm, raw.get("filter_width_nm"))
 
     pbs_ext = raw.get("pbs_extinction_db", math.inf)
     if pbs_ext <= 0:

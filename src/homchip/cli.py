@@ -2,13 +2,25 @@
 
 Commands: delay-schedule, hom-scan, dip, phasematch, rates.  Outputs are
 deterministic (identical configuration gives byte-identical files).
-Configuration precedence: command-line flags override layout-file keys,
-which override the built-in as-built defaults.
+
+Every command but rates reads one ChipConfig from resolve(): its flags
+(a --preset counts as flags) override the layout-file keys, which override
+the built-in as-built defaults.  What each command reads of it:
+
+- hom-scan: all of it.
+- dip: the geometry, temperature_c and the pump.  Its four scenarios fix
+  their own filters and drive, so it ignores the filter keys, the
+  imperfection keys, pc0_efficiency and disabled_segments.
+- delay-schedule: the geometry and disabled_segments.
+- phasematch: the source and first-converter lengths, temperature_c and
+  the pump.
+
+rates reads no configuration.
 """
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,40 +28,26 @@ import numpy as np
 from . import chip as chip_mod
 from . import quantum as q
 from . import rates as rates_mod
-from .dispersion import WavelengthRangeError, calibration_residual, default_model
-from .elements import (
-    FilterSpec,
-    PcSpec,
-    PmSpec,
-    pc_transmission_spectrum,
-    pm_center_vs_temperature,
-    shg_spectrum,
-)
-from .grid import SpectralGrid
+from .dispersion import WavelengthRangeError, calibration_residual, check_range, default_model
+from .elements import PcSpec, pc_transmission_spectrum, pm_center_vs_temperature, shg_spectrum
 from .svgplot import Series, write_plot
 
-
-@dataclass(frozen=True)
-class Imperfections:
-    """Splitter and converter imperfections of a hom-scan run."""
-
-    pbs_extinction_db: float  # inf = ideal splitter
-    pc_conversion_db: float | None  # None = full conversion
-    pc0_efficiency: float  # first-converter drive efficiency
-    flat_converters: bool  # frequency-independent converters
-
-
+#: Imperfection presets: hom_scan keywords plus the first converter's drive efficiency.
 PRESETS = {
-    "ideal": Imperfections(float("inf"), None, 1.0, flat_converters=True),
-    "paper": Imperfections(17.0, 20.0, 0.99, flat_converters=False),
+    "ideal": dict(
+        pbs_extinction_db=float("inf"), pc_conversion_db=None, pc0_efficiency=1.0, flat_converters=True
+    ),
+    "paper": dict(
+        pbs_extinction_db=17.0, pc_conversion_db=20.0, pc0_efficiency=0.99, flat_converters=False
+    ),
 }
 
 
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    if isinstance(value, int):
+        return str(value)
     return f"{float(value):.9g}"
 
 
@@ -60,39 +58,21 @@ def write_csv(path: Path, header, rows):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def parse_filter_arg(text: str, center_nm: float) -> FilterSpec:
-    if text.lower() == "none":
-        return FilterSpec(center_nm=center_nm)
-    if ":" not in text:
-        raise ValueError(f"filter must be 'shape:width_nm' or 'none', got {text!r}")
-    shape, _, width = text.partition(":")
-    if shape.lower() not in chip_mod.FILTER_ALIASES:
-        raise ValueError(f"unknown filter shape {shape!r}")
-    return FilterSpec(chip_mod.FILTER_ALIASES[shape.lower()], center_nm, float(width))
-
-
-def load_config(args: argparse.Namespace) -> chip_mod.ChipConfig:
-    if args.layout is None:
-        return chip_mod.parse_layout("")
-    return chip_mod.parse_layout(Path(args.layout).read_text(encoding="utf-8"))
-
-
-def build_grid(args: argparse.Namespace, config: chip_mod.ChipConfig) -> SpectralGrid:
-    return SpectralGrid(
-        center_wavelength_nm=config.center_wavelength_nm,
-        half_width_nm=args.grid_halfwidth_nm,
-        samples=args.grid_samples,
-    )
-
-
-def build_pm(config: chip_mod.ChipConfig) -> PmSpec:
-    return PmSpec(pdc_length_mm=config.layout.pdc_length_mm)
-
-
-def detection_filter(args: argparse.Namespace, config: chip_mod.ChipConfig) -> FilterSpec:
-    if args.filter is not None:
-        return parse_filter_arg(args.filter, config.center_wavelength_nm)
-    return config.filter
+def resolve(args: argparse.Namespace) -> chip_mod.ChipConfig:
+    """The configuration a command reads: the flags it was given over its
+    layout file (or the as-built defaults) parsed by parse_layout."""
+    text = Path(args.layout).read_text(encoding="utf-8") if args.layout else ""
+    config = chip_mod.parse_layout(text)
+    given = vars(args)
+    flags = dict(PRESETS.get(given.get("preset"), {}))
+    for name in ("grid_samples", "grid_halfwidth_nm"):
+        if given.get(name) is not None:
+            flags[name] = given[name]
+    if given.get("filter") is not None:
+        flags["filter"] = chip_mod.parse_filter(given["filter"], config.center_wavelength_nm)
+    if "pc0_efficiency" in flags:
+        flags["setting"] = replace(config.setting, pc0_efficiency=flags.pop("pc0_efficiency"))
+    return replace(config, **flags)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +80,7 @@ def detection_filter(args: argparse.Namespace, config: chip_mod.ChipConfig) -> F
 
 
 def cmd_delay_schedule(args: argparse.Namespace) -> int:
-    config = load_config(args)
+    config = resolve(args)
     model = default_model()
     out = Path(args.out)
     settings = chip_mod.enumerate_settings(config.layout, config.setting)
@@ -134,36 +114,22 @@ def cmd_delay_schedule(args: argparse.Namespace) -> int:
 
 
 def cmd_hom_scan(args: argparse.Namespace) -> int:
-    config = load_config(args)
+    config = resolve(args)
     model = default_model()
     out = Path(args.out)
-    grid = build_grid(args, config)
-    pm = build_pm(config)
-    if args.preset:
-        imp = PRESETS[args.preset]
-    else:
-        imp = Imperfections(
-            config.pbs_extinction_db,
-            config.pc_conversion_db,
-            config.setting.pc0_efficiency,
-            flat_converters=False,
-        )
-    flt = detection_filter(args, config)
-
-    template = replace(config.setting, pc0_efficiency=imp.pc0_efficiency)
-    settings = chip_mod.enumerate_settings(config.layout, template)
+    settings = chip_mod.enumerate_settings(config.layout, config.setting)
     points = q.normalize_scan(
         q.hom_scan(
             config.layout,
             settings,
-            pm,
-            grid,
-            filters=flt,
+            config.pm,
+            config.grid,
+            filters=config.filter,
             model=model,
             temperature_c=config.temperature_c,
-            pbs_extinction_db=imp.pbs_extinction_db,
-            pc_conversion_db=imp.pc_conversion_db,
-            flat_converters=imp.flat_converters,
+            pbs_extinction_db=config.pbs_extinction_db,
+            pc_conversion_db=config.pc_conversion_db,
+            flat_converters=config.flat_converters,
         )
     )
     vis = q.visibility(points)
@@ -205,26 +171,20 @@ def cmd_hom_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_dip(args: argparse.Namespace) -> int:
-    config = load_config(args)
+    config = resolve(args)
     model = default_model()
     out = Path(args.out)
-    pm = build_pm(config)
     taus = np.arange(-200, 201) * 0.05  # integer steps, so the centre row is exactly 0
-    grid = build_grid(args, config)
-    # the unfiltered dip needs the wide window whatever --grid-halfwidth-nm says
-    wide = SpectralGrid(
-        center_wavelength_nm=config.center_wavelength_nm,
-        half_width_nm=300.0,
-        samples=args.grid_samples,
-    )
+    grid = config.grid
     curves = q.dip_scenarios(
-        pm,
+        config.pm,
         grid,
         taus,
         layout=config.layout,
         model=model,
         temperature_c=config.temperature_c,
-        unfiltered_grid=wide,
+        # the unfiltered dip needs the wide window whatever --grid-halfwidth-nm says
+        unfiltered_grid=replace(grid, half_width_nm=300.0),
     )
     rows = []
     for name, p in curves.items():
@@ -245,15 +205,16 @@ def cmd_dip(args: argparse.Namespace) -> int:
 
 
 def cmd_phasematch(args: argparse.Namespace) -> int:
-    config = load_config(args)
+    config = resolve(args)
     model = default_model()
     out = Path(args.out)
-    pm = build_pm(config)
+    pm = config.pm
     t_op = config.temperature_c
 
     lam = np.linspace(
         config.center_wavelength_nm - 6.0, config.center_wavelength_nm + 6.0, 2401
     )
+    check_range(model, lam)
     shg = shg_spectrum(pm, lam, temperature_c=t_op, model=model)
     pc = PcSpec(length_mm=config.layout.pc0_length_mm, temperature_c=t_op)
     transmission = pc_transmission_spectrum(pc, lam, model, pm)
@@ -378,11 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
     output.add_argument("--format", choices=["csv", "csv+svg"], default="csv+svg")
     layout = argparse.ArgumentParser(add_help=False)
     layout.add_argument("--layout", metavar="PATH", help="layout file (defaults to the as-built geometry)")
-    grid = argparse.ArgumentParser(add_help=False)
-    grid.add_argument("--grid-samples", type=int, metavar="N", default=SpectralGrid.samples)
-    grid.add_argument(
-        "--grid-halfwidth-nm", type=float, metavar="X", default=SpectralGrid.half_width_nm
-    )
+    grid = argparse.ArgumentParser(add_help=False)  # defaults: ChipConfig's
+    grid.add_argument("--grid-samples", type=int, metavar="N")
+    grid.add_argument("--grid-halfwidth-nm", type=float, metavar="X")
     scan = argparse.ArgumentParser(add_help=False)
     scan.add_argument("--filter", metavar="SHAPE:WIDTH", help="detection filter, e.g. lorentz:1.2 or none")
     scan.add_argument("--preset", choices=sorted(PRESETS))

@@ -212,7 +212,8 @@ def parse_coefficient_file(text: str) -> DispersionModel:
     """Parse the plain-text coefficient format (see the shipped data file).
 
     Keys: sellmeier_o, sellmeier_e (comma-separated reals, (B, C) pairs),
-    ng_offset_h, ng_offset_v.  '#' starts a comment.
+    ng_offset_h, ng_offset_v, each at most once; every number finite.
+    '#' starts a comment.
     """
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -223,6 +224,8 @@ def parse_coefficient_file(text: str) -> DispersionModel:
             raise ValueError(f"line {lineno}: expected 'key = value'")
         key, _, rhs = line.partition("=")
         key = key.strip()
+        if key in values:
+            raise ValueError(f"line {lineno}: duplicate key {key!r}")
         if key in ("sellmeier_o", "sellmeier_e"):
             try:
                 values[key] = tuple(float(tok) for tok in rhs.split(","))
@@ -235,6 +238,8 @@ def parse_coefficient_file(text: str) -> DispersionModel:
                 raise ValueError(f"line {lineno}: bad number for {key}") from exc
         else:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
+        if not np.all(np.isfinite(values[key])):
+            raise ValueError(f"line {lineno}: {key} must be finite")
     for required in ("sellmeier_o", "sellmeier_e"):
         if required not in values:
             raise ValueError(f"missing key {required!r}")

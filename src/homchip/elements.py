@@ -152,12 +152,6 @@ def pm_center_vs_temperature(pm: PmSpec, process: str, temperature_c: float) -> 
     return pm.center_nm + slope * (temperature_c - pm.reference_temperature_c)
 
 
-def _wavelengths_of(grid_or_wavelengths):
-    if isinstance(grid_or_wavelengths, SpectralGrid):
-        return grid_or_wavelengths.wavelength_plus_nm
-    return np.asarray(grid_or_wavelengths, dtype=float)
-
-
 def _sinc(x):
     return np.sinc(np.asarray(x) / np.pi)
 
@@ -223,7 +217,7 @@ def pdc_amplitude(
 
 def shg_spectrum(
     pm: PmSpec,
-    grid_or_wavelengths,
+    wavelength_nm,
     temperature_c: float | None = None,
     model: dispersion.DispersionModel | None = None,
 ) -> np.ndarray:
@@ -234,7 +228,7 @@ def shg_spectrum(
     """
     model = model or dispersion.default_model()
     center_nm, a = _pdc_tuning(pm, temperature_c, model)
-    lam = _wavelengths_of(grid_or_wavelengths)
+    lam = np.asarray(wavelength_nm, dtype=float)
     # detuning of the fundamental from the phase-matched center
     omega = 2.0 * np.pi * C_VACUUM / (lam * 1e-9)
     omega_center = 2.0 * np.pi * C_VACUUM / (center_nm * 1e-9)
@@ -357,9 +351,9 @@ def pc_conversion_amplitude(pc, wavelength_nm, model=None, pm=None) -> np.ndarra
     return _coupled_mode_terms(pc.kappa_length, _pc_delta_length(pc, wavelength_nm, model, pm))[2]
 
 
-def pc_transmission_spectrum(pc, grid_or_wavelengths, model=None, pm=None) -> np.ndarray:
+def pc_transmission_spectrum(pc, wavelength_nm, model=None, pm=None) -> np.ndarray:
     """Unconverted power 1 - |conversion|^2, as measured behind a polarizer."""
-    lam = _wavelengths_of(grid_or_wavelengths)
+    lam = np.asarray(wavelength_nm, dtype=float)
     conv = pc_conversion_amplitude(pc, lam, model, pm)
     return 1.0 - np.abs(conv) ** 2
 
@@ -456,9 +450,9 @@ def propagation_transfer(
     return phases.reshape(lengths.shape + (-1,))[..., : grid.samples]
 
 
-def filter_amplitude(flt: FilterSpec, grid_or_wavelengths) -> np.ndarray:
+def filter_amplitude(flt: FilterSpec, wavelength_nm) -> np.ndarray:
     """Field transmission of a detection filter, |amplitude| <= 1."""
-    lam = _wavelengths_of(grid_or_wavelengths)
+    lam = np.asarray(wavelength_nm, dtype=float)
     if flt.shape == "none":
         return np.ones_like(lam, dtype=complex)
     detune = lam - flt.center_nm

@@ -564,30 +564,21 @@ def run_chain(
 # detection
 
 
-def _filter_tuple(filters) -> tuple:
-    if filters is None:
-        return ()
-    if isinstance(filters, el.FilterSpec):
-        return (filters,)
-    return tuple(filters)
-
-
-def _filter_weight(grid: SpectralGrid, filters) -> np.ndarray:
-    f_plus = np.ones(grid.samples, dtype=complex)
-    for flt in _filter_tuple(filters):
-        if flt.shape != "none":
-            across = grid.samples_across_nm(flt.width_nm)
-            _check_feature_samples(grid, across, f"the {flt.width_nm:g} nm {flt.shape} filter")
-        f_plus = f_plus * el.filter_amplitude(flt, grid.wavelength_plus_nm)
-    f_minus = grid.flip(f_plus)
-    return np.abs(f_plus * f_minus) ** 2
+def _filter_weight(grid: SpectralGrid, flt) -> np.ndarray:
+    """|f(Omega) f(-Omega)|^2 of one detection filter, or of none."""
+    flt = flt or el.FilterSpec()
+    if flt.shape != "none":
+        across = grid.samples_across_nm(flt.width_nm)
+        _check_feature_samples(grid, across, f"the {flt.width_nm:g} nm {flt.shape} filter")
+    f_plus = el.filter_amplitude(flt, grid.wavelength_plus_nm)
+    return np.abs(f_plus * grid.flip(f_plus)) ** 2
 
 
 def coincidence_probability(state: TwoPhotonAmplitude, filters=None) -> float:
     """Probability of one photon in each output path.
 
     Both detectors are polarization-insensitive and sit behind the same
-    filter chain.  The exchange-symmetrized amplitude
+    filter (None: no filter).  The exchange-symmetrized amplitude
     A[r,s](Omega) + A[s,r](-Omega) interferes both assignments of the
     photons to the detectors.
     """
@@ -735,9 +726,9 @@ def dip_profile(
 
     Bypasses the segmented geometry: the joint spectrum is the source
     amplitude times per-photon spectral envelopes and the detection
-    filters, an explicit relative delay phase exp(i Omega tau) is
-    applied between the photons, and the pair meets an ideal balanced
-    splitter:
+    filter (None: no filter), an explicit relative delay phase
+    exp(i Omega tau) is applied between the photons, and the pair meets
+    an ideal balanced splitter:
 
         P(tau) = 1/2 * (1 - Re K(tau) / K(0)),
         K(tau) = integral A(Omega) A*(-Omega) exp(i Omega tau) dOmega.
@@ -771,7 +762,7 @@ def dip_profile(
         source,
         [np.asarray(env(lam), dtype=complex) for env in photon1_envelopes],
         [np.asarray(env(lam), dtype=complex) for env in photon2_envelopes],
-        [el.filter_amplitude(flt, lam) for flt in _filter_tuple(filters)],
+        [] if filters is None else [el.filter_amplitude(filters, lam)],
     )
     return _dip_curves(grid, joint[None], taus_s)[0]
 

@@ -233,6 +233,9 @@ def test_parse_semantic_errors_name_field():
     with pytest.raises(LayoutError) as err:
         parse_layout("pdc_length_mm = -3\n")
     assert "pdc_length_mm" in str(err.value)
+    with pytest.raises(LayoutError) as err:
+        parse_layout("pump_wavelength_nm = -775\n")
+    assert err.value.key == "pump_wavelength_nm"
     with pytest.raises(LayoutError):
         parse_layout("filter_shape = rect\n")  # missing width
     with pytest.raises(LayoutError):

@@ -1,12 +1,16 @@
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from types import ModuleType
 
 import pytest
 
-from homchip.cli import build_parser, main, parse_filter_arg
+from homchip.chip import ChipLayout, LayoutError, parse_filter, parse_layout
+from homchip.cli import PRESETS, build_parser, main, resolve
+from homchip.elements import FilterSpec, PmSpec
+from homchip.grid import SpectralGrid
 
 LAYOUTS = Path(__file__).resolve().parent.parent / "layouts"
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -153,13 +157,121 @@ def test_unknown_filter_argument(tmp_path, capsys):
 
 
 def test_parse_filter_arg():
-    f = parse_filter_arg("rect:2.3", 1551.7)
+    # the --filter spellings, read by the parser the layout keys share
+    f = parse_filter("rect:2.3", 1551.7)
     assert f.shape == "rectangular" and f.width_nm == 2.3
-    f = parse_filter_arg("lorentz:1.2", 1551.7)
+    f = parse_filter("lorentz:1.2", 1551.7)
     assert f.shape == "lorentzian"
-    assert parse_filter_arg("none", 1551.7).shape == "none"
+    assert parse_filter("none", 1551.7).shape == "none"
     with pytest.raises(ValueError):
-        parse_filter_arg("rect", 1551.7)
+        parse_filter("rect", 1551.7)
+    with pytest.raises(ValueError, match="unknown filter shape 'none'"):
+        parse_filter("none:1", 1551.7)
+
+
+def test_parse_filter_layout_keys():
+    # a layout gives the bare shape and filter_width_nm; 'none' ignores the width
+    f = parse_filter("RECT", 1551.7, 2.3)
+    assert f == parse_filter("rect:2.3", 1551.7)
+    assert parse_filter("none", 1551.7, 1.2).shape == "none"
+    with pytest.raises(LayoutError) as err:
+        parse_filter("lorentz", 1551.7)
+    assert err.value.key == "filter_width_nm"
+
+
+# ---------------------------------------------------------------- precedence
+# flags (a preset counts as flags) over the layout file over the defaults
+
+CONFIGURED = ("delay-schedule", "hom-scan", "dip", "phasematch")
+
+
+def resolve_argv(tmp_path, argv, layout_text=None):
+    if layout_text is not None:
+        layout = tmp_path / "chip.layout"
+        layout.write_text(layout_text)
+        argv = argv + ["--layout", str(layout)]
+    return resolve(build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("command", CONFIGURED)
+def test_resolve_bare_command_is_the_as_built_default(command):
+    assert resolve(build_parser().parse_args([command])) == parse_layout("")
+
+
+#: Every layout key that some command reads, away from its default.
+LAYOUT_TEXT = """
+pdc_length_mm = 21
+pc0_length_mm = 7
+segment_length_mm = 2.5
+disabled_segments = 10
+temperature_c = 44
+pump_wavelength_nm = 776
+pbs_extinction_db = 17
+pc_conversion_db = 20
+pc0_efficiency = 0.9
+filter_shape = rect
+filter_width_nm = 2
+"""
+
+
+@pytest.mark.parametrize("command", CONFIGURED)
+def test_resolve_layout_over_default(tmp_path, command):
+    config = resolve_argv(tmp_path, [command], LAYOUT_TEXT)
+    assert config == parse_layout(LAYOUT_TEXT)
+    assert config.layout == ChipLayout(pdc_length_mm=21, pc0_length_mm=7, segment_length_mm=2.5)
+    assert config.setting.disabled_segments == {10}
+    assert config.setting.pc0_efficiency == 0.9
+    assert (config.temperature_c, config.center_wavelength_nm) == (44, 1552)
+    assert (config.pbs_extinction_db, config.pc_conversion_db) == (17, 20)
+    assert config.filter == FilterSpec("rectangular", 1552, 2)
+    assert config.pm == PmSpec(pdc_length_mm=21)
+
+
+@pytest.mark.parametrize("spelling", ["lorentz:1.2", "none"])
+def test_resolve_filter_flag_over_layout(tmp_path, spelling):
+    config = resolve_argv(tmp_path, ["hom-scan", "--filter", spelling], LAYOUT_TEXT)
+    assert config.filter == parse_filter(spelling, 1552)
+    assert replace(config, filter=parse_layout(LAYOUT_TEXT).filter) == parse_layout(LAYOUT_TEXT)
+
+
+@pytest.mark.parametrize("command", ["hom-scan", "dip"])
+def test_resolve_grid_flags_over_default(tmp_path, command):
+    argv = [command, "--grid-samples", "2048", "--grid-halfwidth-nm", "3.5"]
+    config = resolve_argv(tmp_path, argv, LAYOUT_TEXT)
+    assert config.grid == SpectralGrid(1552, 3.5, 2048)  # centred on the layout's pump
+    assert parse_layout(LAYOUT_TEXT).grid == SpectralGrid(1552, 6.0, 4096)
+    assert replace(config, grid_samples=4096, grid_halfwidth_nm=6.0) == parse_layout(LAYOUT_TEXT)
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_resolve_preset_over_layout(tmp_path, preset):
+    config = resolve_argv(tmp_path, ["hom-scan", "--preset", preset], LAYOUT_TEXT)
+    values = PRESETS[preset]
+    assert config.pbs_extinction_db == values["pbs_extinction_db"]
+    assert config.pc_conversion_db == values["pc_conversion_db"]
+    assert config.setting.pc0_efficiency == values["pc0_efficiency"]
+    assert config.flat_converters is values["flat_converters"]
+    # the layout's other keys stand
+    layout = parse_layout(LAYOUT_TEXT)
+    assert not layout.flat_converters
+    assert config.setting == replace(layout.setting, pc0_efficiency=values["pc0_efficiency"])
+    assert (config.layout, config.filter, config.temperature_c) == (
+        layout.layout, layout.filter, layout.temperature_c
+    )
+
+
+def test_dip_ignores_the_filter_imperfection_and_drive_keys(tmp_path, capsys):
+    # its scenarios fix their own filters and drive; disabled segments change no dip
+    ignored = tmp_path / "ignored.layout"
+    ignored.write_text(
+        "filter_shape = rect\nfilter_width_nm = 5\npc0_efficiency = 0.5\n"
+        "pbs_extinction_db = 3\npc_conversion_db = 4\ndisabled_segments = 10\n"
+    )
+    base = ["dip", "--grid-samples", "2048", "--format", "csv"]
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(base + ["--out", str(a)]) == 0
+    assert main(base + ["--layout", str(ignored), "--out", str(b)]) == 0
+    assert (a / "dip.csv").read_bytes() == (b / "dip.csv").read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -228,6 +340,8 @@ def test_dip_halfwidth_flag_keeps_unfiltered_window(tmp_path, capsys):
         (["hom-scan", "--filter", "lorentz:1.2", "--grid-samples", "34"], None),
         (["hom-scan"], "temperature_c = nan\n"),
         (["delay-schedule"], "pdc_length_mm = nan\n"),
+        (["phasematch"], "pump_wavelength_nm = -775\n"),
+        (["phasematch"], "pump_wavelength_nm = 200\n"),
     ],
     ids=[
         "filter-nan",
@@ -248,6 +362,8 @@ def test_dip_halfwidth_flag_keeps_unfiltered_window(tmp_path, capsys):
         "filter-undersampled",
         "layout-temperature-nan",
         "layout-pdc-length-nan",
+        "layout-pump-negative",
+        "phasematch-pump-outside-dispersion-range",
     ],
 )
 def test_bad_numbers_exit_1_without_output(tmp_path, capsys, argv, layout_text):

@@ -151,10 +151,40 @@ def test_parse_coefficient_file_roundtrip():
         "sellmeier_o = 1.0, 0.01\nsellmeier_e = a, b",
         "sellmeier_o = 1.0, 0.01\nsellmeier_e = 1.0, 0.01\nbogus_key = 3",
         "sellmeier_o 1.0, 0.01",
+        pytest.param(
+            "sellmeier_o = 1.0, 0.01\nsellmeier_e = 1.0, 0.01\nsellmeier_o = 2.0, 0.01",
+            id="duplicate-coefficients",
+        ),
+        pytest.param(
+            "sellmeier_o = 1.0, 0.01\nsellmeier_e = 1.0, 0.01\nng_offset_v = 0\nng_offset_v = 0",
+            id="duplicate-offset",
+        ),
+        pytest.param("sellmeier_o = 1.0, nan\nsellmeier_e = 1.0, 0.01", id="nan-coefficient"),
+        pytest.param("sellmeier_o = 1.0, 0.01\nsellmeier_e = inf, 0.01", id="inf-coefficient"),
+        pytest.param(
+            "sellmeier_o = 1.0, 0.01\nsellmeier_e = 1.0, 0.01\nng_offset_h = inf", id="inf-offset"
+        ),
+        pytest.param(
+            "sellmeier_o = 1.0, 0.01\nsellmeier_e = 1.0, 0.01\nng_offset_v = nan", id="nan-offset"
+        ),
     ],
 )
 def test_parse_coefficient_file_errors(bad):
     with pytest.raises(ValueError):
+        parse_coefficient_file(bad)
+
+
+@pytest.mark.parametrize(
+    "bad, line",
+    [
+        ("sellmeier_o = 1.0, 0.01\nsellmeier_e = 1.0, 0.01\nsellmeier_o = 2.0, 0.01", 3),
+        ("sellmeier_o = 1.0, 0.01\n\nsellmeier_e = 1.0, nan", 3),
+        ("ng_offset_h = inf\nsellmeier_o = 1.0, 0.01\nsellmeier_e = 1.0, 0.01", 1),
+    ],
+    ids=["duplicate", "nan-after-blank-line", "inf-first"],
+)
+def test_parse_coefficient_file_errors_name_the_line(bad, line):
+    with pytest.raises(ValueError, match=f"^line {line}: "):
         parse_coefficient_file(bad)
 
 

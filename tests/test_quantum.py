@@ -17,7 +17,7 @@ from homchip.chip import (
     enumerate_settings,
     valid_triples,
 )
-from homchip.cli import PRESETS, Imperfections
+from homchip.cli import PRESETS
 from homchip.dispersion import (
     CALIBRATION_WAVELENGTH_NM,
     calibrate,
@@ -709,7 +709,7 @@ def _scan_engine_inputs(draw):
     layout = ChipLayout(branch_length_mismatch_mm=draw(st.sampled_from([0.0, 0.02])))
     preset = draw(st.sampled_from(["ideal", "paper", "drawn"]))
     if preset == "drawn":
-        imp = Imperfections(
+        imp = dict(
             pbs_extinction_db=draw(st.one_of(st.just(math.inf), st.floats(10.0, 40.0))),
             pc_conversion_db=draw(st.one_of(st.none(), st.floats(15.0, 30.0))),
             pc0_efficiency=draw(st.floats(0.9, 1.0)),
@@ -717,7 +717,7 @@ def _scan_engine_inputs(draw):
         )
     else:
         imp = PRESETS[preset]
-    template = SwitchSetting(pc0_efficiency=imp.pc0_efficiency)
+    template = SwitchSetting(pc0_efficiency=imp["pc0_efficiency"])
     full = enumerate_settings(layout, template)
     # shuffled, some repeated, some driving the coupler differently
     volts = (draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)))
@@ -725,9 +725,9 @@ def _scan_engine_inputs(draw):
     chosen = [replace(s, bs_voltages=volts) if draw(st.booleans()) else s for s in chosen]
     kwargs = dict(
         temperature_c=draw(st.floats(41.6, 45.6)),
-        pbs_extinction_db=imp.pbs_extinction_db,
-        pc_conversion_db=imp.pc_conversion_db,
-        flat_converters=imp.flat_converters,
+        pbs_extinction_db=imp["pbs_extinction_db"],
+        pc_conversion_db=imp["pc_conversion_db"],
+        flat_converters=imp["flat_converters"],
     )
     samples = draw(st.sampled_from([512, 1000, 4096]))
     return layout, chosen, draw(detection_filters()), kwargs, samples
@@ -757,7 +757,7 @@ def test_warm_scan_traced_memory_peak(pm, model):
     # peak crosses the bound
     imp = PRESETS["paper"]
     layout = ChipLayout()
-    settings = enumerate_settings(layout, SwitchSetting(pc0_efficiency=imp.pc0_efficiency))
+    settings = enumerate_settings(layout, SwitchSetting(pc0_efficiency=imp["pc0_efficiency"]))
     assert len(settings) == 16
     grid = SpectralGrid(samples=4096)
     lorentz = FilterSpec("lorentzian", LAM0, 1.2)
@@ -770,9 +770,9 @@ def test_warm_scan_traced_memory_peak(pm, model):
             grid,
             filters=lorentz,
             model=model,
-            pbs_extinction_db=imp.pbs_extinction_db,
-            pc_conversion_db=imp.pc_conversion_db,
-            flat_converters=imp.flat_converters,
+            pbs_extinction_db=imp["pbs_extinction_db"],
+            pc_conversion_db=imp["pc_conversion_db"],
+            flat_converters=imp["flat_converters"],
         )
 
     scan()
