@@ -85,7 +85,6 @@ class SwitchSetting:
     pc0_on: bool = True
     triple_index: int | None = 2
     disabled_segments: frozenset = field(default_factory=frozenset)
-    bs_voltages: tuple = (0.0, 0.0)
     pc0_efficiency: float = 1.0
 
     def __post_init__(self):
@@ -195,8 +194,9 @@ def delay_schedule(
     """Arrival-time difference at the balanced splitter, in ps.
 
     Positive when the segmented-branch photon arrives later.  Pure
-    geometry: independent of the splitter voltages and the converter
-    drive level.  Group indices are taken at the calibration wavelength.
+    geometry: independent of the converter drive level and of the
+    balanced coupler (set once per scan), at whose input it is taken.
+    Group indices are taken at the calibration wavelength.
     """
     m = active_triple(layout, setting)
     model = model or dispersion.default_model()

@@ -218,20 +218,10 @@ def cmd_phasematch(args: argparse.Namespace) -> int:
     shg = shg_spectrum(pm, lam, temperature_c=t_op, model=model)
     pc = PcSpec(length_mm=config.layout.pc0_length_mm, temperature_c=t_op)
     transmission = pc_transmission_spectrum(pc, lam, model, pm)
-    write_csv(
-        out / "phasematch_spectra.csv",
-        ["wavelength_nm", "shg_normalized", "pc_transmission"],
-        list(zip(lam, shg, transmission)),
-    )
 
     temps = np.arange(t_op - 10.0, t_op + 10.0 + 1e-9, 0.5)
     pdc_line = [pm_center_vs_temperature(pm, "PDC", t) for t in temps]
     pc_line = [pm_center_vs_temperature(pm, "PC", t) for t in temps]
-    write_csv(
-        out / "phasematch_tuning.csv",
-        ["temperature_c", "pdc_center_nm", "pc_center_nm"],
-        list(zip(temps, pdc_line, pc_line)),
-    )
 
     # line fits and crossing
     pdc_fit = np.polyfit(temps, pdc_line, 1)
@@ -239,14 +229,31 @@ def cmd_phasematch(args: argparse.Namespace) -> int:
     t_cross = (pc_fit[1] - pdc_fit[1]) / (pdc_fit[0] - pc_fit[0])
     lam_cross = np.polyval(pdc_fit, t_cross)
 
-    def fwhm(x, y):
+    def fwhm(x, y, name):
         i = int(np.argmax(y))
         half = y[i] / 2.0
         above = np.where(y >= half)[0]
+        if above[0] == 0 or above[-1] == len(y) - 1:
+            raise ValueError(
+                f"{name} half maximum reaches the edge of the "
+                f"{x[0]:.9g}-{x[-1]:.9g} nm window; its FWHM would be clipped"
+            )
         return x[above[-1]] - x[above[0]]
 
-    w_pdc = fwhm(lam, shg)
-    w_pc = fwhm(lam, 1.0 - transmission)
+    w_pdc = fwhm(lam, shg, "source spectrum")
+    w_pc = fwhm(lam, 1.0 - transmission, "converter spectrum")
+
+    # every number is checked; only now are the files written
+    write_csv(
+        out / "phasematch_spectra.csv",
+        ["wavelength_nm", "shg_normalized", "pc_transmission"],
+        list(zip(lam, shg, transmission)),
+    )
+    write_csv(
+        out / "phasematch_tuning.csv",
+        ["temperature_c", "pdc_center_nm", "pc_center_nm"],
+        list(zip(temps, pdc_line, pc_line)),
+    )
 
     if args.format == "csv+svg":
         write_plot(

@@ -7,10 +7,12 @@ populates exactly one ordering); physical exchange symmetry is applied
 at detection, where the amplitude A[r, s](Omega) is combined with its
 partner A[s, r](-Omega) before squaring.
 
-The circuit is one list of steps, each an element in its sparsest exact
-form: per-mode propagation phases, a 2x2 converter block on the upper
-path, the balanced splitter's 2x2 path matrix, or the polarizing
-splitter's constant 4x4 matrix.  The steps are used two ways.
+The circuit is one list of steps, each element in one exact form of
+three kinds: (H, V) propagation phases on both paths, a 2x2 (H, V) block
+on the upper path (a converter, or the branch mismatch's phases), or a
+constant 4x4 mode matrix (the polarizing splitter, and the balanced
+coupler's path matrix on both polarizations).  The steps are used two
+ways.
 
 hom_scan, the fast path, uses that the source emits one product mode
 pair, photon 1 in (upper, H) and photon 2 in (upper, V) with the joint
@@ -25,11 +27,12 @@ sample).  Up to the polarizing splitter the lower path is empty, so the
 prefix steps act on the upper-path block alone, and the splitter's step
 expands it to one (4, 2, N) array whose rows 0-1 and 2-3 are the upper-
 and lower-path blocks.  The source-to-splitter prefix depends on a
-setting only through the first converter (pc0_on, pc0_efficiency); the
-triple converter matrix and the coupler matrix of each splitter drive
-are computed once per scan.  The converter matrices are component-major
-(elements.pc_chain_matrix): each entry J[..., a, b] is one contiguous
-row, which the products below read.
+setting only through the first converter (pc0_on, pc0_efficiency).  The
+triple converter matrix and the coupler's path matrix are computed once
+per scan: the coupler is trimmed to balance once, so one BsSpec (the bs
+keyword) holds for every setting.  The converter matrices are
+component-major (elements.pc_chain_matrix): each entry J[..., a, b] is
+one contiguous row, which the products below read.
 
 The suffix after the polarizing splitter holds only per-polarization
 section phases, the triple's Jones block J on the upper path and the
@@ -42,14 +45,14 @@ and multiplies A[a, b](Omega) and its exchange partner A[b, a](-Omega)
 by the same unit factor, so it cancels in the bucket coincidence.  What
 is left of the setting is its walk-off phase E_m = Z_mV conj(Z_mH) on
 the Jones off-diagonals, E_m on the H row and conj(E_m) on the V row.
-So for each first-converter state and splitter drive, hom_scan evolves
-the prefix once and folds its vectors, J, M and the splitter into two
-arrays A and B, and a setting's vectors are
+So for each first-converter state, hom_scan evolves the prefix once and
+folds its vectors, J, M and the splitter into two arrays A and B, and a
+setting's vectors are
 
     A + B [E_m, conj(E_m)]
 
 (one multiply-add) before detection.  hom_scan groups the settings by
-that key, so one fold is alive at a time: A and B are written in place
+first-converter state, so one fold is alive at a time: A and B are written in place
 into two arrays allocated once per scan, each setting's vectors reuse the
 group's prefix array, and detection writes into rows allocated once per
 scan.  Each product keeps its operand order, since numpy's complex
@@ -171,26 +174,6 @@ class ScanPoint:
 # element -> transfer sampling
 
 
-def jones_transfer(grid: SpectralGrid, jones: np.ndarray, label="jones") -> ElementTransfer:
-    """Embed a (possibly per-sample) 2x2 (H, V) matrix on the upper path."""
-    jones = np.asarray(jones, dtype=complex)
-    if jones.ndim == 2:
-        jones = np.broadcast_to(jones, (grid.samples, 2, 2))
-    if jones.shape != (grid.samples, 2, 2):
-        raise ValueError(f"jones block has shape {jones.shape}")
-    mats = np.tile(np.eye(N_MODES, dtype=complex), (grid.samples, 1, 1))
-    idx = [mode_index(Path.UPPER, Polarization.H), mode_index(Path.UPPER, Polarization.V)]
-    for i in range(2):
-        for j in range(2):
-            mats[:, idx[i], idx[j]] = jones[:, i, j]
-    return ElementTransfer(label, mats)
-
-
-def mode_matrix_transfer(grid: SpectralGrid, matrix: np.ndarray, label) -> ElementTransfer:
-    mats = np.broadcast_to(np.asarray(matrix, dtype=complex), (grid.samples, N_MODES, N_MODES))
-    return ElementTransfer(label, np.array(mats))
-
-
 def _section_phases(grid: SpectralGrid, lengths_mm, model) -> np.ndarray:
     """(H, V) phases of birefringent sections, shape lengths.shape + (2, N)."""
     return np.stack(
@@ -257,12 +240,11 @@ def _geometry_tables(
 
 @dataclass(frozen=True)
 class _Step:
-    """One chain element in its sparsest exact form.
+    """One chain element in its one exact form, of three kinds:
 
-    kind "phase": data (2, N), (H, V) propagation phases on both paths, or
-        (4, N), per-mode phases (a diagonal);
-    kind "jones": data (2, 2) or (N, 2, 2), an (H, V) block on the upper path;
-    kind "paths": data (2, 2), a path matrix acting alike on both polarizations;
+    kind "phase": data (2, N), (H, V) propagation phases on both paths;
+    kind "jones": data (2, 2) or (N, 2, 2), an (H, V) block on the upper
+        path, the lower path passing unchanged;
     kind "modes": data (4, 4), a frequency-independent mode matrix.
     """
 
@@ -271,17 +253,17 @@ class _Step:
     data: np.ndarray
 
     def transfer(self, grid: SpectralGrid) -> ElementTransfer:
-        """Dense (N, 4, 4) form, as apply_element consumes it."""
-        if self.kind == "jones":
-            return jones_transfer(grid, self.data, label=self.label)
-        if self.kind == "modes":
-            return mode_matrix_transfer(grid, self.data, self.label)
-        if self.kind == "paths":  # MODE_ORDER is path-major
-            return mode_matrix_transfer(grid, np.kron(self.data, np.eye(2)), self.label)
+        """Dense (N, 4, 4) form, as apply_element consumes it (MODE_ORDER
+        is path-major: mode k is polarization k % 2 of path k // 2)."""
         mats = np.zeros((grid.samples, N_MODES, N_MODES), dtype=complex)
-        k = np.arange(N_MODES)
-        diag = self.data if len(self.data) == N_MODES else np.concatenate([self.data] * 2)
-        mats[:, k, k] = diag.T
+        if self.kind == "modes":
+            mats[:] = self.data
+        elif self.kind == "jones":
+            mats[:, :2, :2] = self.data
+            mats[:, 2, 2] = mats[:, 3, 3] = 1.0
+        else:
+            k = np.arange(N_MODES)
+            mats[:, k, k] = self.data.T[:, k % 2]
         return ElementTransfer(self.label, mats)
 
     def apply(self, vectors: np.ndarray) -> np.ndarray:
@@ -289,22 +271,16 @@ class _Step:
         sampled at omega0 + Omega; rows 0-1 are the upper-path block.  A
         (2, photons, N) input is that block alone, the lower path empty,
         as it is up to the polarizing splitter, whose step expands it."""
-        upper_only = len(vectors) == 2
         if self.kind == "phase":  # (path, polarization, photon, N) times the rows
-            if upper_only:
-                return vectors * self.data[:2, None]
-            blocks = vectors.reshape((2, 2) + vectors.shape[1:])
-            return (blocks * self.data.reshape(-1, 2, 1, vectors.shape[-1])).reshape(vectors.shape)
+            blocks = vectors.reshape((-1, 2) + vectors.shape[1:])
+            return (blocks * self.data[:, None]).reshape(vectors.shape)
         if self.kind == "modes":  # an empty lower path drops the matrix's columns 2-3
             columns = self.data[:, : len(vectors)]
             out = columns @ vectors.reshape(len(vectors), -1)
             return out.reshape((N_MODES,) + vectors.shape[1:])
         out = np.empty_like(vectors, order="C")
-        if self.kind == "jones":
-            out[2:] = vectors[2:]
-            _mix(self.data, vectors[:2], out[:2])
-        else:  # the (upper, lower) path blocks
-            _mix(self.data, vectors.reshape(2, -1), out.reshape(2, -1))
+        out[2:] = vectors[2:]
+        _mix(self.data, vectors[:2], out[:2])
         return out
 
 
@@ -320,11 +296,12 @@ def _mix(matrix: np.ndarray, pair: np.ndarray, out: np.ndarray) -> None:
 class _Chain:
     """The circuit from the source midpoint to the outputs, as steps.
 
-    Holds what a scan shares: the converter matrices, the coupler matrix
-    of every BsSpec and the chip's memoized geometry tables.
-    prefix() runs to the polarizing-splitter exit and depends on the
-    setting only through (pc0_on, pc0_efficiency); suffix() is the rest:
-    phases and the triple's Jones block, then the balanced splitter.
+    Holds what a scan shares: the converter matrices, the coupler's
+    (2, 2) (upper, lower) path matrix, set once from bs (None: ideal_bs()
+    at 0 V), and the chip's memoized geometry tables.  prefix() runs to
+    the polarizing-splitter exit and depends on the setting only through
+    (pc0_on, pc0_efficiency); suffix() is the rest: phases, the triple's
+    Jones block and the branch mismatch, then the balanced splitter.
     fold_suffix() and unfold() are the suffix in hom_scan's folded form
     (module docstring).  Keywords as for chain_transfers.
     """
@@ -350,8 +327,8 @@ class _Chain:
         if self.pc_conversion_db is not None:
             triple = triple.with_conversion_db(self.pc_conversion_db)
         self.triple = self._converter(triple)
+        self.coupler = el.bs_transfer(self.bs or el.ideal_bs())
         self.tables = _geometry_tables(self.layout, self.grid, self.model)
-        self._couplers = {}
 
     def _converter(self, pc: el.PcSpec) -> np.ndarray:
         if self.flat_converters:
@@ -375,31 +352,15 @@ class _Chain:
             _Step("polarizing splitter", "modes", self.pbs),
         ]
 
-    def splitter(self, setting: chip_mod.SwitchSetting) -> el.BsSpec:
-        """The balanced splitter a setting drives (self.bs, if given)."""
-        if self.bs is not None:
-            return self.bs
-        return replace(el.ideal_bs(), u11_v=setting.bs_voltages[0], u12_v=setting.bs_voltages[1])
-
-    def coupler(self, bs: el.BsSpec) -> np.ndarray:
-        """The (2, 2) (upper, lower) path matrix of a splitter, for both polarizations."""
-        if bs not in self._couplers:
-            self._couplers[bs] = el.bs_transfer(bs)
-        return self._couplers[bs]
-
     def suffix(self, setting: chip_mod.SwitchSetting) -> list:
         m = chip_mod.active_triple(self.layout, setting)
         layout = self.layout
         seg = layout.segment_length_mm
         z_mid = (m + 0.5) * seg  # from the splitter exit
-        # per-mode (4, N) phases, the section rows on both paths
-        to_triple, remaining, block = (
-            np.concatenate([rows, rows])
-            for rows in _section_phases(
-                self.grid,
-                [z_mid, layout.segment_count * seg - z_mid, layout.bs_block_length_mm],
-                self.model,
-            )
+        to_triple, remaining, block = _section_phases(
+            self.grid,
+            [z_mid, layout.segment_count * seg - z_mid, layout.bs_block_length_mm],
+            self.model,
         )
         steps = [
             _Step("segments up to triple midpoint", "phase", to_triple),
@@ -407,18 +368,18 @@ class _Chain:
             _Step("remaining segments", "phase", remaining),
         ]
         mismatch = self.tables.mismatch
-        if mismatch is not None:  # upper path only
-            steps.append(
-                _Step("branch mismatch", "phase", np.concatenate([mismatch, np.ones_like(mismatch)]))
-            )
+        if mismatch is not None:  # the (H, V) phases on the upper path, a diagonal block
+            diagonal = np.zeros((self.grid.samples, 2, 2), dtype=complex)
+            diagonal[:, (0, 1), (0, 1)] = mismatch.T
+            steps.append(_Step("branch mismatch", "jones", diagonal))
         steps.append(_Step("output block", "phase", block))
-        steps.append(_Step("balanced splitter", "paths", self.coupler(self.splitter(setting))))
+        steps.append(_Step("balanced splitter", "modes", np.kron(self.coupler, np.eye(2))))
         return steps
 
-    def fold_suffix(self, vectors: np.ndarray, bs: el.BsSpec, folded, cross) -> None:
+    def fold_suffix(self, vectors: np.ndarray, folded, cross) -> None:
         """The suffix for every triple at once: writes arrays A (folded) and
-        B (cross) such that the suffix of a setting with triple m and
-        splitter bs takes vectors to D (A + B [E_m, conj(E_m)]) (unfold).
+        B (cross) such that the suffix of a setting with triple m takes
+        vectors to D (A + B [E_m, conj(E_m)]) (unfold).
 
         vectors are the prefix's (4, 2, N); A and B are (path, polarization,
         photon, N), written in place: until the coupler mixes them, the
@@ -438,7 +399,7 @@ class _Chain:
         if mismatch is not None:
             diagonal *= mismatch[:, None]
             cross[1] *= mismatch[:, None]
-        coupler = self.coupler(bs)
+        coupler = self.coupler
         for a in (0, 1):  # A[a] = coupler[a, 0] diagonal + coupler[a, 1] lower
             np.multiply(coupler[a, 0], diagonal, out=folded[a])
             np.multiply(coupler[a, 1], lower, out=scratch)
@@ -523,8 +484,9 @@ def chain_transfers(
     """Ordered dense element transfers from the source midpoint to the outputs.
 
     Keywords: model, temperature_c, pbs_extinction_db (inf = ideal),
-    pc_conversion_db (None = full conversion), bs (None = the ideal
-    coupler at the setting's voltages) and flat_converters.
+    pc_conversion_db (None = full conversion), bs (the balanced coupler,
+    set once for every setting; None = ideal_bs() at 0 V) and
+    flat_converters.
 
     Each converter region is modeled as half its birefringent
     propagation, the midpoint-lumped coupled-mode matrix, then the other
@@ -644,8 +606,9 @@ def hom_scan(
 
     Runs the per-photon engine of the module docstring; keywords as for
     chain_transfers.  Equals coincidence_probability(run_chain(...)) to
-    rounding.  Settings are evaluated grouped by their prefix and splitter
-    drive, one fold alive at a time, and returned in input order.
+    rounding.  Settings are evaluated grouped by their prefix (pc0_on,
+    pc0_efficiency), one fold alive at a time, and returned in input
+    order.
     """
     chain = _Chain(layout, pm, grid, **chain_kwargs)
     phi = _source_amplitude(pm, grid, chain.model, chain.temperature_c)
@@ -654,8 +617,7 @@ def hom_scan(
     groups = {}
     for index, setting in enumerate(settings):
         m = chip_mod.active_triple(layout, setting)
-        bs = chain.splitter(setting)
-        groups.setdefault((setting.pc0_on, setting.pc0_efficiency, bs), []).append((index, m))
+        groups.setdefault((setting.pc0_on, setting.pc0_efficiency), []).append((index, m))
     detect = _RankOneDetector(phi, weight, grid.d_omega)
     # the upper-path block (polarization, photon, N): photon 1 in H, photon 2 in V
     start = np.zeros((2, 2, grid.samples), dtype=complex)
@@ -666,9 +628,9 @@ def hom_scan(
     folded = np.empty((2, 2, 2, grid.samples), dtype=complex)
     cross = np.empty_like(folded)
     raws = [0.0] * len(settings)
-    for (_, _, bs), members in groups.items():
+    for members in groups.values():
         vectors = _evolve(start, chain.prefix(settings[members[0][0]]))
-        chain.fold_suffix(vectors, bs, folded, cross)
+        chain.fold_suffix(vectors, folded, cross)
         # folded, the prefix array is free to take each setting's vectors
         for index, m in members:
             chain.unfold(m, folded, cross, vectors.reshape(folded.shape))

@@ -150,9 +150,7 @@ def test_delay_step_scales_with_segment_length(model):
 def test_delay_independent_of_voltages_and_efficiency(model):
     layout = ChipLayout()
     base = SwitchSetting(pc0_on=True, triple_index=4)
-    tweaked = SwitchSetting(
-        pc0_on=True, triple_index=4, bs_voltages=(3.3, -1.1), pc0_efficiency=0.5
-    )
+    tweaked = SwitchSetting(pc0_on=True, triple_index=4, pc0_efficiency=0.5)
     assert delay_schedule(layout, base, model) == delay_schedule(layout, tweaked, model)
 
 

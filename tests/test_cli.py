@@ -342,6 +342,10 @@ def test_dip_halfwidth_flag_keeps_unfiltered_window(tmp_path, capsys):
         (["delay-schedule"], "pdc_length_mm = nan\n"),
         (["phasematch"], "pump_wavelength_nm = -775\n"),
         (["phasematch"], "pump_wavelength_nm = 200\n"),
+        (["phasematch"], "temperature_c = 60\n"),
+        (["phasematch"], "temperature_c = 54\n"),
+        (["phasematch"], "temperature_c = 53\n"),
+        (["phasematch"], "temperature_c = 36\n"),
     ],
     ids=[
         "filter-nan",
@@ -364,6 +368,10 @@ def test_dip_halfwidth_flag_keeps_unfiltered_window(tmp_path, capsys):
         "layout-pdc-length-nan",
         "layout-pump-negative",
         "phasematch-pump-outside-dispersion-range",
+        "phasematch-spectra-and-sweep-beyond-trust-range",
+        "phasematch-sweep-beyond-trust-range",
+        "phasematch-converter-fwhm-clipped-short-side",
+        "phasematch-converter-fwhm-clipped-long-side",
     ],
 )
 def test_bad_numbers_exit_1_without_output(tmp_path, capsys, argv, layout_text):
@@ -375,6 +383,15 @@ def test_bad_numbers_exit_1_without_output(tmp_path, capsys, argv, layout_text):
     assert main(argv + ["--out", str(out), "--format", "csv"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not list(out.iterdir())
+
+
+def test_clipped_fwhm_names_its_spectrum(tmp_path, capsys):
+    # the converter resonance moves by -0.7 nm/C, out of the fixed +-6 nm window
+    layout = tmp_path / "chip.layout"
+    layout.write_text("temperature_c = 53\n")
+    argv = ["phasematch", "--layout", str(layout), "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert "converter spectrum half maximum reaches the edge" in capsys.readouterr().err
 
 
 def test_density_floor_message_reads_below_floor(tmp_path, capsys):

@@ -60,7 +60,7 @@ def lorentz():
 
 
 def identity_transfer(grid):
-    return q.mode_matrix_transfer(grid, np.eye(4), "identity")
+    return q.ElementTransfer("identity", np.tile(np.eye(4, dtype=complex), (grid.samples, 1, 1)))
 
 
 def propagation_element(grid, length_mm, model):
@@ -520,9 +520,9 @@ def test_grid_convergence_of_scan(layout, pm, lorentz):
 # ---------------------------------------------------------------- properties
 
 # Inputs drawn by the property tests: layouts with and without a broken
-# segment and a branch mismatch, settings with coupler voltages and a first
-# converter drive, temperatures within 2 C of the operating point, and the
-# imperfections and filters the CLI offers.
+# segment and a branch mismatch, settings with a first converter drive, a
+# coupler trimmed off balance, temperatures within 2 C of the operating
+# point, and the imperfections and filters the CLI offers.
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
 
@@ -540,18 +540,21 @@ def detection_filters(draw):
 
 
 @st.composite
+def drawn_couplers(draw):
+    """None (the ideal coupler at 0 V) or the ideal coupler trimmed off balance."""
+    volts = dict(u11_v=draw(st.floats(-2.0, 2.0)), u12_v=draw(st.floats(-2.0, 2.0)))
+    return draw(st.sampled_from([None, replace(el.ideal_bs(), **volts)]))
+
+
+@st.composite
 def _drawn_scan_inputs(draw):
     layout = ChipLayout(
         branch_length_mismatch_mm=draw(st.sampled_from([0.0, 0.0, 0.004, 0.02]))
     )
     template = SwitchSetting(disabled_segments=draw(st.sampled_from([(), (4,), (10,)])))
     drives = st.sampled_from([1.0, draw(st.floats(0.9, 1.0))])
-    # settings of one scan may drive the coupler differently
-    voltages = st.sampled_from(
-        [(0.0, 0.0), (draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)))]
-    )
     chosen = [
-        replace(s, pc0_efficiency=draw(drives), bs_voltages=draw(voltages))
+        replace(s, pc0_efficiency=draw(drives))
         for s in draw(
             st.lists(st.sampled_from(enumerate_settings(layout, template)), min_size=1, max_size=5)
         )
@@ -562,6 +565,7 @@ def _drawn_scan_inputs(draw):
         pbs_extinction_db=draw(st.one_of(st.just(math.inf), st.floats(10.0, 40.0))),
         pc_conversion_db=draw(st.one_of(st.none(), st.floats(15.0, 30.0))),
         flat_converters=draw(st.booleans()),
+        bs=draw(drawn_couplers()),
     )
     return layout, chosen, filters, kwargs
 
@@ -636,20 +640,65 @@ def test_every_chain_step_keeps_photon_norms(inputs, seed, pm, model):
     vectors = walk(vectors, chain.prefix(chosen[0]))
     suffix = chain.suffix(chosen[0])
     folded, cross, unfolded = np.empty((3, 2, 2, 2, grid.samples), dtype=complex)
-    chain.fold_suffix(vectors, chain.splitter(chosen[0]), folded, cross)
+    chain.fold_suffix(vectors, folded, cross)
     chain.unfold(chosen[0].triple_index, folded, cross, unfolded)
     vectors = walk(vectors, suffix)
     # the folded suffix of hom_scan is the step list up to the phase common
-    # to both paths, the product of the lower-path phases
-    common = reduce(np.multiply, [step.data[2:] for step in suffix if step.kind == "phase"])
+    # to both paths, the product of the (H, V) phase rows
+    common = reduce(np.multiply, [step.data for step in suffix if step.kind == "phase"])
     unfolded *= common[:, None]
     assert np.max(np.abs(unfolded.reshape(vectors.shape) - vectors)) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(
+    preset=st.sampled_from(sorted(PRESETS)),
+    flat=st.booleans(),
+    bs=drawn_couplers(),
+    mismatch_mm=st.sampled_from([0.0, 0.02]),
+    index=st.integers(0, 31),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_step_dense_form_matches_vector_form(preset, flat, bs, mismatch_mm, index, seed, pm, model):
+    # each step's (N, 4, 4) embedding acting on a rank-one pair state equals
+    # the rank-one state of its vector form: A[a, b](Omega) = u1[a](Omega)
+    # u2[b](-Omega), photon 2 read on the flipped axis
+    imp = PRESETS[preset]
+    layout = ChipLayout(branch_length_mismatch_mm=mismatch_mm)
+    settings = enumerate_settings(layout, SwitchSetting(pc0_efficiency=imp["pc0_efficiency"]))
+    setting = settings[index % len(settings)]
+    grid = SpectralGrid(half_width_nm=6.0, samples=256)
+    chain = q._Chain(
+        layout,
+        pm,
+        grid,
+        model=model,
+        pbs_extinction_db=imp["pbs_extinction_db"],
+        pc_conversion_db=imp["pc_conversion_db"],
+        flat_converters=flat,
+        bs=bs,
+    )
+    steps = chain.prefix(setting) + chain.suffix(setting)
+    assert {step.kind for step in steps} <= {"phase", "jones", "modes"}
+    assert ("branch mismatch" in [step.label for step in steps]) == (mismatch_mm > 0)
+    rng = np.random.default_rng(seed)
+
+    def rank_one(vectors):
+        return vectors[:, None, 0] * vectors[None, :, 1, ::-1]
+
+    vectors = rng.normal(size=(4, 2, grid.samples)) + 1j * rng.normal(size=(4, 2, grid.samples))
+    vectors /= np.linalg.norm(vectors, axis=0, keepdims=True)
+    for step in steps:
+        state = q.TwoPhotonAmplitude(grid, rank_one(vectors))
+        dense = q.apply_element(state, step.transfer(grid)).values
+        vectors = step.apply(vectors)
+        assert np.max(np.abs(dense - rank_one(vectors))) <= 1e-12, step.label
 
 
 # ---------------------------------------------------------------- scan engine bits
 
 
-def _stacked_fold(chain, vectors, bs):
+def _stacked_fold(chain, vectors):
     """fold_suffix as first written: np.stack and _mix temporaries, returning
     new (A, B) arrays."""
     j = chain.triple
@@ -660,7 +709,7 @@ def _stacked_fold(chain, vectors, bs):
     if mismatch is not None:
         diagonal *= mismatch[:, None]
         cross *= mismatch[:, None]
-    coupler = chain.coupler(bs)
+    coupler = chain.coupler
     folded = np.empty((2,) + upper.shape, dtype=complex)
     q._mix(coupler, (diagonal, lower), folded)
     return folded, coupler[:, 0, None, None, None] * cross
@@ -690,13 +739,12 @@ def _four_mode_scan_raws(layout, settings, pm, grid, filters=None, **kwargs):
     folds, raws = {}, []
     for setting in settings:
         m = active_triple(layout, setting)
-        bs = chain.splitter(setting)
-        key = (setting.pc0_on, setting.pc0_efficiency, bs)
+        key = (setting.pc0_on, setting.pc0_efficiency)
         if key not in folds:
             vectors = start
             for step in chain.prefix(setting):
                 vectors = step.apply(vectors)
-            folds[key] = _stacked_fold(chain, vectors, bs)
+            folds[key] = _stacked_fold(chain, vectors)
         folded, cross = folds[key]
         e = chain.tables.walk_off[m - 1]
         vectors = folded + cross * np.stack([e, np.conj(e)])[:, None]
@@ -719,15 +767,14 @@ def _scan_engine_inputs(draw):
         imp = PRESETS[preset]
     template = SwitchSetting(pc0_efficiency=imp["pc0_efficiency"])
     full = enumerate_settings(layout, template)
-    # shuffled, some repeated, some driving the coupler differently
-    volts = (draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)))
+    # shuffled, some repeated
     chosen = draw(st.permutations(full + draw(st.lists(st.sampled_from(full), max_size=4))))
-    chosen = [replace(s, bs_voltages=volts) if draw(st.booleans()) else s for s in chosen]
     kwargs = dict(
         temperature_c=draw(st.floats(41.6, 45.6)),
         pbs_extinction_db=imp["pbs_extinction_db"],
         pc_conversion_db=imp["pc_conversion_db"],
         flat_converters=imp["flat_converters"],
+        bs=draw(drawn_couplers()),
     )
     samples = draw(st.sampled_from([512, 1000, 4096]))
     return layout, chosen, draw(detection_filters()), kwargs, samples
