@@ -65,6 +65,24 @@ phase exp(i (omega0 + Omega) tau) is the outer product of the grid's two
 phase blocks (SpectralGrid.phase_blocks, the ceil(sqrt N) split below),
 cos/sin tables of about 2 sqrt(N) entries per section.
 
+hom_scan runs all of this on the detection window, the smallest sample
+slice [lo, N - lo) that holds every nonzero detection weight
+|f(Omega) f(-Omega)|^2: a sample of weight 0 adds nothing to a
+coincidence.  The converter matrices are evaluated on the window's
+wavelengths, the geometry tables are read through views of the window,
+and the prefix, the fold, the unfold and the detection run on
+window-length arrays.  The window is symmetric, as the weight is, so
+photon 2's flipped axis stays exact on it.  The bits stay those of the
+full grid: every elementwise product sees the same operands in the same
+order, and the detector writes its power rows into a full-length block
+that is 0 outside the window, so its product with the weight sums the
+same N terms (p 0 and 0 0 are both +0).  A rectangular filter narrows the
+window to its band (rect:2.3 keeps 784 of 4096 samples on the +-6 nm
+grid); a Lorentzian filter, or none, has no zero weight and keeps the
+full grid.  phi is normalized and lobe-checked on the full grid and only
+then sliced, and no smaller SpectralGrid is built for the window: its
+d_omega would round differently and change every phase.
+
 The phases hom_scan reads are fixed by the chip's geometry: no setting,
 temperature, filter or imperfection changes them.  _geometry_tables
 builds them once per (ChipLayout, SpectralGrid, DispersionModel) key,
@@ -112,7 +130,7 @@ and one product.  The midpoint sum is periodic in tau with period
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -204,6 +222,11 @@ class _GeometryTables:
     mismatch: np.ndarray | None
     walk_off: np.ndarray
 
+    def window(self, window: slice) -> "_GeometryTables":
+        """Every table on a sample slice: read-only views, no copy."""
+        rows = (self.source_half, self.pc0_half, self.pbs_region, self.mismatch, self.walk_off)
+        return _GeometryTables(*(None if row is None else row[..., window] for row in rows))
+
 
 @lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
 def _geometry_tables(
@@ -270,13 +293,14 @@ class _Step:
         """Act on per-photon mode vectors, mode-major (4, photons, N) and
         sampled at omega0 + Omega; rows 0-1 are the upper-path block.  A
         (2, photons, N) input is that block alone, the lower path empty,
-        as it is up to the polarizing splitter, whose step expands it."""
+        as it is up to the polarizing splitter, whose step expands it.
+        The shapes are explicit, since a -1 cannot size an empty window."""
         if self.kind == "phase":  # (path, polarization, photon, N) times the rows
-            blocks = vectors.reshape((-1, 2) + vectors.shape[1:])
+            blocks = vectors.reshape((len(vectors) // 2, 2) + vectors.shape[1:])
             return (blocks * self.data[:, None]).reshape(vectors.shape)
         if self.kind == "modes":  # an empty lower path drops the matrix's columns 2-3
             columns = self.data[:, : len(vectors)]
-            out = columns @ vectors.reshape(len(vectors), -1)
+            out = columns @ vectors.reshape(len(vectors), vectors[0].size)
             return out.reshape((N_MODES,) + vectors.shape[1:])
         out = np.empty_like(vectors, order="C")
         out[2:] = vectors[2:]
@@ -304,6 +328,11 @@ class _Chain:
     Jones block and the branch mismatch, then the balanced splitter.
     fold_suffix() and unfold() are the suffix in hom_scan's folded form
     (module docstring).  Keywords as for chain_transfers.
+
+    window is the sample slice every step acts on: the converter matrices
+    are evaluated on it and the geometry tables viewed on it.  hom_scan
+    sets it to the detection window; the dense transfers need the full
+    grid, the default.
     """
 
     layout: chip_mod.ChipLayout
@@ -315,6 +344,7 @@ class _Chain:
     pc_conversion_db: float | None = None
     bs: el.BsSpec | None = None
     flat_converters: bool = False
+    window: slice = field(default_factory=lambda: slice(None))
 
     def __post_init__(self):
         self.model = self.model or dispersion.default_model()
@@ -328,12 +358,13 @@ class _Chain:
             triple = triple.with_conversion_db(self.pc_conversion_db)
         self.triple = self._converter(triple)
         self.coupler = el.bs_transfer(self.bs or el.ideal_bs())
-        self.tables = _geometry_tables(self.layout, self.grid, self.model)
+        self.tables = _geometry_tables(self.layout, self.grid, self.model).window(self.window)
 
     def _converter(self, pc: el.PcSpec) -> np.ndarray:
         if self.flat_converters:
             return el.pc_flat_matrix(pc)
-        return el.pc_chain_matrix(pc, self.grid.wavelength_plus_nm, self.model, self.pm)
+        wavelengths = self.grid.wavelength_plus_nm[self.window]
+        return el.pc_chain_matrix(pc, wavelengths, self.model, self.pm)
 
     def prefix(self, setting: chip_mod.SwitchSetting) -> list:
         pc0 = el.PcSpec(length_mm=self.layout.pc0_length_mm, temperature_c=self.temperature_c)
@@ -361,7 +392,7 @@ class _Chain:
             self.grid,
             [z_mid, layout.segment_count * seg - z_mid, layout.bs_block_length_mm],
             self.model,
-        )
+        )[..., self.window]
         steps = [
             _Step("segments up to triple midpoint", "phase", to_triple),
             _Step(f"triple {m}", "jones", self.triple),
@@ -369,7 +400,7 @@ class _Chain:
         ]
         mismatch = self.tables.mismatch
         if mismatch is not None:  # the (H, V) phases on the upper path, a diagonal block
-            diagonal = np.zeros((self.grid.samples, 2, 2), dtype=complex)
+            diagonal = np.zeros((mismatch.shape[-1], 2, 2), dtype=complex)
             diagonal[:, (0, 1), (0, 1)] = mismatch.T
             steps.append(_Step("branch mismatch", "jones", diagonal))
         steps.append(_Step("output block", "phase", block))
@@ -561,22 +592,40 @@ def grid_flip_swap(values: np.ndarray) -> np.ndarray:
 # scans
 
 
+def _detection_window(weight: np.ndarray) -> slice:
+    """The smallest sample slice [lo, N - lo) that holds every nonzero
+    detection weight; empty when the filter passes no pair.  It is
+    symmetric about Omega = 0, as the weight is, so flipping it pairs
+    each sample with its partner at -Omega."""
+    nonzero = np.flatnonzero(weight)
+    n = len(weight)
+    lo = int(min(nonzero[0], n - 1 - nonzero[-1])) if len(nonzero) else n // 2
+    return slice(lo, n - lo)
+
+
 class _RankOneDetector:
     """coincidence_probability of A[a, b](Omega) = u1[a](Omega) u2[b](-Omega) phi(Omega),
     formed only for the output pairs and their exchange partners, into
     buffers allocated once per scan.
 
-    vectors is mode-major (4, 2, N): rows 0-1 (OUT_UPPER) and 2-3
-    (OUT_LOWER) are the path blocks, column 0 is photon 1 and column 1
-    photon 2, both sampled at omega0 + Omega; photon 2 is read on the
-    flipped axis.
+    vectors is mode-major (4, 2, n), the n samples of the detection
+    window: rows 0-1 (OUT_UPPER) and 2-3 (OUT_LOWER) are the path blocks,
+    column 0 is photon 1 and column 1 photon 2, both sampled at
+    omega0 + Omega; photon 2 is read on the flipped axis, which the
+    window's symmetry keeps exact.  The power rows are written into a
+    full-length (2, 2, N) block that stays 0 outside the window, where
+    the weight is 0 too, so the product with the weight sums the same N
+    terms as on the full grid (p 0 and 0 0 are both +0) and every raw
+    keeps its bits.
     """
 
-    def __init__(self, phi, weight, d_omega):
-        self.phi, self.weight, self.d_omega = phi, weight, d_omega
-        self.scaled = np.empty((2, len(phi)), dtype=complex)
-        self.block, self.partner = np.empty((2, 2, 2, len(phi)), dtype=complex)
-        self.power = np.empty((2, 2, len(phi)))
+    def __init__(self, phi, weight, d_omega, window):
+        self.phi, self.weight, self.d_omega = phi[window], weight, d_omega
+        n = len(self.phi)
+        self.scaled = np.empty((2, n), dtype=complex)
+        self.block, self.partner = np.empty((2, 2, 2, n), dtype=complex)
+        self.power = np.zeros((2, 2, len(weight)))
+        self.rows = self.power[..., window]
 
     def __call__(self, vectors) -> float:
         u1 = vectors[:, 0]
@@ -590,7 +639,7 @@ class _RankOneDetector:
         block += partner
         squares = block.view(float)  # (re, im) pairs
         np.square(squares, out=squares)
-        np.add(squares[..., 0::2], squares[..., 1::2], out=self.power)
+        np.add(squares[..., 0::2], squares[..., 1::2], out=self.rows)
         return float(np.sum(self.power.reshape(4, -1) @ self.weight) * self.d_omega)
 
 
@@ -609,23 +658,30 @@ def hom_scan(
     rounding.  Settings are evaluated grouped by their prefix (pc0_on,
     pc0_efficiency), one fold alive at a time, and returned in input
     order.
+
+    Everything runs on the detection window (_detection_window), where
+    the filter weight is nonzero: a rectangular filter's band, or the
+    full grid for a Lorentzian filter or none.  The raws are those of the
+    full grid bit for bit (module docstring, _RankOneDetector).
     """
-    chain = _Chain(layout, pm, grid, **chain_kwargs)
-    phi = _source_amplitude(pm, grid, chain.model, chain.temperature_c)
+    model = chain_kwargs.pop("model", None) or dispersion.default_model()
+    phi = _source_amplitude(pm, grid, model, chain_kwargs.get("temperature_c"))
     weight = _filter_weight(grid, filters)
+    window = _detection_window(weight)
+    chain = _Chain(layout, pm, grid, model=model, window=window, **chain_kwargs)
     settings = list(settings)
     groups = {}
     for index, setting in enumerate(settings):
         m = chip_mod.active_triple(layout, setting)
         groups.setdefault((setting.pc0_on, setting.pc0_efficiency), []).append((index, m))
-    detect = _RankOneDetector(phi, weight, grid.d_omega)
-    # the upper-path block (polarization, photon, N): photon 1 in H, photon 2 in V
-    start = np.zeros((2, 2, grid.samples), dtype=complex)
+    detect = _RankOneDetector(phi, weight, grid.d_omega, window)
+    # the upper-path block (polarization, photon, n): photon 1 in H, photon 2 in V
+    start = np.zeros((2, 2, window.stop - window.start), dtype=complex)
     i_h, i_v = SOURCE_MODES
     start[i_h, 0] = start[i_v, 1] = 1.0
     # two arrays rather than one 1 MB block: freeing that block lifted
     # malloc's trim threshold, and the benchmark's peak RSS with it
-    folded = np.empty((2, 2, 2, grid.samples), dtype=complex)
+    folded = np.empty((2,) + start.shape, dtype=complex)
     cross = np.empty_like(folded)
     raws = [0.0] * len(settings)
     for members in groups.values():

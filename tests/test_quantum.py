@@ -278,6 +278,17 @@ def test_normalize_empty_reference_errors(layout, pm, grid, lorentz):
         q.normalize_scan(points)
 
 
+def test_scan_through_a_filter_that_passes_no_pair(layout, pm, grid, model):
+    # the 1569-1571 nm band lies outside the +-6 nm grid: every weight is 0,
+    # the detection window is empty, and every raw is +0.0 as on the full grid
+    band = FilterSpec("rectangular", 1570.0, 2.0)
+    assert not np.any(q._filter_weight(grid, band))
+    points = q.hom_scan(layout, enumerate_settings(layout), pm, grid, band, model=model)
+    assert [p.raw.hex() for p in points] == [(0.0).hex()] * 16
+    with pytest.raises(ValueError, match="reference coincidence level is zero"):
+        q.normalize_scan(points)
+
+
 def test_rect_filter_can_exceed_unit_probability(layout, pm, lorentz):
     grid = SpectralGrid(half_width_nm=6.0, samples=4096)
     rect = FilterSpec("rectangular", LAM0, 2.3)
@@ -528,11 +539,17 @@ PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
 @st.composite
 def detection_filters(draw):
+    # the off-centre band keeps the overlap with its mirror image about the
+    # degeneracy, so hom_scan's detection window shrinks asymmetrically
+    # about the band
+    width = draw(st.floats(1.5, 3.0))
+    offset = draw(st.floats(-0.25, 0.25)) * width
     return draw(
         st.sampled_from(
             [
                 None,
-                FilterSpec("rectangular", LAM0, draw(st.floats(1.5, 3.0))),
+                FilterSpec("rectangular", LAM0, width),
+                FilterSpec("rectangular", LAM0 + offset, width),
                 FilterSpec("lorentzian", LAM0, draw(st.floats(0.8, 2.0))),
             ]
         )
@@ -698,6 +715,29 @@ def test_step_dense_form_matches_vector_form(preset, flat, bs, mismatch_mm, inde
 # ---------------------------------------------------------------- scan engine bits
 
 
+@PROPERTY_SETTINGS
+@given(inputs=scan_inputs(), lo=st.integers(0, 128))
+def test_windowed_chain_is_the_full_chain_sliced(inputs, lo, pm, model):
+    # every step of a chain on a symmetric window, the empty one (lo = 128)
+    # included, holds the bits of the full-grid step on that window
+    layout, chosen, _, kwargs = inputs
+    grid = SpectralGrid(half_width_nm=6.0, samples=256)
+    window = slice(lo, grid.samples - lo)
+    full = q._Chain(layout, pm, grid, model=model, **kwargs)
+    part = q._Chain(layout, pm, grid, model=model, window=window, **kwargs)
+
+    def sliced(step):
+        if step.kind == "phase":
+            return step.data[..., window]
+        return step.data[window] if step.data.ndim == 3 else step.data  # (N, 2, 2) jones
+
+    for setting in chosen:
+        steps = full.prefix(setting) + full.suffix(setting)
+        for whole, step in zip(steps, part.prefix(setting) + part.suffix(setting)):
+            assert step.data.shape == sliced(whole).shape, step.label
+            assert step.data.tobytes() == sliced(whole).tobytes(), step.label
+
+
 def _stacked_fold(chain, vectors):
     """fold_suffix as first written: np.stack and _mix temporaries, returning
     new (A, B) arrays."""
@@ -795,19 +835,21 @@ def test_hom_scan_matches_four_mode_engine_bit_for_bit(inputs, pm, model):
 #: The traced peak of test_warm_scan_traced_memory_peak's scan, 3.515 MB
 #: measured, plus a margin of a third of a (2, 2, 4096) complex temporary.
 WARM_SCAN_PEAK_BYTES = 3_600_000
+#: The traced peak of the same scan behind rect:2.3, whose detection window
+#: holds 784 of the 4096 samples: 0.93 MB measured.  On the full grid it
+#: would be about the Lorentzian scan's.
+WARM_RECT_SCAN_PEAK_BYTES = 1_200_000
 
 
-def test_warm_scan_traced_memory_peak(pm, model):
-    # one warm 16-setting scan at N = 4096, paper preset, lorentz:1.2: the
-    # buffers are the fold (A, B), the group's prefix vectors and the
-    # detection rows; a reintroduced (2, 2, N) temporary (256 KiB) at the
-    # peak crosses the bound
+def _warm_scan_traced_peak(pm, model, filters):
+    """The traced memory peak of one warm 16-setting scan at N = 4096 with
+    the paper preset: the buffers are the fold (A, B), the group's prefix
+    vectors and the detection rows."""
     imp = PRESETS["paper"]
     layout = ChipLayout()
     settings = enumerate_settings(layout, SwitchSetting(pc0_efficiency=imp["pc0_efficiency"]))
     assert len(settings) == 16
     grid = SpectralGrid(samples=4096)
-    lorentz = FilterSpec("lorentzian", LAM0, 1.2)
 
     def scan():
         return q.hom_scan(
@@ -815,7 +857,7 @@ def test_warm_scan_traced_memory_peak(pm, model):
             settings,
             pm,
             grid,
-            filters=lorentz,
+            filters=filters,
             model=model,
             pbs_extinction_db=imp["pbs_extinction_db"],
             pc_conversion_db=imp["pc_conversion_db"],
@@ -826,10 +868,23 @@ def test_warm_scan_traced_memory_peak(pm, model):
     tracemalloc.start()
     try:
         scan()
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_warm_scan_traced_memory_peak(pm, model):
+    # lorentz:1.2 has no zero weight, so the scan runs on the full grid; a
+    # reintroduced (2, 2, N) temporary (256 KiB) at the peak crosses the bound
+    peak = _warm_scan_traced_peak(pm, model, FilterSpec("lorentzian", LAM0, 1.2))
     assert peak <= WARM_SCAN_PEAK_BYTES, peak
+
+
+def test_warm_rect_scan_traced_memory_peak(pm, model):
+    # rect:2.3 runs on its detection window; a window grown back to the full
+    # grid crosses the bound
+    peak = _warm_scan_traced_peak(pm, model, FilterSpec("rectangular", LAM0, 2.3))
+    assert peak <= WARM_RECT_SCAN_PEAK_BYTES, peak
 
 
 LAYOUT_GEOMETRY = st.fixed_dictionaries(
