@@ -223,12 +223,6 @@ def cmd_phasematch(args: argparse.Namespace) -> int:
     pdc_line = [pm_center_vs_temperature(pm, "PDC", t) for t in temps]
     pc_line = [pm_center_vs_temperature(pm, "PC", t) for t in temps]
 
-    # line fits and crossing
-    pdc_fit = np.polyfit(temps, pdc_line, 1)
-    pc_fit = np.polyfit(temps, pc_line, 1)
-    t_cross = (pc_fit[1] - pdc_fit[1]) / (pdc_fit[0] - pc_fit[0])
-    lam_cross = np.polyval(pdc_fit, t_cross)
-
     def fwhm(x, y, name):
         i = int(np.argmax(y))
         half = y[i] / 2.0
@@ -276,9 +270,10 @@ def cmd_phasematch(args: argparse.Namespace) -> int:
             xlabel="temperature (C)",
             ylabel="center wavelength (nm)",
         )
+    # the tuning lines are exactly linear and cross at pm's reference point
     print(
-        f"tuning crossing at ({t_cross:.9g} C, {lam_cross:.9g} nm); "
-        f"slopes {pdc_fit[0]:.9g} and {pc_fit[0]:.9g} nm/C; "
+        f"tuning crossing at ({pm.reference_temperature_c:.9g} C, {pm.center_nm:.9g} nm); "
+        f"slopes {pm.pdc_slope_nm_per_c:.9g} and {pm.pc_slope_nm_per_c:.9g} nm/C; "
         f"source FWHM {w_pdc:.3f} nm, converter FWHM {w_pc:.3f} nm "
         f"(ratio {w_pdc / w_pc:.3f}); "
         f"uncalibrated group-index residual {calibration_residual(model):+.2e}"

@@ -21,13 +21,19 @@ Sign conventions, fixed and asserted throughout the package:
 """
 
 from dataclasses import dataclass, replace
+from enum import Enum
 from functools import lru_cache
 from importlib import resources
 
 import numpy as np
 
 from .grid import C_VACUUM, OPERATING_WAVELENGTH_NM
-from .modes import Polarization
+
+
+class Polarization(str, Enum):
+    H = "H"
+    V = "V"
+
 
 #: Measured group-index difference at the calibration wavelength.
 DEFAULT_GROUP_INDEX_DIFFERENCE = 0.0805

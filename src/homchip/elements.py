@@ -26,7 +26,6 @@ import numpy as np
 
 from . import dispersion
 from .grid import C_VACUUM, OPERATING_WAVELENGTH_NM, SpectralGrid
-from .modes import N_MODES, Path, Polarization, mode_index
 
 OPERATING_TEMPERATURE_C = 43.6
 
@@ -380,15 +379,12 @@ def pbs_transfer(extinction_db: float = math.inf) -> np.ndarray:
     eps = 0.0 if math.isinf(extinction_db) else 10.0 ** (-extinction_db / 10.0)
     r = math.sqrt(eps)
     t = math.sqrt(1.0 - eps)
-    m = np.zeros((N_MODES, N_MODES), dtype=complex)
-    uh, uv = mode_index(Path.UPPER, Polarization.H), mode_index(Path.UPPER, Polarization.V)
-    lh, lv = mode_index(Path.LOWER, Polarization.H), mode_index(Path.LOWER, Polarization.V)
+    m = np.zeros((4, 4), dtype=complex)
+    # (upper, lower) path blocks of each polarization, modes path-major
     # H block: bar-dominant rotation
-    m[uh, uh], m[uh, lh] = t, -r
-    m[lh, uh], m[lh, lh] = r, t
+    m[0::2, 0::2] = [[t, -r], [r, t]]
     # V block: cross-dominant, wrong-port amplitude in quadrature
-    m[uv, uv], m[uv, lv] = -1j * r, t
-    m[lv, uv], m[lv, lv] = t, -1j * r
+    m[1::2, 1::2] = [[-1j * r, t], [t, -1j * r]]
     return m
 
 

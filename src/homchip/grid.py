@@ -3,8 +3,9 @@
 Detunings are taken around the degeneracy frequency omega0 (half the
 pump frequency).  The grid is midpoint-style and symmetric: sample k and
 sample N-1-k sit at opposite detunings, so flipping the sample axis is
-an exact frequency reversal.  There is deliberately no sample at zero
-detuning; integrals are midpoint sums with weight d_omega.
+an exact frequency reversal: photon 2, at omega0 - Omega, reads the
+omega0 + Omega axis through flip().  There is deliberately no sample at
+zero detuning; integrals are midpoint sums with weight d_omega.
 """
 
 import math
@@ -63,17 +64,9 @@ class SpectralGrid:
         return self.omega0 + self.detunings
 
     @cached_property
-    def omega_minus(self) -> np.ndarray:
-        return self.omega0 - self.detunings
-
-    @cached_property
     def wavelength_plus_nm(self) -> np.ndarray:
         """Exact wavelength of the photon at omega0 + Omega, per sample."""
         return 2.0 * np.pi * C_VACUUM / self.omega_plus * 1e9
-
-    @cached_property
-    def wavelength_minus_nm(self) -> np.ndarray:
-        return 2.0 * np.pi * C_VACUUM / self.omega_minus * 1e9
 
     @staticmethod
     def flip(values: np.ndarray) -> np.ndarray:

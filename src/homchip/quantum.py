@@ -1,5 +1,15 @@
 """Two-photon state engine for the interference chip.
 
+The chip guides four modes: two waveguide paths, upper = 0 (the
+segmented-converter branch) and lower = 1 (the direct branch), times two
+polarizations, H = 0 and V = 1, numbered path-major:
+
+    mode = 2 path + polarization.
+
+Every 4-mode array in the package follows this rule: modes 0-1 are the
+upper path's (H, V) block and 2-3 the lower path's, and a polarization's
+(upper, lower) pair is the stride-2 slice [pol::2].
+
 The pair state is kept as a complex tensor A[m1, m2, k]: photon 1 in
 guided mode m1 at omega0 + Omega_k, photon 2 in mode m2 at
 omega0 - Omega_k.  The tensor is slot-ordered (the type-II source
@@ -138,13 +148,15 @@ import numpy as np
 from . import chip as chip_mod
 from . import dispersion
 from . import elements as el
+from .dispersion import Polarization
 from .grid import SpectralGrid
-from .modes import N_MODES, Path, Polarization, mode_index
 
-OUT_UPPER = (mode_index(Path.UPPER, Polarization.H), mode_index(Path.UPPER, Polarization.V))
-OUT_LOWER = (mode_index(Path.LOWER, Polarization.H), mode_index(Path.LOWER, Polarization.V))
+#: Two paths times two polarizations, path-major (module docstring).
+N_MODES = 4
+OUT_UPPER = (0, 1)
+OUT_LOWER = (2, 3)
 #: The source's mode pair: photon 1 in (upper, H), photon 2 in (upper, V).
-SOURCE_MODES = (mode_index(Path.UPPER, Polarization.H), mode_index(Path.UPPER, Polarization.V))
+SOURCE_MODES = (0, 1)
 
 #: Phase-matching lobes the grid must cover on its narrow side.
 MIN_LOBES = 3.0
@@ -276,8 +288,7 @@ class _Step:
     data: np.ndarray
 
     def transfer(self, grid: SpectralGrid) -> ElementTransfer:
-        """Dense (N, 4, 4) form, as apply_element consumes it (MODE_ORDER
-        is path-major: mode k is polarization k % 2 of path k // 2)."""
+        """Dense (N, 4, 4) form, as apply_element consumes it."""
         mats = np.zeros((grid.samples, N_MODES, N_MODES), dtype=complex)
         if self.kind == "modes":
             mats[:] = self.data
@@ -347,6 +358,13 @@ class _Chain:
     window: slice = field(default_factory=lambda: slice(None))
 
     def __post_init__(self):
+        if self.layout.pdc_length_mm != self.pm.pdc_length_mm:
+            # pm's length sets the source bandwidth, the layout's the
+            # source-half walk-off and the delay schedule
+            raise ValueError(
+                f"layout pdc_length_mm {self.layout.pdc_length_mm} differs from "
+                f"pm pdc_length_mm {self.pm.pdc_length_mm}"
+            )
         self.model = self.model or dispersion.default_model()
         if self.temperature_c is None:
             self.temperature_c = self.pm.reference_temperature_c
@@ -491,6 +509,12 @@ def _check_feature_samples(grid: SpectralGrid, across: float, feature: str) -> N
         )
 
 
+def _check_filter_samples(grid: SpectralGrid, flt: el.FilterSpec) -> None:
+    """Raise unless the grid resolves a detection filter's width."""
+    across = grid.samples_across_nm(flt.width_nm)
+    _check_feature_samples(grid, across, f"the {flt.width_nm:g} nm {flt.shape} filter")
+
+
 def apply_element(state: TwoPhotonAmplitude, transfer: ElementTransfer) -> TwoPhotonAmplitude:
     """Push the pair state through one element (photon 1 at omega0+Omega,
     photon 2 at omega0-Omega; the flipped sample axis supplies the latter)."""
@@ -561,8 +585,7 @@ def _filter_weight(grid: SpectralGrid, flt) -> np.ndarray:
     """|f(Omega) f(-Omega)|^2 of one detection filter, or of none."""
     flt = flt or el.FilterSpec()
     if flt.shape != "none":
-        across = grid.samples_across_nm(flt.width_nm)
-        _check_feature_samples(grid, across, f"the {flt.width_nm:g} nm {flt.shape} filter")
+        _check_filter_samples(grid, flt)
     f_plus = el.filter_amplitude(flt, grid.wavelength_plus_nm)
     return np.abs(f_plus * grid.flip(f_plus)) ** 2
 
@@ -677,8 +700,7 @@ def hom_scan(
     detect = _RankOneDetector(phi, weight, grid.d_omega, window)
     # the upper-path block (polarization, photon, n): photon 1 in H, photon 2 in V
     start = np.zeros((2, 2, window.stop - window.start), dtype=complex)
-    i_h, i_v = SOURCE_MODES
-    start[i_h, 0] = start[i_v, 1] = 1.0
+    start[0, 0] = start[1, 1] = 1.0
     # two arrays rather than one 1 MB block: freeing that block lifted
     # malloc's trim threshold, and the benchmark's peak RSS with it
     folded = np.empty((2,) + start.shape, dtype=complex)
@@ -759,8 +781,8 @@ def dip_profile(
 
     Envelopes are elementwise callables of wavelength in nm.  Every
     envelope and filter is evaluated once on wavelength_plus_nm; photon
-    2 takes the flipped array, which is its value on wavelength_minus_nm
-    (the two axes are flips of each other bit for bit).
+    2 takes the flipped array, its value at omega0 - Omega (the grid is
+    symmetric, so the flip is exact).
 
     Re K is evaluated by _delay_kernel, which folds the sum onto
     Omega > 0 and factors exp(i Omega tau) on that uniform half axis
@@ -891,7 +913,10 @@ def dip_scenarios(
 
     The unfiltered curve integrates the bare phase-matching spectrum,
     whose slow tails need a much wider grid than the filtered cases;
-    pass unfiltered_grid to control that window separately.
+    pass unfiltered_grid to control that window separately.  The filtered
+    grid gets hom_scan's checks (GridCoverageError): it must cover
+    MIN_LOBES phase-matching lobes and resolve the lobe and both filter
+    widths; the unfiltered grid gets the delay-aliasing check alone.
 
     Each profile equals its dip_profile call (both build the joint
     amplitude with _joint), but the shared inputs are evaluated once:
@@ -908,10 +933,16 @@ def dip_scenarios(
     _check_delay_resolution(wide, taus_s)
     _check_delay_resolution(grid, taus_s)
 
+    source = _source_amplitude(pm, grid, model, t)
     center = grid.center_wavelength_nm
+    specs = (
+        el.FilterSpec("rectangular", center, rect_width_nm),
+        el.FilterSpec("lorentzian", center, lorentz_width_nm),
+    )
+    for flt in specs:
+        _check_filter_samples(grid, flt)
     lam = grid.wavelength_plus_nm
-    rect = el.filter_amplitude(el.FilterSpec("rectangular", center, rect_width_nm), lam)
-    lorentz = el.filter_amplitude(el.FilterSpec("lorentzian", center, lorentz_width_nm), lam)
+    rect, lorentz = (el.filter_amplitude(flt, lam) for flt in specs)
     triple = el.PcSpec(length_mm=3.0 * layout.segment_length_mm, temperature_c=t)
     pc0 = el.PcSpec(length_mm=layout.pc0_length_mm, temperature_c=t).with_drive_efficiency(
         pc0_efficiency
@@ -920,7 +951,6 @@ def dip_scenarios(
     conv_pc0 = el.pc_conversion_amplitude(pc0, lam, model, pm)
 
     wide_source = el.pdc_amplitude(pm, wide, temperature_c=t, model=model).values
-    source = el.pdc_amplitude(pm, grid, temperature_c=t, model=model).values
     filtered = {
         "rectangular": _joint(grid, source, filters=(rect,)),
         "segmented_lorentz_pc0_off": _joint(grid, source, (conv_triple,), (), (lorentz,)),

@@ -306,11 +306,12 @@ def test_module_entry_point(tmp_path):
 
 def test_dip_halfwidth_flag_keeps_unfiltered_window(tmp_path, capsys):
     # --grid-halfwidth-nm narrows only the filtered grid; the unfiltered
-    # triangle keeps its +-300 nm window and is not truncated
+    # triangle keeps its +-300 nm window and is not truncated (+-5 nm still
+    # covers the phase-matching lobes the filtered grid must hold)
     base = ["dip", "--grid-samples", "2048", "--format", "csv"]
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(base + ["--out", str(a)]) == 0
-    assert main(base + ["--grid-halfwidth-nm", "3", "--out", str(b)]) == 0
+    assert main(base + ["--grid-halfwidth-nm", "5", "--out", str(b)]) == 0
 
     def rows(out, scenario):
         return [l for l in read_lines(out / "dip.csv") if l.endswith("," + scenario)]
@@ -332,6 +333,7 @@ def test_dip_halfwidth_flag_keeps_unfiltered_window(tmp_path, capsys):
         (["hom-scan", "--grid-halfwidth-nm", "2000"], None),
         (["dip", "--grid-halfwidth-nm", "2000"], None),
         (["dip", "--grid-samples", "1024"], None),
+        (["dip", "--grid-halfwidth-nm", "1"], None),
         (["hom-scan", "--grid-halfwidth-nm", "1500", "--grid-samples", "65536"], None),
         (["dip", "--grid-halfwidth-nm", "1500", "--grid-samples", "65536"], None),
         (["hom-scan", "--grid-samples", "2"], None),
@@ -358,6 +360,7 @@ def test_dip_halfwidth_flag_keeps_unfiltered_window(tmp_path, capsys):
         "halfwidth-reaches-zero-frequency",
         "dip-halfwidth-reaches-zero-frequency",
         "dip-delay-axis-aliased",
+        "dip-filtered-grid-too-narrow",
         "halfwidth-beyond-dispersion-range",
         "dip-halfwidth-beyond-dispersion-range",
         "samples-2",

@@ -3,6 +3,7 @@ import pytest
 from homchip import dispersion as disp
 from homchip.dispersion import (
     DispersionModel,
+    Polarization,
     WavelengthRangeError,
     calibrate,
     converter_gdd,
@@ -14,7 +15,6 @@ from homchip.dispersion import (
     refractive_index,
     walk_off_time,
 )
-from homchip.modes import Polarization
 
 C = 299792458.0
 LAM0 = 1551.7

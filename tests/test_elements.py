@@ -349,6 +349,8 @@ def test_pbs_ideal_routing():
     assert m[0, 0] == pytest.approx(1.0)
     # V at upper input crosses to the lower branch
     assert m[3, 1] == pytest.approx(1.0)
+    # modes are path-major: [0::2, 1::2] takes V to H, [1::2, 0::2] H to V
+    assert not m[0::2, 1::2].any() and not m[1::2, 0::2].any()
     assert_unitary(m)
 
 
@@ -357,6 +359,8 @@ def test_pbs_finite_extinction():
     wrong_port = abs(m[2, 0]) ** 2  # H leaking into the lower branch
     assert wrong_port == pytest.approx(10 ** (-1.7), rel=1e-12)
     assert wrong_port == pytest.approx(0.020, abs=0.0005)
+    # H and V never mix
+    assert not m[0::2, 1::2].any() and not m[1::2, 0::2].any()
     assert_unitary(m)
 
 

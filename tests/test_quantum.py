@@ -207,6 +207,18 @@ def test_run_chain_requires_triple(layout, pm, grid):
             q.hom_scan(layout, [setting], pm, grid)
 
 
+def test_chain_rejects_mismatched_source_length(pm, grid, model):
+    # pm's source length sets the bandwidth, the layout's the walk-off and
+    # the delay schedule: two lengths would describe no one chip
+    layout = ChipLayout(pdc_length_mm=41.4)
+    setting = SwitchSetting(True, 2)
+    for run in (q.hom_scan, q.chain_transfers, q.run_chain):
+        args = (layout, [setting]) if run is q.hom_scan else (layout, setting)
+        with pytest.raises(ValueError, match="pdc_length_mm"):
+            run(*args, pm, grid, model=model)
+    q.hom_scan(layout, [setting], replace(pm, pdc_length_mm=41.4), grid, model=model)
+
+
 def test_both_photons_exit_vertical_at_sync(layout, pm, grid, model):
     transfers = q.chain_transfers(
         layout, SwitchSetting(True, 2), pm, grid, model=model, flat_converters=True
@@ -426,7 +438,7 @@ def test_dip_lorentz_strictly_wider(pm, model, lorentz):
 
 
 def test_dip_envelopes_match_dense_oracle(pm, model, lorentz):
-    # photon 2's envelope and filter are evaluated on wavelength_minus_nm here
+    # photon 2's envelope and filter are evaluated at omega0 - Omega here
     grid = SpectralGrid(half_width_nm=6.0, samples=1024)
     taus = np.array([-4.0, -0.3, 0.0, 1.1, 5.5])
 
@@ -437,7 +449,8 @@ def test_dip_envelopes_match_dense_oracle(pm, model, lorentz):
         return np.exp(-(((lam - LAM0 - 0.8) / 1.5) ** 2) - 0.7j * (lam - LAM0) ** 2)
 
     p = q.dip_profile(pm, grid, lorentz, taus, (photon1,), (photon2,), model=model)
-    lam_p, lam_m = grid.wavelength_plus_nm, grid.wavelength_minus_nm
+    lam_p = grid.wavelength_plus_nm
+    lam_m = 2.0 * np.pi * C / (grid.omega0 - grid.detunings) * 1e9
     a = el.pdc_amplitude(pm, grid, model=model).values * photon1(lam_p) * photon2(lam_m)
     a = a * el.filter_amplitude(lorentz, lam_p) * el.filter_amplitude(lorentz, lam_m)
     g = a * np.conj(a[::-1])
@@ -488,6 +501,20 @@ def test_scan_rejects_undersampled_grid(layout, pm, model, lorentz):
     with pytest.raises(q.GridCoverageError, match=r"3\.40 samples across the 1\.2 nm lorentzian"):
         q.hom_scan(layout, settings, pm, grid(34), lorentz, model=model)
     q.hom_scan(layout, settings, pm, grid(42), lorentz, model=model)
+
+
+def test_dip_scenarios_apply_scan_grid_checks(pm, model):
+    # the filtered grid needs what hom_scan needs: +-1 nm covers 0.69 lobes,
+    # and 2048 samples on +-6 nm put 3.41 samples across a 0.02 nm filter
+    taus = np.array([-1.0, 0.0, 1.0])
+    narrow = SpectralGrid(half_width_nm=1.0, samples=4096)
+    with pytest.raises(q.GridCoverageError, match=r"0\.69 phase-matching lobes"):
+        q.dip_scenarios(pm, narrow, taus, model=model)
+    grid = SpectralGrid(half_width_nm=6.0, samples=2048)
+    with pytest.raises(q.GridCoverageError, match=r"3\.41 samples across the 0\.02 nm rectangular"):
+        q.dip_scenarios(pm, grid, taus, model=model, rect_width_nm=0.02)
+    with pytest.raises(q.GridCoverageError, match=r"across the 0\.02 nm lorentzian"):
+        q.dip_scenarios(pm, grid, taus, model=model, lorentz_width_nm=0.02)
 
 
 def test_scan_consistent_with_dip_at_doubled_delay(layout, pm, model, lorentz):
@@ -1072,7 +1099,8 @@ def test_delay_kernel_matches_dense_exponential(inputs):
 )
 def test_minus_wavelengths_are_flipped_plus_wavelengths(center, fraction, samples):
     grid = SpectralGrid(center, fraction * center, samples)
-    assert np.array_equal(grid.wavelength_minus_nm, grid.flip(grid.wavelength_plus_nm))
+    lam_minus = 2.0 * np.pi * C / (grid.omega0 - grid.detunings) * 1e9
+    assert np.array_equal(lam_minus, grid.flip(grid.wavelength_plus_nm))
 
 
 @PROPERTY_SETTINGS
