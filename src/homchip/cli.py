@@ -3,9 +3,11 @@
 Commands: delay-schedule, hom-scan, dip, phasematch, rates.  Outputs are
 deterministic (identical configuration gives byte-identical files).
 
-Every command but rates reads one ChipConfig from resolve(): its flags
-(a --preset counts as flags) override the layout-file keys, which override
-the built-in as-built defaults.  What each command reads of it:
+main() parses the flags, makes the output directory and, for every
+command but rates, resolves one ChipConfig (resolve()) and loads the
+dispersion model.  Its flags (a --preset counts as flags) override the
+layout-file keys, which override the built-in as-built defaults.  What
+each command reads of it:
 
 - hom-scan: all of it.
 - dip: the geometry, temperature_c and the pump.  Its four scenarios fix
@@ -16,6 +18,19 @@ the built-in as-built defaults.  What each command reads of it:
   the pump.
 
 rates reads no configuration.
+
+A configured command is called as cmd(config, model, args), args for
+hom-scan's --pc0.  It computes and checks everything, then returns one
+record and writes nothing itself.  The record is the tuple (files, plots, summary):
+
+- files: (name, content) in write order; content is a (header, rows)
+  pair for a CSV or a string for a text file (rates.txt);
+- plots: (name, series, title, xlabel, ylabel, hline) per SVG;
+- summary: the text printed on stdout.
+
+write_record() is the one writer: every file through write_csv (or as
+text), the plots through svgplot.write_plot only under --format
+csv+svg, then the summary.  So a command that fails leaves no file.
 """
 
 import argparse
@@ -76,52 +91,37 @@ def resolve(args: argparse.Namespace) -> chip_mod.ChipConfig:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns its record (module docstring)
 
 
-def cmd_delay_schedule(args: argparse.Namespace) -> int:
-    config = resolve(args)
-    model = default_model()
-    out = Path(args.out)
-    settings = chip_mod.enumerate_settings(config.layout, config.setting)
+def _branch_series(rows, x, y):
+    """One marked series per first-converter state among rows (column 1)."""
+    series = []
+    for on, label in ((False, "first converter off"), (True, "first converter on")):
+        chosen = [r for r in rows if r[1] == on]
+        if chosen:
+            series.append(Series(label, [r[x] for r in chosen], [r[y] for r in chosen], markers=True))
+    return series
+
+
+def cmd_delay_schedule(config, model, args):
     rows = []
-    for s in settings:
+    for s in chip_mod.enumerate_settings(config.layout, config.setting):
         delay = chip_mod.delay_schedule(config.layout, s, model)
         rows.append((s.label, s.pc0_on, s.triple_index, delay, abs(delay) < 0.01))
-    write_csv(
-        out / "delays.csv",
-        ["setting_id", "pc0_on", "triple", "delay_ps", "synchronized"],
-        rows,
+    title = "Arrival-time difference at the balanced splitter"
+    return (
+        [("delays.csv", (["setting_id", "pc0_on", "triple", "delay_ps", "synchronized"], rows))],
+        [("delays.svg", _branch_series(rows, 2, 3), title, "driven triple index", "delay (ps)", 0.0)],
+        f"{len(rows)} settings; synchronized at: " + (", ".join(r[0] for r in rows if r[4]) or "none"),
     )
-    if args.format == "csv+svg":
-        off = [(r[2], r[3]) for r in rows if not r[1]]
-        on = [(r[2], r[3]) for r in rows if r[1]]
-        write_plot(
-            out / "delays.svg",
-            [
-                Series("first converter off", [p[0] for p in off], [p[1] for p in off], markers=True),
-                Series("first converter on", [p[0] for p in on], [p[1] for p in on], markers=True),
-            ],
-            title="Arrival-time difference at the balanced splitter",
-            xlabel="driven triple index",
-            ylabel="delay (ps)",
-            hline=0.0,
-        )
-    sync = [r for r in rows if r[4]]
-    print(f"{len(rows)} settings; synchronized at: "
-          + (", ".join(r[0] for r in sync) if sync else "none"))
-    return 0
 
 
-def cmd_hom_scan(args: argparse.Namespace) -> int:
-    config = resolve(args)
-    model = default_model()
-    out = Path(args.out)
-    settings = chip_mod.enumerate_settings(config.layout, config.setting)
+def cmd_hom_scan(config, model, args):
     points = q.normalize_scan(
         q.hom_scan(
             config.layout,
-            settings,
+            chip_mod.enumerate_settings(config.layout, config.setting),
             config.pm,
             config.grid,
             filters=config.filter,
@@ -132,48 +132,23 @@ def cmd_hom_scan(args: argparse.Namespace) -> int:
             flat_converters=config.flat_converters,
         )
     )
-    vis = q.visibility(points)
-    if args.pc0 != "both":
-        keep = args.pc0 == "on"
-        points = [p for p in points if p.setting.pc0_on == keep]
-
     rows = [
         (p.label, p.setting.pc0_on, p.setting.triple_index, p.delay_ps, p.raw, p.normalized)
         for p in points
+        if args.pc0 == "both" or p.setting.pc0_on == (args.pc0 == "on")
     ]
-    write_csv(
-        out / "scan.csv",
-        ["setting_id", "pc0_on", "triple", "delay_ps", "raw", "normalized"],
-        rows,
+    title, ylabel = "Normalized coincidences", "normalized coincidence"
+    return (
+        [("scan.csv", (["setting_id", "pc0_on", "triple", "delay_ps", "raw", "normalized"], rows))],
+        [
+            ("scan_vs_triple.svg", _branch_series(rows, 2, 5), title, "driven triple index", ylabel, 1.0),
+            ("scan_vs_delay.svg", _branch_series(rows, 3, 5), title, "delay (ps)", ylabel, 1.0),
+        ],
+        f"{len(rows)} settings; visibility = {q.visibility(points):.4f}",
     )
-    if args.format == "csv+svg":
-        for fname, xkey, xlabel in (
-            ("scan_vs_triple.svg", lambda p: p.setting.triple_index, "driven triple index"),
-            ("scan_vs_delay.svg", lambda p: p.delay_ps, "delay (ps)"),
-        ):
-            series = []
-            for state, label in ((False, "first converter off"), (True, "first converter on")):
-                sel = [p for p in points if p.setting.pc0_on == state]
-                if sel:
-                    series.append(
-                        Series(label, [xkey(p) for p in sel], [p.normalized for p in sel], markers=True)
-                    )
-            write_plot(
-                out / fname,
-                series,
-                title="Normalized coincidences",
-                xlabel=xlabel,
-                ylabel="normalized coincidence",
-                hline=1.0,
-            )
-    print(f"{len(rows)} settings; visibility = {vis:.4f}")
-    return 0
 
 
-def cmd_dip(args: argparse.Namespace) -> int:
-    config = resolve(args)
-    model = default_model()
-    out = Path(args.out)
+def cmd_dip(config, model, args):
     taus = np.arange(-200, 201) * 0.05  # integer steps, so the centre row is exactly 0
     grid = config.grid
     curves = q.dip_scenarios(
@@ -186,128 +161,85 @@ def cmd_dip(args: argparse.Namespace) -> int:
         # the unfiltered dip needs the wide window whatever --grid-halfwidth-nm says
         unfiltered_grid=replace(grid, half_width_nm=300.0),
     )
-    rows = []
-    for name, p in curves.items():
-        rows.extend((t, v, name) for t, v in zip(taus, p))
-    write_csv(out / "dip.csv", ["tau_ps", "probability", "scenario"], rows)
-    if args.format == "csv+svg":
-        write_plot(
-            out / "dip.svg",
-            [Series(name, list(taus), list(p)) for name, p in curves.items()],
-            title="Coincidence dip profiles",
-            xlabel="relative delay (ps)",
-            ylabel="coincidence probability",
-            hline=0.5,
-        )
-    mins = {name: float(np.min(p)) for name, p in curves.items()}
-    print("; ".join(f"{name}: min {v:.4g}" for name, v in mins.items()))
-    return 0
-
-
-def cmd_phasematch(args: argparse.Namespace) -> int:
-    config = resolve(args)
-    model = default_model()
-    out = Path(args.out)
-    pm = config.pm
-    t_op = config.temperature_c
-
-    lam = np.linspace(
-        config.center_wavelength_nm - 6.0, config.center_wavelength_nm + 6.0, 2401
+    rows = [(t, v, name) for name, p in curves.items() for t, v in zip(taus, p)]
+    series = [Series(name, list(taus), list(p)) for name, p in curves.items()]
+    return (
+        [("dip.csv", (["tau_ps", "probability", "scenario"], rows))],
+        [("dip.svg", series, "Coincidence dip profiles", "relative delay (ps)",
+          "coincidence probability", 0.5)],
+        "; ".join(f"{name}: min {float(np.min(p)):.4g}" for name, p in curves.items()),
     )
+
+
+def _fwhm(x, y, name):
+    above = np.where(y >= np.max(y) / 2.0)[0]
+    if above[0] == 0 or above[-1] == len(y) - 1:
+        raise ValueError(
+            f"{name} half maximum reaches the edge of the "
+            f"{x[0]:.9g}-{x[-1]:.9g} nm window; its FWHM would be clipped"
+        )
+    return x[above[-1]] - x[above[0]]
+
+
+def cmd_phasematch(config, model, args):
+    pm, t_op, center = config.pm, config.temperature_c, config.center_wavelength_nm
+    lam = np.linspace(center - 6.0, center + 6.0, 2401)
     check_range(model, lam)
     shg = shg_spectrum(pm, lam, temperature_c=t_op, model=model)
     pc = PcSpec(length_mm=config.layout.pc0_length_mm, temperature_c=t_op)
     transmission = pc_transmission_spectrum(pc, lam, model, pm)
-
     temps = np.arange(t_op - 10.0, t_op + 10.0 + 1e-9, 0.5)
     pdc_line = [pm_center_vs_temperature(pm, "PDC", t) for t in temps]
     pc_line = [pm_center_vs_temperature(pm, "PC", t) for t in temps]
-
-    def fwhm(x, y, name):
-        i = int(np.argmax(y))
-        half = y[i] / 2.0
-        above = np.where(y >= half)[0]
-        if above[0] == 0 or above[-1] == len(y) - 1:
-            raise ValueError(
-                f"{name} half maximum reaches the edge of the "
-                f"{x[0]:.9g}-{x[-1]:.9g} nm window; its FWHM would be clipped"
-            )
-        return x[above[-1]] - x[above[0]]
-
-    w_pdc = fwhm(lam, shg, "source spectrum")
-    w_pc = fwhm(lam, 1.0 - transmission, "converter spectrum")
-
-    # every number is checked; only now are the files written
-    write_csv(
-        out / "phasematch_spectra.csv",
-        ["wavelength_nm", "shg_normalized", "pc_transmission"],
-        list(zip(lam, shg, transmission)),
-    )
-    write_csv(
-        out / "phasematch_tuning.csv",
-        ["temperature_c", "pdc_center_nm", "pc_center_nm"],
-        list(zip(temps, pdc_line, pc_line)),
-    )
-
-    if args.format == "csv+svg":
-        write_plot(
-            out / "phasematch_spectra.svg",
-            [
-                Series("frequency doubling (pair source)", list(lam), list(shg)),
-                Series("converter transmission", list(lam), list(transmission)),
-            ],
-            title="Phase-matching spectra",
-            xlabel="wavelength (nm)",
-            ylabel="normalized response",
-        )
-        write_plot(
-            out / "phasematch_tuning.svg",
-            [
-                Series("pair source center", list(temps), pdc_line),
-                Series("converter center", list(temps), pc_line),
-            ],
-            title="Temperature tuning of the phase-matched centers",
-            xlabel="temperature (C)",
-            ylabel="center wavelength (nm)",
-        )
-    # the tuning lines are exactly linear and cross at pm's reference point
-    print(
+    w_pdc = _fwhm(lam, shg, "source spectrum")
+    w_pc = _fwhm(lam, 1.0 - transmission, "converter spectrum")
+    spectra = (["wavelength_nm", "shg_normalized", "pc_transmission"], list(zip(lam, shg, transmission)))
+    tuning = (["temperature_c", "pdc_center_nm", "pc_center_nm"], list(zip(temps, pdc_line, pc_line)))
+    spectra_series = [
+        Series("frequency doubling (pair source)", list(lam), list(shg)),
+        Series("converter transmission", list(lam), list(transmission)),
+    ]
+    tuning_series = [
+        Series("pair source center", list(temps), pdc_line),
+        Series("converter center", list(temps), pc_line),
+    ]
+    return (
+        [("phasematch_spectra.csv", spectra), ("phasematch_tuning.csv", tuning)],
+        [
+            ("phasematch_spectra.svg", spectra_series, "Phase-matching spectra", "wavelength (nm)",
+             "normalized response", None),
+            ("phasematch_tuning.svg", tuning_series, "Temperature tuning of the phase-matched centers",
+             "temperature (C)", "center wavelength (nm)", None),
+        ],
+        # the tuning lines are exactly linear and cross at pm's reference point
         f"tuning crossing at ({pm.reference_temperature_c:.9g} C, {pm.center_nm:.9g} nm); "
         f"slopes {pm.pdc_slope_nm_per_c:.9g} and {pm.pc_slope_nm_per_c:.9g} nm/C; "
         f"source FWHM {w_pdc:.3f} nm, converter FWHM {w_pc:.3f} nm "
         f"(ratio {w_pdc / w_pc:.3f}); "
-        f"uncalibrated group-index residual {calibration_residual(model):+.2e}"
+        f"uncalibrated group-index residual {calibration_residual(model):+.2e}",
     )
-    return 0
 
 
-def cmd_rates(args: argparse.Namespace) -> int:
-    out = Path(args.out)
+def cmd_rates():
     budget = rates_mod.default_loss_budget()
-    source = rates_mod.SourceSpec()
-    report = rates_mod.expected_rates(source, (0.05, 0.05))
+    report = rates_mod.expected_rates(rates_mod.SourceSpec(), (0.05, 0.05))
     klyshko = rates_mod.klyshko_efficiency(2000.0, 100.0)
-    note = rates_mod.reconciliation_note(budget)
-
     lines = ["loss budget", "-" * 42]
-    for label, db in budget.items:
-        lines.append(f"  {label:<28s} {db:6.2f} dB")
-    lines.append(f"  {'itemized total':<28s} {budget.total_db:6.2f} dB")
-    lines.append(f"  {'itemized transmission':<28s} {budget.transmission:8.4f}")
-    lines.append("")
-    lines.append("expected rates")
-    lines.append("-" * 42)
-    lines.append(f"  {'pair rate':<28s} {report.pair_rate_hz:10.1f} Hz")
-    lines.append(f"  {'singles per arm':<28s} {report.singles_hz[0]:10.1f} Hz")
-    lines.append(f"  {'coincidences':<28s} {report.coincidences_hz:10.1f} Hz")
-    lines.append(f"  {'heralding (2 kHz, 100 Hz)':<28s} {klyshko:10.2%}")
-    lines.append("")
-    lines.append("note: " + note)
-    text = "\n".join(lines) + "\n"
-    (out / "rates.txt").write_text(text, encoding="utf-8", newline="\n")
-
-    rows = [(label, db, "dB") for label, db in budget.items]
-    rows += [
+    lines += [f"  {label:<28s} {db:6.2f} dB" for label, db in budget.items]
+    lines += [
+        f"  {'itemized total':<28s} {budget.total_db:6.2f} dB",
+        f"  {'itemized transmission':<28s} {budget.transmission:8.4f}",
+        "",
+        "expected rates",
+        "-" * 42,
+        f"  {'pair rate':<28s} {report.pair_rate_hz:10.1f} Hz",
+        f"  {'singles per arm':<28s} {report.singles_hz[0]:10.1f} Hz",
+        f"  {'coincidences':<28s} {report.coincidences_hz:10.1f} Hz",
+        f"  {'heralding (2 kHz, 100 Hz)':<28s} {klyshko:10.2%}",
+        "",
+        "note: " + rates_mod.reconciliation_note(budget),
+    ]
+    rows = [(label, db, "dB") for label, db in budget.items] + [
         ("itemized_total", budget.total_db, "dB"),
         ("itemized_transmission", budget.transmission, ""),
         ("pair_rate", report.pair_rate_hz, "Hz"),
@@ -315,9 +247,8 @@ def cmd_rates(args: argparse.Namespace) -> int:
         ("coincidences", report.coincidences_hz, "Hz"),
         ("klyshko_efficiency", klyshko, ""),
     ]
-    write_csv(out / "rates.csv", ["quantity", "value", "unit"], rows)
-    print(text, end="")
-    return 0
+    text = "\n".join(lines)
+    return [("rates.txt", text + "\n"), ("rates.csv", (["quantity", "value", "unit"], rows))], [], text
 
 
 COMMANDS = {
@@ -361,11 +292,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def write_record(record, out: Path, svg: bool) -> None:
+    """Write a command's record (module docstring) into out; plots only if svg."""
+    files, plots, summary = record
+    for name, content in files:
+        if isinstance(content, str):
+            (out / name).write_text(content, encoding="utf-8", newline="\n")
+        else:
+            write_csv(out / name, *content)
+    if svg:
+        for name, series, title, xlabel, ylabel, hline in plots:
+            write_plot(out / name, series, title=title, xlabel=xlabel, ylabel=ylabel, hline=hline)
+    print(summary)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
-        return COMMANDS[args.command](args)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        if args.command == "rates":
+            record = cmd_rates()
+        else:
+            record = COMMANDS[args.command](resolve(args), default_model(), args)
+        write_record(record, out, args.format == "csv+svg")
+        return 0
     except (chip_mod.LayoutError, WavelengthRangeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

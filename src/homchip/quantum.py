@@ -309,22 +309,29 @@ class _Step:
         if self.kind == "phase":  # (path, polarization, photon, N) times the rows
             blocks = vectors.reshape((len(vectors) // 2, 2) + vectors.shape[1:])
             return (blocks * self.data[:, None]).reshape(vectors.shape)
-        if self.kind == "modes":  # an empty lower path drops the matrix's columns 2-3
-            columns = self.data[:, : len(vectors)]
-            out = columns @ vectors.reshape(len(vectors), vectors[0].size)
-            return out.reshape((N_MODES,) + vectors.shape[1:])
+        if self.kind == "modes":  # an empty lower path leaves the matrix's columns 2-3 unread
+            out = np.empty((N_MODES,) + vectors.shape[1:], dtype=complex)
+            _mix(self.data, vectors, out)
+            return out
         out = np.empty_like(vectors, order="C")
         out[2:] = vectors[2:]
         _mix(self.data, vectors[:2], out[:2])
         return out
 
 
-def _mix(matrix: np.ndarray, pair: np.ndarray, out: np.ndarray) -> None:
-    """out[a] = matrix[a, 0] pair[0] + matrix[a, 1] pair[1] for a 2x2 matrix,
-    constant (2, 2) or per sample (N, 2, 2) broadcast along the last axis."""
-    for a in range(2):
-        np.multiply(matrix[..., a, 0], pair[0], out=out[a])
-        out[a] += matrix[..., a, 1] * pair[1]
+def _mix(matrix: np.ndarray, rows, out: np.ndarray) -> None:
+    """out[a] = matrix[a, 0] rows[0] + matrix[a, 1] rows[1] + ... for each
+    row a of out, in that operand and summation order, over the len(rows)
+    columns read; matrix is constant (.., ..) or per sample (N, .., ..),
+    broadcast along the last axis.  Each row is mixed one slice of its
+    leading axis (a photon, for step vectors) at a time, so the one
+    temporary is that slice, which keeps a warm scan's traced peak within
+    its test bound."""
+    for a in range(len(out)):
+        for p in range(len(out[a])):
+            np.multiply(matrix[..., a, 0], rows[0][p], out=out[a, p])
+            for b in range(1, len(rows)):
+                out[a, p] += matrix[..., a, b] * rows[b][p]
 
 
 @dataclass
@@ -790,12 +797,18 @@ def dip_profile(
     resolves only |tau| < pi / dOmega, because the midpoint sum is
     periodic in tau with period 2 pi / dOmega: a larger delay raises
     GridCoverageError with the sample count that would resolve it
-    (N >= 1496 for the +-300 nm window and |tau| <= 10 ps).
+    (N >= 1496 for the +-300 nm window and |tau| <= 10 ps).  A filtered
+    grid gets dip_scenarios' checks as well: it must cover MIN_LOBES
+    phase-matching lobes and resolve the lobe and the filter's width.
     """
     taus_s = np.asarray(taus_ps, dtype=float) * 1e-12
     _check_delay_resolution(grid, taus_s)
     model = model or dispersion.default_model()
-    source = el.pdc_amplitude(pm, grid, temperature_c=temperature_c, model=model).values
+    if filters is None:
+        source = el.pdc_amplitude(pm, grid, temperature_c=temperature_c, model=model).values
+    else:
+        source = _source_amplitude(pm, grid, model, temperature_c)
+        _check_filter_samples(grid, filters)
     lam = grid.wavelength_plus_nm
     joint = _joint(
         grid,

@@ -14,6 +14,7 @@ from homchip.grid import SpectralGrid
 
 LAYOUTS = Path(__file__).resolve().parent.parent / "layouts"
 README = Path(__file__).resolve().parent.parent / "README.md"
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
 def read_lines(path):
@@ -417,6 +418,24 @@ def test_runtime_imports_no_scipy():
     code = (
         "import sys, homchip.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
+
+
+def test_tracer_targets_exist_after_importing_the_cli():
+    # perfbench/tracing.py wraps these module attributes right after
+    # `import homchip.cli`; a fresh interpreter, so no other test's import
+    # hides a module the CLI no longer loads
+    code = (
+        "import importlib.util, sys; "
+        f"spec = importlib.util.spec_from_file_location('tracing', {str(TRACING)!r}); "
+        "tracing = importlib.util.module_from_spec(spec); spec.loader.exec_module(tracing); "
+        "import homchip.cli; "
+        "print([f'{m}.{f}' for m, f, _ in tracing.TARGETS "
+        "if m not in sys.modules or not callable(getattr(sys.modules[m], f, None))])"
     )
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True

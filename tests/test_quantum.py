@@ -466,6 +466,18 @@ def test_dip_vanishing_spectrum_errors(pm, model):
         q.dip_profile(pm, grid, off_band, [0.0], model=model)
 
 
+def test_dip_profile_checks_its_filtered_grid(pm, model):
+    # +-1 nm covers 0.69 lobes; unchecked, it gave P(+-5 ps) = 0.4369 against 0.4440
+    rect = FilterSpec("rectangular", 1551.7, 2.3)
+    with pytest.raises(q.GridCoverageError, match=r"grid covers 0.69 phase-matching lobes"):
+        q.dip_profile(pm, SpectralGrid(half_width_nm=1.0), rect, [-5.0, 0.0, 5.0], model=model)
+    narrow = FilterSpec("rectangular", 1551.7, 0.5)
+    with pytest.raises(q.GridCoverageError, match=r"across the 0.5 nm rectangular filter"):
+        q.dip_profile(pm, SpectralGrid(half_width_nm=6.0, samples=64), narrow, [0.0], model=model)
+    p = q.dip_profile(pm, SpectralGrid(half_width_nm=6.0), rect, [-5.0, 0.0, 5.0], model=model)
+    assert p[0] == pytest.approx(0.4440, abs=1e-4)
+
+
 def test_dip_rejects_aliased_delay_axis(pm, model):
     # the +-300 nm grid at 1024 samples resolves |tau| < pi / dOmega = 6.85 ps
     grid = SpectralGrid(half_width_nm=300.0, samples=1024)
@@ -763,6 +775,26 @@ def test_windowed_chain_is_the_full_chain_sliced(inputs, lo, pm, model):
         for whole, step in zip(steps, part.prefix(setting) + part.suffix(setting)):
             assert step.data.shape == sliced(whole).shape, step.label
             assert step.data.tobytes() == sliced(whole).tobytes(), step.label
+
+
+@pytest.mark.parametrize("extinction_db", [math.inf, 17.0])
+@pytest.mark.parametrize("samples", [4096, 8192])
+def test_splitter_step_same_bits_as_matmul(extinction_db, samples, layout, pm, model, lorentz):
+    # the polarizing splitter mixes the prefix's two rows elementwise; its
+    # first form was the (4, 2) @ (2, 2N) product of the matrix's read columns.
+    # Bit for bit but the sign of an exact zero: BLAS sums onto +0, the
+    # elementwise form from its first product (-0 where that is -0), and
+    # adding +0 maps -0 to +0 alone.  No raw sees the sign: it sums squares.
+    grid = SpectralGrid(half_width_nm=6.0, samples=samples)
+    chain = q._Chain(layout, pm, grid, model=model, pbs_extinction_db=extinction_db, pc_conversion_db=20.0)
+    for setting in (SwitchSetting(False, 2), SwitchSetting(True, 2, pc0_efficiency=0.99)):
+        *steps, splitter = chain.prefix(setting)
+        assert splitter.kind == "modes"
+        vectors = np.zeros((2, 2, samples), dtype=complex)
+        vectors[0, 0] = vectors[1, 1] = 1.0
+        vectors = q._evolve(vectors, steps)
+        matmul = (splitter.data[:, :2] @ vectors.reshape(2, -1)).reshape((4,) + vectors.shape[1:])
+        assert (splitter.apply(vectors) + 0.0).tobytes() == (matmul + 0.0).tobytes()
 
 
 def _stacked_fold(chain, vectors):
