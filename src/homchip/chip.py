@@ -65,16 +65,6 @@ class ChipLayout:
             raise LayoutError("need at least one full triple", key="segment_count")
 
     @property
-    def total_length_mm(self) -> float:
-        return (
-            self.pdc_length_mm
-            + self.pc0_length_mm
-            + self.pbs_length_mm
-            + self.segment_count * self.segment_length_mm
-            + self.bs_block_length_mm
-        )
-
-    @property
     def triple_indices(self) -> range:
         """Triple m drives segments m, m+1, m+2."""
         return range(1, self.segment_count - 1)

@@ -170,9 +170,11 @@ class PdcAmplitude:
     """Pair-source spectral amplitude on a grid, unit-normalized.
 
     lobe_coverage counts how many phase-matching lobes fit on the narrow
-    side of the grid; lobe_coverage < 1 is the flag that the main lobe is
-    clipped, which is reported rather than rejected.  lobe_samples counts
-    the grid samples across one lobe width pi / a in Omega.
+    side of the grid (below 1, the main lobe itself is clipped);
+    lobe_samples counts the grid samples across one lobe width pi / a in
+    Omega.  Both are reported here, not checked: the state engine's grid
+    check (quantum module docstring) rejects a grid with fewer than 3
+    lobes or 4 samples across one, except for the unfiltered dip curve.
     """
 
     values: np.ndarray
@@ -184,7 +186,8 @@ def pdc_amplitude(
     pm: PmSpec,
     grid: SpectralGrid,
     temperature_c: float | None = None,
-    model: dispersion.DispersionModel | None = None,
+    *,
+    model: dispersion.DispersionModel,
 ) -> PdcAmplitude:
     """Sinc-shaped phase-matching amplitude of the CW-pumped pair source.
 
@@ -192,11 +195,11 @@ def pdc_amplitude(
     group-velocity difference, so the amplitude is
     sinc(dng * L / (2c) * (Omega - Omega_c)) with the center detuning
     Omega_c set by the temperature-tuned degeneracy wavelength.
-    Normalized to unit power on the grid; a too-narrow grid is flagged.
-    A grid reaching outside the dispersion model's validity range raises
-    WavelengthRangeError before anything else is computed.
+    Normalized to unit power on the grid, with the grid's lobe coverage
+    and sampling reported (PdcAmplitude).  A grid reaching outside the
+    dispersion model's validity range raises WavelengthRangeError before
+    anything else is computed.
     """
-    model = model or dispersion.default_model()
     dispersion.check_range(model, grid.wavelength_plus_nm[[0, -1]])
     center_nm, a = _pdc_tuning(pm, temperature_c, model)
     omega_center = 2.0 * np.pi * C_VACUUM / (center_nm * 1e-9)
@@ -218,14 +221,14 @@ def shg_spectrum(
     pm: PmSpec,
     wavelength_nm,
     temperature_c: float | None = None,
-    model: dispersion.DispersionModel | None = None,
+    *,
+    model: dispersion.DispersionModel,
 ) -> np.ndarray:
     """Normalized frequency-doubling response of the pair-source section.
 
     The reverse process maps out the same phase-matching curve, so this
     is the unit-peak sinc^2 around the temperature-tuned center.
     """
-    model = model or dispersion.default_model()
     center_nm, a = _pdc_tuning(pm, temperature_c, model)
     lam = np.asarray(wavelength_nm, dtype=float)
     # detuning of the fundamental from the phase-matched center
@@ -238,10 +241,8 @@ def shg_spectrum(
 # polarization converter
 
 
-def _pc_delta_length(pc: PcSpec, wavelength_nm, model=None, pm=None):
+def _pc_delta_length(pc: PcSpec, wavelength_nm, model, pm):
     """delta * L, with delta linearized around the converter center."""
-    model = model or dispersion.default_model()
-    pm = pm or PmSpec()
     center_nm = pm_center_vs_temperature(pm, "PC", pc.temperature_c)
     dng = float(dispersion.group_index_difference(model, center_nm))
     lam = np.asarray(wavelength_nm, dtype=float)
@@ -294,10 +295,7 @@ def _entries_last(rows):
 
 
 def pc_transfer(
-    pc: PcSpec,
-    wavelength_nm,
-    model: dispersion.DispersionModel | None = None,
-    pm: PmSpec | None = None,
+    pc: PcSpec, wavelength_nm, model: dispersion.DispersionModel, pm: PmSpec
 ) -> np.ndarray:
     """Converter Jones matrix on (H, V) at the given wavelength(s).
 
@@ -310,10 +308,7 @@ def pc_transfer(
 
 
 def pc_chain_matrix(
-    pc: PcSpec,
-    wavelength_nm,
-    model: dispersion.DispersionModel | None = None,
-    pm: PmSpec | None = None,
+    pc: PcSpec, wavelength_nm, model: dispersion.DispersionModel, pm: PmSpec
 ) -> np.ndarray:
     """Converter matrix lumped at the element midpoint.
 
@@ -344,13 +339,13 @@ def pc_flat_matrix(pc: PcSpec) -> np.ndarray:
     return _coupled_mode_matrix(pc.kappa_length, 0.0)
 
 
-def pc_conversion_amplitude(pc, wavelength_nm, model=None, pm=None) -> np.ndarray:
+def pc_conversion_amplitude(pc, wavelength_nm, model, pm) -> np.ndarray:
     """H->V conversion amplitude -i (kappa/gamma) sin(gamma L): the [1, 0]
     entry of pc_transfer, bit for bit, without building the matrix."""
     return _coupled_mode_terms(pc.kappa_length, _pc_delta_length(pc, wavelength_nm, model, pm))[2]
 
 
-def pc_transmission_spectrum(pc, wavelength_nm, model=None, pm=None) -> np.ndarray:
+def pc_transmission_spectrum(pc, wavelength_nm, model, pm) -> np.ndarray:
     """Unconverted power 1 - |conversion|^2, as measured behind a polarizer."""
     lam = np.asarray(wavelength_nm, dtype=float)
     conv = pc_conversion_amplitude(pc, lam, model, pm)
@@ -418,10 +413,7 @@ def ideal_bs() -> BsSpec:
 
 
 def propagation_transfer(
-    pol,
-    length_mm,
-    grid: SpectralGrid,
-    model: dispersion.DispersionModel | None = None,
+    pol, length_mm, grid: SpectralGrid, model: dispersion.DispersionModel
 ) -> np.ndarray:
     """Per-sample phases exp(i w tau), tau = n_g L / c, in the group-delay
     approximation, at w = omega0 + Omega.
@@ -439,7 +431,6 @@ def propagation_transfer(
     lengths = np.asarray(length_mm, dtype=float)
     if np.any(lengths < 0):
         raise ValueError("length_mm must be >= 0")
-    model = model or dispersion.default_model()
     ng = dispersion.group_index_at(model, pol, grid.center_wavelength_nm)
     starts, within = grid.phase_blocks(ng * (lengths * 1e-3) / C_VACUUM, grid.omega_plus)
     phases = starts[..., :, None] * within[..., None, :]

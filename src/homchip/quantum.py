@@ -135,8 +135,29 @@ dip_scenarios evaluates each shared input once (the source amplitude per
 grid, each filter and converter envelope on omega0 + Omega, flipped for
 photon 2) and gets its three filtered profiles from one pair of tables
 and one product.  The midpoint sum is periodic in tau with period
-2 pi / dOmega, so a delay with dOmega |tau| >= pi is rejected as aliased
-(GridCoverageError).
+2 pi / dOmega, so a delay with dOmega |tau| >= pi is aliased.
+
+Every grid passes one rule, checked once where an input enters
+(_check_grid, called by hom_scan, build_source_state, dip_profile and
+coincidence_probability, and once per grid by dip_scenarios).  Its
+floors, in the order they are checked, raise at the first that fails:
+
+1. the delays, where given, are finite (ValueError) and not aliased,
+   dOmega |tau| < pi (GridCoverageError);
+2. the grid lies inside the dispersion model's range
+   (WavelengthRangeError), and the temperature within 20 C of the
+   tuning lines' reference (ValueError), both from el.pdc_amplitude;
+3. the grid covers at least MIN_LOBES phase-matching lobes on its narrow
+   side, and puts at least MIN_FEATURE_SAMPLES samples across one lobe;
+4. it puts at least MIN_FEATURE_SAMPLES samples across each real
+   filter's width (GridCoverageError for 3 and 4).
+
+The unfiltered dip curve (delays but no filter) is exempt from the lobe
+floors of 3: its slow tails need a wide window, and the triangle it
+approaches is checked directly.  No filter is one input: None and a
+FilterSpec of shape none both mean it (_real_filters), and each entry
+point resolves a missing model to dispersion.default_model() once;
+the element functions below them take every argument explicitly.
 """
 
 import math
@@ -485,41 +506,53 @@ def build_source_state(
     temperature_c: float | None = None,
 ) -> TwoPhotonAmplitude:
     """Type-II pair state at the source-section midpoint, unit norm."""
+    model = model or dispersion.default_model()
     values = np.zeros((N_MODES, N_MODES, grid.samples), dtype=complex)
-    values[SOURCE_MODES] = _source_amplitude(pm, grid, model, temperature_c)
+    values[SOURCE_MODES] = _check_grid(grid, pm=pm, model=model, temperature_c=temperature_c).values
     return TwoPhotonAmplitude(grid=grid, values=values)
 
 
-def _source_amplitude(pm: el.PmSpec, grid: SpectralGrid, model, temperature_c) -> np.ndarray:
-    """The source's joint amplitude phi (N,), the only nonzero row of the
-    pair state, once the grid covers and resolves its phase-matching lobe."""
-    res = el.pdc_amplitude(pm, grid, temperature_c=temperature_c, model=model)
-    if res.lobe_coverage < MIN_LOBES:
-        raise GridCoverageError(
-            f"grid covers {res.lobe_coverage:.2f} phase-matching lobes; "
-            f"need at least {MIN_LOBES:g}"
-        )
-    _check_feature_samples(grid, res.lobe_samples, "a phase-matching lobe")
-    return res.values
+def _check_grid(grid, filters=(), taus_s=None, pm=None, model=None, temperature_c=None):
+    """Check a grid against the floors of the module docstring's grid rule,
+    in its order, and raise at the first that fails.  filters are the real
+    detection filters (_real_filters), taus_s the delays in seconds or
+    None; pm, with model and temperature_c, asks for the source checks.
+    Returns the source's el.PdcAmplitude so checked, or None without pm.
 
-
-def _check_feature_samples(grid: SpectralGrid, across: float, feature: str) -> None:
-    """Raise unless at least MIN_FEATURE_SAMPLES grid samples span the feature.
-
-    The message rounds the count down, so a value just below the floor
+    A count message rounds the count down, so a value just below the floor
     (3.9999999999999996) does not print as the floor itself.
     """
-    if across < MIN_FEATURE_SAMPLES:
-        raise GridCoverageError(
-            f"grid puts {math.floor(across * 100) / 100:.2f} samples across {feature} "
-            f"at {grid.samples} samples; need at least {MIN_FEATURE_SAMPLES:g}"
-        )
-
-
-def _check_filter_samples(grid: SpectralGrid, flt: el.FilterSpec) -> None:
-    """Raise unless the grid resolves a detection filter's width."""
-    across = grid.samples_across_nm(flt.width_nm)
-    _check_feature_samples(grid, across, f"the {flt.width_nm:g} nm {flt.shape} filter")
+    if taus_s is not None:
+        if not np.all(np.isfinite(taus_s)):
+            raise ValueError("delays must be finite")
+        tau_max = float(np.max(np.abs(taus_s), initial=0.0))
+        phase_step = grid.d_omega * tau_max
+        if phase_step >= math.pi:
+            # dOmega = 2 W / N, so N > 2 W tau_max / pi; the grid wants N even
+            needed = 2 * (math.floor(grid.half_width_omega * tau_max / math.pi) + 1)
+            raise GridCoverageError(
+                f"delay axis aliases: dOmega * max|tau| = {phase_step:.3f} >= pi "
+                f"at {grid.samples} samples; need at least {needed} samples"
+            )
+    features = []
+    source = None if pm is None else el.pdc_amplitude(pm, grid, temperature_c, model=model)
+    if source is not None and (filters or taus_s is None):  # the unfiltered dip curve is exempt
+        if source.lobe_coverage < MIN_LOBES:
+            raise GridCoverageError(
+                f"grid covers {source.lobe_coverage:.2f} phase-matching lobes; "
+                f"need at least {MIN_LOBES:g}"
+            )
+        features.append((source.lobe_samples, "a phase-matching lobe"))
+    for flt in filters:
+        across = grid.samples_across_nm(flt.width_nm)
+        features.append((across, f"the {flt.width_nm:g} nm {flt.shape} filter"))
+    for across, feature in features:
+        if across < MIN_FEATURE_SAMPLES:
+            raise GridCoverageError(
+                f"grid puts {math.floor(across * 100) / 100:.2f} samples across {feature} "
+                f"at {grid.samples} samples; need at least {MIN_FEATURE_SAMPLES:g}"
+            )
+    return source
 
 
 def apply_element(state: TwoPhotonAmplitude, transfer: ElementTransfer) -> TwoPhotonAmplitude:
@@ -574,11 +607,8 @@ def run_chain(
     **chain_kwargs,
 ) -> TwoPhotonAmplitude:
     """Evolve the source state through the full circuit in chip order."""
-    model = chain_kwargs.get("model") or dispersion.default_model()
-    chain_kwargs["model"] = model
-    state = build_source_state(
-        pm, grid, model=model, temperature_c=chain_kwargs.get("temperature_c")
-    )
+    chain_kwargs["model"] = chain_kwargs.get("model") or dispersion.default_model()
+    state = build_source_state(pm, grid, chain_kwargs["model"], chain_kwargs.get("temperature_c"))
     for transfer in chain_transfers(layout, setting, pm, grid, **chain_kwargs):
         state = apply_element(state, transfer)
     return state
@@ -588,23 +618,32 @@ def run_chain(
 # detection
 
 
-def _filter_weight(grid: SpectralGrid, flt) -> np.ndarray:
-    """|f(Omega) f(-Omega)|^2 of one detection filter, or of none."""
-    flt = flt or el.FilterSpec()
-    if flt.shape != "none":
-        _check_filter_samples(grid, flt)
-    f_plus = el.filter_amplitude(flt, grid.wavelength_plus_nm)
-    return np.abs(f_plus * grid.flip(f_plus)) ** 2
+def _real_filters(filters) -> tuple:
+    """A detection filter argument as its real filters: None and a
+    FilterSpec of shape none both mean no filter, ()."""
+    return () if filters is None or filters.shape == "none" else (filters,)
+
+
+def _filter_weight(grid: SpectralGrid, filters) -> np.ndarray:
+    """|f(Omega) f(-Omega)|^2 of the real detection filters, 1 without one."""
+    weight = np.ones(grid.samples)
+    for flt in filters:
+        f_plus = el.filter_amplitude(flt, grid.wavelength_plus_nm)
+        weight *= np.abs(f_plus * grid.flip(f_plus)) ** 2
+    return weight
 
 
 def coincidence_probability(state: TwoPhotonAmplitude, filters=None) -> float:
     """Probability of one photon in each output path.
 
     Both detectors are polarization-insensitive and sit behind the same
-    filter (None: no filter).  The exchange-symmetrized amplitude
-    A[r,s](Omega) + A[s,r](-Omega) interferes both assignments of the
-    photons to the detectors.
+    filter (None or a FilterSpec of shape none: no filter), whose width
+    the grid must resolve (the module docstring's grid rule).  The
+    exchange-symmetrized amplitude A[r,s](Omega) + A[s,r](-Omega)
+    interferes both assignments of the photons to the detectors.
     """
+    filters = _real_filters(filters)
+    _check_grid(state.grid, filters)
     a = state.values
     c = a + grid_flip_swap(a)
     weight = _filter_weight(state.grid, filters)
@@ -695,7 +734,8 @@ def hom_scan(
     full grid bit for bit (module docstring, _RankOneDetector).
     """
     model = chain_kwargs.pop("model", None) or dispersion.default_model()
-    phi = _source_amplitude(pm, grid, model, chain_kwargs.get("temperature_c"))
+    filters = _real_filters(filters)
+    phi = _check_grid(grid, filters, None, pm, model, chain_kwargs.get("temperature_c")).values
     weight = _filter_weight(grid, filters)
     window = _detection_window(weight)
     chain = _Chain(layout, pm, grid, model=model, window=window, **chain_kwargs)
@@ -797,25 +837,23 @@ def dip_profile(
     resolves only |tau| < pi / dOmega, because the midpoint sum is
     periodic in tau with period 2 pi / dOmega: a larger delay raises
     GridCoverageError with the sample count that would resolve it
-    (N >= 1496 for the +-300 nm window and |tau| <= 10 ps).  A filtered
-    grid gets dip_scenarios' checks as well: it must cover MIN_LOBES
-    phase-matching lobes and resolve the lobe and the filter's width.
+    (N >= 1496 for the +-300 nm window and |tau| <= 10 ps).  The grid
+    passes the module docstring's grid rule: with a filter it must also
+    cover MIN_LOBES phase-matching lobes and resolve the lobe and the
+    filter's width; without one (None, or a FilterSpec of shape none,
+    which give the same bits) the lobe floors do not apply.
     """
     taus_s = np.asarray(taus_ps, dtype=float) * 1e-12
-    _check_delay_resolution(grid, taus_s)
     model = model or dispersion.default_model()
-    if filters is None:
-        source = el.pdc_amplitude(pm, grid, temperature_c=temperature_c, model=model).values
-    else:
-        source = _source_amplitude(pm, grid, model, temperature_c)
-        _check_filter_samples(grid, filters)
+    filters = _real_filters(filters)
+    source = _check_grid(grid, filters, taus_s, pm, model, temperature_c).values
     lam = grid.wavelength_plus_nm
     joint = _joint(
         grid,
         source,
         [np.asarray(env(lam), dtype=complex) for env in photon1_envelopes],
         [np.asarray(env(lam), dtype=complex) for env in photon2_envelopes],
-        [] if filters is None else [el.filter_amplitude(filters, lam)],
+        [el.filter_amplitude(flt, lam) for flt in filters],
     )
     return _dip_curves(grid, joint[None], taus_s)[0]
 
@@ -832,21 +870,6 @@ def _joint(grid: SpectralGrid, source, photon1=(), photon2=(), filters=()) -> np
     for f in filters:
         factors += [f, grid.flip(f)]
     return reduce(np.multiply, factors, source)
-
-
-def _check_delay_resolution(grid: SpectralGrid, taus_s: np.ndarray) -> None:
-    """Raise unless every delay is finite and satisfies dOmega * |tau| < pi."""
-    if not np.all(np.isfinite(taus_s)):
-        raise ValueError("delays must be finite")
-    tau_max = float(np.max(np.abs(taus_s), initial=0.0))
-    phase_step = grid.d_omega * tau_max
-    if phase_step >= math.pi:
-        # dOmega = 2 W / N, so N > 2 W tau_max / pi; the grid wants N even
-        needed = 2 * (math.floor(grid.half_width_omega * tau_max / math.pi) + 1)
-        raise GridCoverageError(
-            f"delay axis aliases: dOmega * max|tau| = {phase_step:.3f} >= pi "
-            f"at {grid.samples} samples; need at least {needed} samples"
-        )
 
 
 def _dip_curves(grid: SpectralGrid, joint: np.ndarray, taus_s: np.ndarray) -> np.ndarray:
@@ -926,10 +949,11 @@ def dip_scenarios(
 
     The unfiltered curve integrates the bare phase-matching spectrum,
     whose slow tails need a much wider grid than the filtered cases;
-    pass unfiltered_grid to control that window separately.  The filtered
-    grid gets hom_scan's checks (GridCoverageError): it must cover
-    MIN_LOBES phase-matching lobes and resolve the lobe and both filter
-    widths; the unfiltered grid gets the delay-aliasing check alone.
+    pass unfiltered_grid to control that window separately.  Each grid
+    passes the module docstring's grid rule, the unfiltered one first:
+    the filtered grid must cover MIN_LOBES phase-matching lobes and
+    resolve the lobe and both filter widths, and the unfiltered curve is
+    exempt from the lobe floors.
 
     Each profile equals its dip_profile call (both build the joint
     amplitude with _joint), but the shared inputs are evaluated once:
@@ -943,17 +967,13 @@ def dip_scenarios(
     t = pm.reference_temperature_c if temperature_c is None else temperature_c
     taus_s = np.asarray(taus_ps, dtype=float) * 1e-12
     wide = unfiltered_grid or grid
-    _check_delay_resolution(wide, taus_s)
-    _check_delay_resolution(grid, taus_s)
-
-    source = _source_amplitude(pm, grid, model, t)
+    wide_source = _check_grid(wide, taus_s=taus_s, pm=pm, model=model, temperature_c=t).values
     center = grid.center_wavelength_nm
     specs = (
         el.FilterSpec("rectangular", center, rect_width_nm),
         el.FilterSpec("lorentzian", center, lorentz_width_nm),
     )
-    for flt in specs:
-        _check_filter_samples(grid, flt)
+    source = _check_grid(grid, specs, taus_s, pm, model, t).values
     lam = grid.wavelength_plus_nm
     rect, lorentz = (el.filter_amplitude(flt, lam) for flt in specs)
     triple = el.PcSpec(length_mm=3.0 * layout.segment_length_mm, temperature_c=t)
@@ -962,8 +982,6 @@ def dip_scenarios(
     )
     conv_triple = el.pc_conversion_amplitude(triple, lam, model, pm)
     conv_pc0 = el.pc_conversion_amplitude(pc0, lam, model, pm)
-
-    wide_source = el.pdc_amplitude(pm, wide, temperature_c=t, model=model).values
     filtered = {
         "rectangular": _joint(grid, source, filters=(rect,)),
         "segmented_lorentz_pc0_off": _joint(grid, source, (conv_triple,), (), (lorentz,)),

@@ -1,16 +1,19 @@
 """The golden CLI matrix: a fixed table of CLI runs whose outputs must keep
 their bytes, and the tool that runs it and records its digests.
 
-RUNS maps a run name to the command line it runs (without --out); LAYOUTS
-holds the text of the layout files the table writes for itself.  A run's
-outputs are every file the command writes into its own directory plus
-its stdout, kept as stdout.txt.
+RUNS maps a run name to the command line it runs (without --out), and
+FAILING_RUNS the same for runs that must exit nonzero; LAYOUTS holds the
+text of the layout files the table writes for itself.  A run's outputs
+are every file the command writes into its own directory plus its
+stdout, kept as stdout.txt; a failing run's also hold its stderr and
+exit code, as stderr.txt and exit_code.txt.
 
     python tests/cli_matrix.py record
         runs the matrix in-process with the homchip on sys.path and writes
-        tests/cli_digests.json: a sha256 per output and the numpy version
-        and machine they were recorded on, plus sampled rows of each CSV, which
-        test_cli_matrix.py checks where numpy or the machine differ.
+        tests/cli_digests.json: a sha256 per output of RUNS and the numpy
+        version and machine they were recorded on, sampled rows of each
+        CSV, which test_cli_matrix.py checks where numpy or the machine
+        differ, and each failing run's outputs as text.
         Regenerate with PYTHONPATH=src.
     python tests/cli_matrix.py run OUT
         runs the matrix as subprocesses (python -m homchip, so the
@@ -79,10 +82,27 @@ RUNS = {
     "phasematch-warm": ["phasematch", "--layout", "warm.layout"] + SVG,
 }
 
+#: run name -> argv without --out of a run that exits 1 at a grid check,
+#: writing no file (the quantum module docstring's grid rule)
+FAILING_RUNS = {
+    # the +-10 ps delay axis aliases on the +-300 nm unfiltered grid
+    "dip-aliased-delays": ["dip", "--grid-samples", "1024"] + CSV,
+    "hom-scan-coarse-lobe": ["hom-scan", "--grid-samples", "32"] + CSV,
+    "hom-scan-coarse-filter": [
+        "hom-scan", "--preset", "paper", "--filter", "lorentz:1.2", "--grid-samples", "40"
+    ] + CSV,
+    "dip-narrow-window": ["dip", "--grid-halfwidth-nm", "1"] + CSV,
+    "hom-scan-out-of-range": [
+        "hom-scan", "--grid-halfwidth-nm", "1500", "--grid-samples", "65536"
+    ] + CSV,
+}
+ALL_RUNS = {**RUNS, **FAILING_RUNS}
+
 
 def argv_for(name: str, layouts: Path, out: Path) -> list:
-    """RUNS[name] with its layout paths made absolute and --out appended."""
-    argv = list(RUNS[name])
+    """RUNS[name] or FAILING_RUNS[name] with its layout paths made absolute
+    and --out appended."""
+    argv = list(ALL_RUNS[name])
     for i, value in enumerate(argv[:-1]):
         if value == "--layout":
             given = argv[i + 1]
@@ -96,39 +116,53 @@ def write_layouts(directory: Path) -> Path:
     return directory
 
 
+def check_exit(name: str, code: int) -> None:
+    """Raise unless a run of RUNS exited 0 and one of FAILING_RUNS nonzero."""
+    if (code != 0) != (name in FAILING_RUNS):
+        raise RuntimeError(f"run {name} exited {code}")
+
+
 def run_in_process(main) -> dict:
     """Every run through main (homchip.cli.main): {run name: {file name:
-    bytes}}, stdout as stdout.txt.  Raises if a run exits nonzero."""
+    bytes}}, stdout as stdout.txt, and for a failing run stderr.txt and
+    exit_code.txt.  Raises if a run exits otherwise than its table says."""
     outputs = {}
     with tempfile.TemporaryDirectory() as tmp:
         layouts = write_layouts(Path(tmp))
-        for name in RUNS:
+        for name in ALL_RUNS:
             out = Path(tmp) / "runs" / name
-            stdout = io.StringIO()
-            with contextlib.redirect_stdout(stdout):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 code = main(argv_for(name, layouts, out))
-            if code != 0:
-                raise RuntimeError(f"run {name} exited {code}")
+            check_exit(name, code)
             files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
             files["stdout.txt"] = stdout.getvalue().encode("utf-8")
+            if name in FAILING_RUNS:
+                files["stderr.txt"] = stderr.getvalue().encode("utf-8")
+                files["exit_code.txt"] = f"{code}\n".encode("utf-8")
             outputs[name] = files
     return outputs
 
 
 def run_subprocesses(out_root: Path) -> None:
-    """Every run as python -m homchip, outputs and stdout.txt in out_root/<name>/."""
+    """Every run as python -m homchip, outputs and stdout.txt in
+    out_root/<name>/, and for a failing run stderr.txt and exit_code.txt."""
     out_root.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         layouts = write_layouts(Path(tmp))
-        for name in RUNS:
+        for name in ALL_RUNS:
             out = out_root / name
             out.mkdir()
             with open(out / "stdout.txt", "wb") as stdout:
-                subprocess.run(
+                done = subprocess.run(
                     [sys.executable, "-m", "homchip"] + argv_for(name, layouts, out),
                     stdout=stdout,
-                    check=True,
+                    stderr=subprocess.PIPE if name in FAILING_RUNS else None,
                 )
+            check_exit(name, done.returncode)
+            if name in FAILING_RUNS:
+                (out / "stderr.txt").write_bytes(done.stderr)
+                (out / "exit_code.txt").write_text(f"{done.returncode}\n", encoding="utf-8")
 
 
 def environment() -> dict:
@@ -170,16 +204,20 @@ def record(path: Path = RECORD) -> None:
     from homchip.cli import main
 
     outputs = run_in_process(main)
-    digests = {f"{run}/{name}": sha256(data) for run, files in outputs.items() for name, data in files.items()}
+    digests = {f"{run}/{name}": sha256(data) for run in RUNS for name, data in outputs[run].items()}
     # each distinct CSV once, by digest
     samples = {
         sha256(data): sampled_rows(csv_rows(data))
-        for files in outputs.values()
-        for name, data in files.items()
+        for run in RUNS
+        for name, data in outputs[run].items()
         if name.endswith(".csv")
     }
+    failures = {
+        run: {name: data.decode("utf-8") for name, data in outputs[run].items()}
+        for run in FAILING_RUNS
+    }
     text = json.dumps(
-        {"environment": environment(), "digests": digests, "csv_samples": samples},
+        {"environment": environment(), "digests": digests, "csv_samples": samples, "failures": failures},
         indent=1,
     )
     text = re.sub(r"\[[^\[\]{}]*\]", lambda row: " ".join(row[0].split()), text)  # a row a line

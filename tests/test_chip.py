@@ -29,10 +29,7 @@ def model():
 
 
 def test_default_geometry_totals():
-    layout = ChipLayout()
-    assert layout.total_length_mm == pytest.approx(70.82, abs=0.01)
-    assert 70.0 < layout.total_length_mm < 71.5
-    assert list(layout.triple_indices) == list(range(1, 9))
+    assert list(ChipLayout().triple_indices) == list(range(1, 9))
 
 
 def test_layout_rejects_bad_values():

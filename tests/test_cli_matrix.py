@@ -6,9 +6,11 @@ numbers within 1e-12.  Where numpy's version and the platform are the
 record's, every output's sha256 must equal the recorded one as well.
 Elsewhere the bytes may move at rounding level, so the test warns and
 compares the digests of stdout and the text files alone; the SVGs are
-drawn from the values the CSVs hold.  A change that moves an output
-regenerates the record (cli_matrix.py record) and names each changed
-file in CHANGES.md.
+drawn from the values the CSVs hold.  A failing run (FAILING_RUNS)
+must keep its exit code, its stderr and its empty stdout as recorded
+text, and write no file, on every platform.  A change that moves an
+output regenerates the record (cli_matrix.py record) and names each
+changed file in CHANGES.md.
 """
 
 import json
@@ -35,6 +37,7 @@ def outputs():
 
 def test_record_holds_every_run():
     assert list(RECORDED) == list(cli_matrix.RUNS)
+    assert list(RECORD["failures"]) == list(cli_matrix.FAILING_RUNS)
 
 
 def assert_sampled_rows(data: bytes, samples: dict, name: str):
@@ -66,3 +69,9 @@ def test_run_keeps_its_outputs(outputs, run):
         compared = [name for name in files if not name.endswith((".csv", ".svg"))]
     changed = [name for name in compared if cli_matrix.sha256(files[name]) != recorded[name]]
     assert changed == []
+
+
+@pytest.mark.parametrize("run", list(cli_matrix.FAILING_RUNS))
+def test_failing_run_keeps_its_exit_code_and_message(outputs, run):
+    files = {name: data.decode("utf-8") for name, data in outputs[run].items()}
+    assert files == RECORD["failures"][run]

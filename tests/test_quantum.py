@@ -20,6 +20,7 @@ from homchip.chip import (
 from homchip.cli import PRESETS
 from homchip.dispersion import (
     CALIBRATION_WAVELENGTH_NM,
+    WavelengthRangeError,
     calibrate,
     default_model,
     group_index_difference,
@@ -294,7 +295,7 @@ def test_scan_through_a_filter_that_passes_no_pair(layout, pm, grid, model):
     # the 1569-1571 nm band lies outside the +-6 nm grid: every weight is 0,
     # the detection window is empty, and every raw is +0.0 as on the full grid
     band = FilterSpec("rectangular", 1570.0, 2.0)
-    assert not np.any(q._filter_weight(grid, band))
+    assert not np.any(q._filter_weight(grid, (band,)))
     points = q.hom_scan(layout, enumerate_settings(layout), pm, grid, band, model=model)
     assert [p.raw.hex() for p in points] == [(0.0).hex()] * 16
     with pytest.raises(ValueError, match="reference coincidence level is zero"):
@@ -361,7 +362,7 @@ def test_imperfect_chain_visibility_band(layout, pm, lorentz):
 def test_classical_bound_without_exchange_interference(layout, pm, grid, lorentz):
     def classical(state):
         a = state.values
-        w = q._filter_weight(state.grid, lorentz)
+        w = q._filter_weight(state.grid, (lorentz,))
         b1 = a[np.ix_(q.OUT_UPPER, q.OUT_LOWER)]
         b2 = q.grid_flip_swap(a)[np.ix_(q.OUT_UPPER, q.OUT_LOWER)]
         return float(np.sum((np.abs(b1) ** 2 + np.abs(b2) ** 2) * w) * state.grid.d_omega)
@@ -527,6 +528,177 @@ def test_dip_scenarios_apply_scan_grid_checks(pm, model):
         q.dip_scenarios(pm, grid, taus, model=model, rect_width_nm=0.02)
     with pytest.raises(q.GridCoverageError, match=r"across the 0\.02 nm lorentzian"):
         q.dip_scenarios(pm, grid, taus, model=model, lorentz_width_nm=0.02)
+
+
+# The grid rule's messages and their order (module docstring of quantum):
+# one input per failing check, then inputs failing two checks, whose first
+# error the order fixes.  Recorded from the code before the checks became
+# one function; the two dip_scenarios rows marked below are the one change
+# of order, since the unfiltered grid is now checked whole before the
+# filtered grid.
+def _grid(half_width_nm, samples):
+    return SpectralGrid(half_width_nm=half_width_nm, samples=samples)
+
+
+def _rect(width_nm):
+    return FilterSpec("rectangular", LAM0, width_nm)
+
+
+def _lorentz(width_nm):
+    return FilterSpec("lorentzian", LAM0, width_nm)
+
+
+FAR = _grid(1500.0, 65536)  # reaches 46551 nm, past the model's 5000 nm
+RANGE = "wavelength 789-46551.4 nm outside coefficient validity 500-5000 nm"
+TEMPERATURE = (
+    "temperature more than 20 C from the reference; the linear tuning model is not trusted there"
+)
+LOBES = "grid covers 0.69 phase-matching lobes; need at least 3"
+LOBE_AT_32 = "grid puts 3.85 samples across a phase-matching lobe at 32 samples; need at least 4"
+ALIASED_1024 = (
+    "delay axis aliases: dOmega * max|tau| = 4.584 >= pi at 1024 samples; "
+    "need at least 1496 samples"
+)
+#: the message of a 0.02 nm filter of the given shape on 2048 samples over +-6 nm
+NARROW_FILTER = (
+    "grid puts 3.41 samples across the 0.02 nm {} filter at 2048 samples; need at least 4"
+)
+ALIASED_64 = (
+    "delay axis aliases: dOmega * max|tau| = 3.667 >= pi at 64 samples; need at least 76 samples"
+)
+
+
+def _scan(grid, filters=None, **kwargs):
+    def run(pm, model, layout):
+        settings = enumerate_settings(layout)[:1]
+        return q.hom_scan(layout, settings, pm, grid, filters, model=model, **kwargs)
+
+    return run
+
+
+def _source(grid, **kwargs):
+    return lambda pm, model, layout: q.build_source_state(pm, grid, model=model, **kwargs)
+
+
+def _detect(grid, filters):
+    return lambda pm, model, layout: q.coincidence_probability(
+        q.build_source_state(pm, grid, model=model), filters
+    )
+
+
+def _profile(grid, filters, taus, **kwargs):
+    return lambda pm, model, layout: q.dip_profile(pm, grid, filters, taus, model=model, **kwargs)
+
+
+def _scenarios(grid, taus, **kwargs):
+    return lambda pm, model, layout: q.dip_scenarios(pm, grid, taus, model=model, **kwargs)
+
+
+GRID_CHECKS = [
+    # one failing check each
+    ("hom_scan range", _scan(FAR), WavelengthRangeError, RANGE),
+    ("hom_scan temperature", _scan(_grid(6, 4096), temperature_c=70.0), ValueError, TEMPERATURE),
+    ("hom_scan lobes", _scan(_grid(1, 4096)), q.GridCoverageError, LOBES),
+    ("hom_scan lobe samples", _scan(_grid(6, 32)), q.GridCoverageError, LOBE_AT_32),
+    ("hom_scan filter samples", _scan(_grid(6, 34), _lorentz(1.2)), q.GridCoverageError,
+     "grid puts 3.40 samples across the 1.2 nm lorentzian filter at 34 samples; need at least 4"),
+    ("build_source_state range", _source(FAR), WavelengthRangeError, RANGE),
+    ("build_source_state temperature", _source(_grid(6, 4096), temperature_c=70.0), ValueError,
+     TEMPERATURE),
+    ("build_source_state lobes", _source(_grid(1, 512)), q.GridCoverageError, LOBES),
+    ("build_source_state lobe samples", _source(_grid(6, 32)), q.GridCoverageError, LOBE_AT_32),
+    ("coincidence_probability filter samples", _detect(_grid(6, 2048), _lorentz(0.02)),
+     q.GridCoverageError, NARROW_FILTER.format("lorentzian")),
+    ("dip_profile finite", _profile(_grid(6, 4096), None, [0.0, math.nan]), ValueError,
+     "delays must be finite"),
+    ("dip_profile aliasing", _profile(_grid(300, 1024), None, [10.0]), q.GridCoverageError,
+     ALIASED_1024),
+    ("dip_profile range", _profile(FAR, None, [0.0]), WavelengthRangeError, RANGE),
+    ("dip_profile temperature", _profile(_grid(6, 4096), None, [0.0], temperature_c=70.0),
+     ValueError, TEMPERATURE),
+    ("dip_profile lobes", _profile(_grid(1, 4096), _rect(2.3), [0.0]), q.GridCoverageError, LOBES),
+    ("dip_profile lobe samples", _profile(_grid(6, 32), _rect(2.3), [0.0]), q.GridCoverageError,
+     LOBE_AT_32),
+    ("dip_profile filter samples", _profile(_grid(6, 64), _rect(0.5), [0.0]), q.GridCoverageError,
+     "grid puts 2.66 samples across the 0.5 nm rectangular filter at 64 samples; need at least 4"),
+    ("dip_scenarios finite", _scenarios(_grid(6, 4096), [math.nan]), ValueError,
+     "delays must be finite"),
+    ("dip_scenarios unfiltered aliasing",
+     _scenarios(_grid(6, 4096), [10.0], unfiltered_grid=_grid(300, 1024)), q.GridCoverageError,
+     ALIASED_1024),
+    ("dip_scenarios filtered aliasing",
+     _scenarios(_grid(6, 64), [25.0], unfiltered_grid=_grid(300, 8192)), q.GridCoverageError,
+     ALIASED_64),
+    ("dip_scenarios range", _scenarios(_grid(6, 4096), [0.0], unfiltered_grid=FAR),
+     WavelengthRangeError, RANGE),
+    ("dip_scenarios temperature", _scenarios(_grid(6, 4096), [0.0], temperature_c=70.0),
+     ValueError, TEMPERATURE),
+    ("dip_scenarios lobes", _scenarios(_grid(1, 4096), [0.0]), q.GridCoverageError, LOBES),
+    ("dip_scenarios lobe samples", _scenarios(_grid(6, 32), [0.0]), q.GridCoverageError,
+     LOBE_AT_32),
+    ("dip_scenarios rect samples", _scenarios(_grid(6, 2048), [0.0], rect_width_nm=0.02),
+     q.GridCoverageError, NARROW_FILTER.format("rectangular")),
+    ("dip_scenarios lorentz samples", _scenarios(_grid(6, 2048), [0.0], lorentz_width_nm=0.02),
+     q.GridCoverageError, NARROW_FILTER.format("lorentzian")),
+    # two failing checks each: the first in the rule's order wins
+    ("hom_scan range before lobe samples", _scan(_grid(1500, 64)), WavelengthRangeError,
+     "wavelength 795.1-32044.9 nm outside coefficient validity 500-5000 nm"),
+    ("hom_scan temperature before lobes", _scan(_grid(1, 4096), temperature_c=70.0), ValueError,
+     TEMPERATURE),
+    ("hom_scan lobes before lobe samples", _scan(_grid(1, 16)), q.GridCoverageError, LOBES),
+    ("hom_scan lobe samples before filter", _scan(_grid(6, 32), _lorentz(1.2)),
+     q.GridCoverageError, LOBE_AT_32),
+    ("dip_profile finite before aliasing", _profile(_grid(300, 1024), None, [math.inf, 10.0]),
+     ValueError, "delays must be finite"),
+    ("dip_profile aliasing before range", _profile(_grid(1500, 64), None, [10.0]),
+     q.GridCoverageError,
+     "delay axis aliases: dOmega * max|tau| = 366.713 >= pi at 64 samples; "
+     "need at least 7472 samples"),
+    ("dip_profile aliasing before lobes", _profile(_grid(1, 16), _rect(2.3), [100.0]),
+     q.GridCoverageError,
+     "delay axis aliases: dOmega * max|tau| = 9.779 >= pi at 16 samples; need at least 50 samples"),
+    ("dip_profile lobes before filter samples", _profile(_grid(1, 64), _rect(0.01), [0.0]),
+     q.GridCoverageError, LOBES),
+    ("dip_scenarios unfiltered aliasing before filtered",
+     _scenarios(_grid(6, 64), [25.0], unfiltered_grid=_grid(300, 1024)), q.GridCoverageError,
+     "delay axis aliases: dOmega * max|tau| = 11.460 >= pi at 1024 samples; "
+     "need at least 3736 samples"),
+    ("dip_scenarios aliasing before lobes",
+     _scenarios(_grid(1, 4096), [10.0], unfiltered_grid=_grid(300, 1024)), q.GridCoverageError,
+     ALIASED_1024),
+    ("dip_scenarios lobe samples before filters",
+     _scenarios(_grid(6, 32), [0.0], rect_width_nm=0.02, lorentz_width_nm=0.02),
+     q.GridCoverageError, LOBE_AT_32),
+    ("dip_scenarios rect before lorentz samples",
+     _scenarios(_grid(6, 2048), [0.0], rect_width_nm=0.02, lorentz_width_nm=0.02),
+     q.GridCoverageError, NARROW_FILTER.format("rectangular")),
+    # the one change of order: the unfiltered grid's range and the temperature
+    # check come first (before: the lobes message, then the aliasing message)
+    ("dip_scenarios unfiltered range before filtered lobes",
+     _scenarios(_grid(1, 4096), [0.0], unfiltered_grid=FAR), WavelengthRangeError, RANGE),
+    ("dip_scenarios temperature before filtered aliasing",
+     _scenarios(_grid(6, 64), [25.0], temperature_c=70.0, unfiltered_grid=_grid(300, 8192)),
+     ValueError, TEMPERATURE),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error, message", [pytest.param(*row[1:], id=row[0]) for row in GRID_CHECKS]
+)
+def test_grid_check_messages_and_order(pm, model, layout, call, error, message):
+    with pytest.raises(error) as raised:
+        call(pm, model, layout)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("half_width_nm", [1.0, 6.0, 300.0])
+def test_dip_profile_no_filter_is_one_input(pm, model, half_width_nm):
+    # None and FilterSpec() give the same bits, with no filter check; the
+    # unfiltered curve is exempt from the lobe floors (+-1 nm covers 0.69)
+    grid = _grid(half_width_nm, 4096)
+    taus = np.arange(-200, 201) * 0.05
+    none = q.dip_profile(pm, grid, None, taus, model=model)
+    assert np.array_equal(q.dip_profile(pm, grid, FilterSpec(), taus, model=model), none)
 
 
 def test_scan_consistent_with_dip_at_doubled_delay(layout, pm, model, lorentz):
@@ -831,8 +1003,8 @@ def _four_mode_scan_raws(layout, settings, pm, grid, filters=None, **kwargs):
     key, and one folded + cross * [E_m, conj E_m] per setting.  Kept as the
     reference that q.hom_scan must match bit for bit."""
     chain = q._Chain(layout, pm, grid, **kwargs)
-    phi = q._source_amplitude(pm, grid, chain.model, chain.temperature_c)
-    weight = q._filter_weight(grid, filters)
+    phi = q._check_grid(grid, pm=pm, model=chain.model, temperature_c=chain.temperature_c).values
+    weight = q._filter_weight(grid, q._real_filters(filters))
     start = np.zeros((4, 2, grid.samples), dtype=complex)
     start[0, 0] = start[1, 1] = 1.0
     folds, raws = {}, []
