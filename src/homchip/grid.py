@@ -92,16 +92,26 @@ class SpectralGrid:
         imaginary part at angle -0.0), without the complex temporary and
         numpy's complex-exponential loop.
         """
-        block = math.isqrt(len(axis) - 1) + 1
-        starts = _cis(np.multiply.outer(taus_s, axis[::block]))
-        within = _cis(np.multiply.outer(taus_s, np.arange(block) * self.d_omega))
-        return starts, within
+        return self.block_starts(taus_s, axis), self.block_offsets(taus_s, axis)
+
+    def block_starts(self, taus_s, axis: np.ndarray) -> np.ndarray:
+        """phase_blocks' starts table alone, exp(i w_{pB} tau)."""
+        return _cis(np.multiply.outer(taus_s, axis[:: _block_size(axis)]))
+
+    def block_offsets(self, taus_s, axis: np.ndarray) -> np.ndarray:
+        """phase_blocks' within table alone, exp(i q dOmega tau)."""
+        return _cis(np.multiply.outer(taus_s, np.arange(_block_size(axis)) * self.d_omega))
 
     def samples_across_nm(self, width_nm: float) -> float:
         """How many grid samples span a spectral feature of the given width."""
         lam0 = self.center_wavelength_nm * 1e-9
         width_omega = 2.0 * np.pi * C_VACUUM * (width_nm * 1e-9) / lam0**2
         return width_omega / self.d_omega
+
+
+def _block_size(axis: np.ndarray) -> int:
+    """phase_blocks' B = ceil(sqrt(len(axis)))."""
+    return math.isqrt(len(axis) - 1) + 1
 
 
 def _cis(angles: np.ndarray) -> np.ndarray:

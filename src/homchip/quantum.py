@@ -130,7 +130,23 @@ with B = ceil(sqrt(N/2)), so exp(i Omega tau) factors
 (SpectralGrid.phase_blocks) into a (T, B) table of in-block offsets and a
 (T, N/(2B)) table of block starts joined by one matrix product: cos/sin
 tables of about 2 T sqrt(N/2) entries instead of T N complex
-exponentials, for any delay array.
+exponentials, for a 1-D array of T delays.
+
+The block starts exp(i Omega_{N/2+pB} tau) are memoized: _dip_block_starts
+keeps DIP_TABLE_CACHE_SIZE = 8 tables, one per (SpectralGrid, delay axis)
+key, the axis as the bytes of its 1-D float64 delays, so an equal copy of
+an axis is the same key.  dip_scenarios' grids and delay axes come back
+from call to call, and the starts are the dearer table: their angles
+reach 65 rad on the +-6 nm grid and 3248 rad on the +-300 nm grid at
+|tau| = 14 ps, where a cos/sin pair costs 22-29 ns per entry against
+14-21 ns for the in-block table, whose angles reach 1.4 and 72 rad.  An
+entry holds T ceil(N/(2B)) complex values, 404 KB at T = 561 and
+N = 4096, read-only in its own anonymous mapping (the comment at
+_dip_block_starts says why); it is an elementwise function of its key,
+so a warm call repeats a cold one bit for bit.  The in-block table is
+rebuilt on every call: memoizing it as well raised the dip benchmark's
+peak RSS 6.1-6.4 % above the unmemoized kernel's, past that metric's
+5 % bound (2.9-3.4 % with the starts alone).
 dip_scenarios evaluates each shared input once (the source amplitude per
 grid, each filter and converter envelope on omega0 + Omega, flipped for
 photon 2) and gets its three filtered profiles from one pair of tables
@@ -142,8 +158,8 @@ Every grid passes one rule, checked once where an input enters
 coincidence_probability, and once per grid by dip_scenarios).  Its
 floors, in the order they are checked, raise at the first that fails:
 
-1. the delays, where given, are finite (ValueError) and not aliased,
-   dOmega |tau| < pi (GridCoverageError);
+1. the delays, where given, are a 1-D array of finite values
+   (ValueError) and not aliased, dOmega |tau| < pi (GridCoverageError);
 2. the grid lies inside the dispersion model's range
    (WavelengthRangeError), and the temperature within 20 C of the
    tuning lines' reference (ValueError), both from el.pdc_amplitude;
@@ -156,11 +172,14 @@ The unfiltered dip curve (delays but no filter) is exempt from the lobe
 floors of 3: its slow tails need a wide window, and the triangle it
 approaches is checked directly.  No filter is one input: None and a
 FilterSpec of shape none both mean it (_real_filters), and each entry
-point resolves a missing model to dispersion.default_model() once;
-the element functions below them take every argument explicitly.
+point resolves a missing model to dispersion.default_model() once, the
+chain's entry points a missing temperature to the PmSpec's reference
+temperature with it (_resolved); _Chain and the element functions below
+them take every argument explicitly.
 """
 
 import math
+import mmap
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, reduce
 
@@ -377,8 +396,8 @@ class _Chain:
     layout: chip_mod.ChipLayout
     pm: el.PmSpec
     grid: SpectralGrid
-    model: dispersion.DispersionModel | None = None
-    temperature_c: float | None = None
+    model: dispersion.DispersionModel
+    temperature_c: float
     pbs_extinction_db: float = math.inf
     pc_conversion_db: float | None = None
     bs: el.BsSpec | None = None
@@ -393,9 +412,6 @@ class _Chain:
                 f"layout pdc_length_mm {self.layout.pdc_length_mm} differs from "
                 f"pm pdc_length_mm {self.pm.pdc_length_mm}"
             )
-        self.model = self.model or dispersion.default_model()
-        if self.temperature_c is None:
-            self.temperature_c = self.pm.reference_temperature_c
         self.pbs = el.pbs_transfer(self.pbs_extinction_db)
         triple = el.PcSpec(
             length_mm=3.0 * self.layout.segment_length_mm, temperature_c=self.temperature_c
@@ -515,14 +531,17 @@ def build_source_state(
 def _check_grid(grid, filters=(), taus_s=None, pm=None, model=None, temperature_c=None):
     """Check a grid against the floors of the module docstring's grid rule,
     in its order, and raise at the first that fails.  filters are the real
-    detection filters (_real_filters), taus_s the delays in seconds or
-    None; pm, with model and temperature_c, asks for the source checks.
+    detection filters (_real_filters), taus_s the delays in seconds, a
+    float64 array, or None; pm, with model and temperature_c, asks for the
+    source checks.
     Returns the source's el.PdcAmplitude so checked, or None without pm.
 
     A count message rounds the count down, so a value just below the floor
     (3.9999999999999996) does not print as the floor itself.
     """
     if taus_s is not None:
+        if np.ndim(taus_s) != 1:
+            raise ValueError(f"delays must be a 1-D array, not {np.ndim(taus_s)}-D")
         if not np.all(np.isfinite(taus_s)):
             raise ValueError("delays must be finite")
         tau_max = float(np.max(np.abs(taus_s), initial=0.0))
@@ -578,7 +597,8 @@ def chain_transfers(
 ) -> list:
     """Ordered dense element transfers from the source midpoint to the outputs.
 
-    Keywords: model, temperature_c, pbs_extinction_db (inf = ideal),
+    Keywords: model (None = default_model()), temperature_c (None =
+    pm.reference_temperature_c), pbs_extinction_db (inf = ideal),
     pc_conversion_db (None = full conversion), bs (the balanced coupler,
     set once for every setting; None = ideal_bs() at 0 V) and
     flat_converters.
@@ -594,7 +614,7 @@ def chain_transfers(
     reference case in which the interference dip reaches zero; the
     default keeps their real conversion bandwidth.
     """
-    chain = _Chain(layout, pm, grid, **chain_kwargs)
+    chain = _Chain(layout, pm, grid, **_resolved(pm, chain_kwargs))
     steps = chain.suffix(setting)  # validates the setting first
     return [step.transfer(grid) for step in chain.prefix(setting) + steps]
 
@@ -607,11 +627,22 @@ def run_chain(
     **chain_kwargs,
 ) -> TwoPhotonAmplitude:
     """Evolve the source state through the full circuit in chip order."""
-    chain_kwargs["model"] = chain_kwargs.get("model") or dispersion.default_model()
-    state = build_source_state(pm, grid, chain_kwargs["model"], chain_kwargs.get("temperature_c"))
+    chain_kwargs = _resolved(pm, chain_kwargs)
+    state = build_source_state(pm, grid, chain_kwargs["model"], chain_kwargs["temperature_c"])
     for transfer in chain_transfers(layout, setting, pm, grid, **chain_kwargs):
         state = apply_element(state, transfer)
     return state
+
+
+def _resolved(pm: el.PmSpec, chain_kwargs: dict) -> dict:
+    """A copy of chain_kwargs with a missing model resolved to
+    dispersion.default_model() and a missing temperature_c to pm's
+    reference temperature, as _Chain takes them."""
+    resolved = dict(chain_kwargs)
+    resolved["model"] = resolved.get("model") or dispersion.default_model()
+    if resolved.get("temperature_c") is None:
+        resolved["temperature_c"] = pm.reference_temperature_c
+    return resolved
 
 
 # ---------------------------------------------------------------------------
@@ -733,12 +764,13 @@ def hom_scan(
     full grid for a Lorentzian filter or none.  The raws are those of the
     full grid bit for bit (module docstring, _RankOneDetector).
     """
-    model = chain_kwargs.pop("model", None) or dispersion.default_model()
+    chain_kwargs = _resolved(pm, chain_kwargs)
+    model, temperature_c = chain_kwargs["model"], chain_kwargs["temperature_c"]
     filters = _real_filters(filters)
-    phi = _check_grid(grid, filters, None, pm, model, chain_kwargs.get("temperature_c")).values
+    phi = _check_grid(grid, filters, None, pm, model, temperature_c).values
     weight = _filter_weight(grid, filters)
     window = _detection_window(weight)
-    chain = _Chain(layout, pm, grid, model=model, window=window, **chain_kwargs)
+    chain = _Chain(layout, pm, grid, window=window, **chain_kwargs)
     settings = list(settings)
     groups = {}
     for index, setting in enumerate(settings):
@@ -762,7 +794,7 @@ def hom_scan(
             raws[index] = detect(vectors)
         del vectors  # before the next group's prefix is built
     return [
-        ScanPoint(setting=s, delay_ps=chip_mod.delay_schedule(layout, s, chain.model), raw=raw)
+        ScanPoint(setting=s, delay_ps=chip_mod.delay_schedule(layout, s, model), raw=raw)
         for s, raw in zip(settings, raws)
     ]
 
@@ -912,13 +944,19 @@ def _delay_kernel(g: np.ndarray, grid: SpectralGrid, taus_s: np.ndarray) -> np.n
                           sum_q exp(i q dOmega tau) G[s, p, q] dOmega,
 
     which costs T (B + P) cos/sin pairs and one (T, B) x (B, S P) product
-    for all S rows.  Only Omega must be uniform; tau may be any array.
-    G is laid out with one copy, and the block starts multiply the product
-    in place, in the operand order and summation order that give the same
-    bits as the complex-exponential form the tests keep as a reference.
+    for all S rows.  Only Omega must be uniform; tau is a 1-D float64
+    array of T delays, in any order.  The (T, P) block starts come from
+    _dip_block_starts, memoized per (grid, tau bytes), so a repeated grid
+    and delay axis costs T B cos/sin pairs; the (T, B) in-block table is
+    built on every call, since keeping it too costs more peak RSS than the
+    dip benchmark allows (module docstring).  G is laid out with one copy,
+    and the block starts multiply the product in place, in the operand
+    order and summation order that give the same bits as the
+    complex-exponential form the tests keep as a reference.
     """
     half = grid.samples // 2
-    starts, within = grid.phase_blocks(taus_s, grid.detunings[half:])
+    starts = _dip_block_starts(grid, taus_s.tobytes())
+    within = grid.block_offsets(taus_s, grid.detunings[half:])
     blocks, block = starts.shape[-1], within.shape[-1]
     rows = len(g)
     g_blocks = np.zeros((block, rows, blocks), dtype=complex)  # G[q, s, p], zero-padded
@@ -928,6 +966,30 @@ def _delay_kernel(g: np.ndarray, grid: SpectralGrid, taus_s: np.ndarray) -> np.n
     np.multiply(starts[:, None, :], inner, out=inner)
     kernel = np.sum(inner, axis=-1)
     return 2.0 * grid.d_omega * kernel.real.T
+
+
+#: Block-start tables kept by _dip_block_starts, one per (grid, delay axis):
+#: room for four delay axes on dip_scenarios' two grids.  An entry holds
+#: T ceil(H / B) complex values: 404 KB at T = 561 and N = 4096.
+DIP_TABLE_CACHE_SIZE = 8
+
+
+@lru_cache(maxsize=DIP_TABLE_CACHE_SIZE)
+def _dip_block_starts(grid: SpectralGrid, taus_bytes: bytes) -> np.ndarray:
+    """_delay_kernel's (T, P) block starts exp(i Omega_{N/2+pB} tau) for
+    the 1-D float64 delays taus_bytes holds, read-only; memoized, since
+    they are an elementwise function of the key (module docstring)."""
+    taus_s = np.frombuffer(taus_bytes)
+    starts = grid.block_starts(taus_s, grid.detunings[grid.samples // 2 :])
+    # each entry in its own anonymous mapping (mmap refuses 0 bytes), since
+    # entries outlive every operation: on the heap they raised the dip
+    # benchmark's peak RSS 5.4-5.8 % above the unmemoized kernel's, past its
+    # 5 % bound, and in mappings 2.9-3.4 %
+    table = np.frombuffer(mmap.mmap(-1, max(starts.nbytes, 1)), dtype=complex, count=starts.size)
+    table = table.reshape(starts.shape)
+    table[...] = starts
+    table.flags.writeable = False
+    return table
 
 
 def dip_scenarios(
@@ -958,9 +1020,10 @@ def dip_scenarios(
     Each profile equals its dip_profile call (both build the joint
     amplitude with _joint), but the shared inputs are evaluated once:
     the source amplitude per grid, and each filter and converter
-    envelope on omega0 + Omega.  The three filtered joint amplitudes share one _delay_kernel call, so
-    one pair of phase tables serves them; the unfiltered curve gets its
-    own pair on its grid.
+    envelope on omega0 + Omega.  The three filtered joint amplitudes
+    share one _delay_kernel call, so one pair of phase tables serves them;
+    the unfiltered curve gets its own pair on its grid.  Each pair's block
+    starts come from the memo once the (grid, delay axis) has been seen.
     """
     layout = layout or chip_mod.ChipLayout()
     model = model or dispersion.default_model()

@@ -1,11 +1,13 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from homchip.chip import (
     _FLOAT_KEYS,
+    KNOWN_KEYS,
     ChipLayout,
     LayoutError,
     SwitchSetting,
@@ -17,6 +19,7 @@ from homchip.chip import (
 from homchip.dispersion import default_model
 
 C = 299792458.0
+AS_BUILT = Path(__file__).resolve().parent.parent / "layouts" / "as_built.layout"
 STEP_PS = 0.0805 * 2.54e-3 / C * 1e12  # walk-off of one segment
 
 
@@ -182,6 +185,15 @@ def test_parse_empty_gives_as_built_defaults():
     assert cfg.center_wavelength_nm == pytest.approx(1551.7)
     assert cfg.filter.shape == "none"
     assert cfg.pbs_extinction_db == float("inf")
+
+
+def test_as_built_file_is_the_empty_layout_with_its_filter():
+    # the file spells out every default; its filter is the one key it sets
+    text = AS_BUILT.read_text()
+    cfg = parse_layout(text)
+    assert cfg.filter.shape == "lorentzian" and cfg.filter.width_nm == 1.2
+    assert cfg == replace(parse_layout(""), filter=cfg.filter)
+    assert sorted(key for key in KNOWN_KEYS if key not in text) == []
 
 
 def test_parse_full_file():

@@ -563,6 +563,8 @@ ALIASED_1024 = (
 NARROW_FILTER = (
     "grid puts 3.41 samples across the 0.02 nm {} filter at 2048 samples; need at least 4"
 )
+SCALAR_DELAYS = "delays must be a 1-D array, not 0-D"
+PLANE_DELAYS = "delays must be a 1-D array, not 2-D"
 ALIASED_64 = (
     "delay axis aliases: dOmega * max|tau| = 3.667 >= pi at 64 samples; need at least 76 samples"
 )
@@ -609,6 +611,9 @@ GRID_CHECKS = [
     ("build_source_state lobe samples", _source(_grid(6, 32)), q.GridCoverageError, LOBE_AT_32),
     ("coincidence_probability filter samples", _detect(_grid(6, 2048), _lorentz(0.02)),
      q.GridCoverageError, NARROW_FILTER.format("lorentzian")),
+    ("dip_profile scalar delays", _profile(_grid(6, 4096), None, 0.5), ValueError, SCALAR_DELAYS),
+    ("dip_profile 2-D delays", _profile(_grid(6, 4096), None, [[0.0], [0.5]]), ValueError,
+     PLANE_DELAYS),
     ("dip_profile finite", _profile(_grid(6, 4096), None, [0.0, math.nan]), ValueError,
      "delays must be finite"),
     ("dip_profile aliasing", _profile(_grid(300, 1024), None, [10.0]), q.GridCoverageError,
@@ -621,6 +626,9 @@ GRID_CHECKS = [
      LOBE_AT_32),
     ("dip_profile filter samples", _profile(_grid(6, 64), _rect(0.5), [0.0]), q.GridCoverageError,
      "grid puts 2.66 samples across the 0.5 nm rectangular filter at 64 samples; need at least 4"),
+    ("dip_scenarios scalar delays", _scenarios(_grid(6, 4096), 0.5), ValueError, SCALAR_DELAYS),
+    ("dip_scenarios 2-D delays", _scenarios(_grid(6, 4096), [[0.0], [0.5]]), ValueError,
+     PLANE_DELAYS),
     ("dip_scenarios finite", _scenarios(_grid(6, 4096), [math.nan]), ValueError,
      "delays must be finite"),
     ("dip_scenarios unfiltered aliasing",
@@ -648,6 +656,11 @@ GRID_CHECKS = [
     ("hom_scan lobes before lobe samples", _scan(_grid(1, 16)), q.GridCoverageError, LOBES),
     ("hom_scan lobe samples before filter", _scan(_grid(6, 32), _lorentz(1.2)),
      q.GridCoverageError, LOBE_AT_32),
+    ("dip_profile 1-D before finite", _profile(_grid(6, 4096), None, math.nan), ValueError,
+     SCALAR_DELAYS),
+    ("dip_scenarios 1-D before aliasing",
+     _scenarios(_grid(6, 4096), [[10.0]], unfiltered_grid=_grid(300, 1024)), ValueError,
+     PLANE_DELAYS),
     ("dip_profile finite before aliasing", _profile(_grid(300, 1024), None, [math.inf, 10.0]),
      ValueError, "delays must be finite"),
     ("dip_profile aliasing before range", _profile(_grid(1500, 64), None, [10.0]),
@@ -805,7 +818,11 @@ def _cancellation_inputs(draw):
     # by a drive 1 - 10**-u short of full (raw ~ 1e-12..1e-8)
     u = draw(st.floats(4.0, 6.0))
     setting = SwitchSetting(True, 2, pc0_efficiency=1.0 - 10.0**-u)
-    kwargs = dict(pbs_extinction_db=math.inf, flat_converters=True)
+    kwargs = dict(
+        temperature_c=PmSpec().reference_temperature_c,
+        pbs_extinction_db=math.inf,
+        flat_converters=True,
+    )
     return ChipLayout(), [setting], draw(detection_filters()), kwargs
 
 
@@ -901,6 +918,7 @@ def test_step_dense_form_matches_vector_form(preset, flat, bs, mismatch_mm, inde
         pm,
         grid,
         model=model,
+        temperature_c=pm.reference_temperature_c,
         pbs_extinction_db=imp["pbs_extinction_db"],
         pc_conversion_db=imp["pc_conversion_db"],
         flat_converters=flat,
@@ -958,7 +976,10 @@ def test_splitter_step_same_bits_as_matmul(extinction_db, samples, layout, pm, m
     # elementwise form from its first product (-0 where that is -0), and
     # adding +0 maps -0 to +0 alone.  No raw sees the sign: it sums squares.
     grid = SpectralGrid(half_width_nm=6.0, samples=samples)
-    chain = q._Chain(layout, pm, grid, model=model, pbs_extinction_db=extinction_db, pc_conversion_db=20.0)
+    chain = q._Chain(
+        layout, pm, grid, model=model, temperature_c=pm.reference_temperature_c,
+        pbs_extinction_db=extinction_db, pc_conversion_db=20.0,
+    )
     for setting in (SwitchSetting(False, 2), SwitchSetting(True, 2, pc0_efficiency=0.99)):
         *steps, splitter = chain.prefix(setting)
         assert splitter.kind == "modes"
@@ -1244,11 +1265,83 @@ def test_geometry_tables_are_read_only(model):
     for array in arrays + (tables.walk_off,):
         with pytest.raises(ValueError):
             array[0, 0] = 1.0
-    chain = q._Chain(layout, PmSpec(), SpectralGrid(samples=512), model=model)
+    pm = PmSpec()
+    chain = q._Chain(
+        layout, pm, SpectralGrid(samples=512), model=model,
+        temperature_c=pm.reference_temperature_c,
+    )
     for step in chain.prefix(SwitchSetting()):
         if step.kind == "phase":
             with pytest.raises(ValueError):
                 step.data[...] = 1.0
+
+
+# ---------------------------------------------------------------- dip block starts
+
+
+def test_dip_block_starts_interleaved_keys_match_cold(pm, model):
+    # two grids times two delay axes; each within the +-300 nm grid's alias bound
+    grids = (_grid(6.0, 1024), _grid(300.0, 1024))
+    axes = (np.arange(-100, 101) * 0.05, np.arange(-30, 31) * 0.13)
+    keys = [(grid, taus) for grid in grids for taus in axes]
+    cold = []
+    for grid, taus in keys:
+        q._dip_block_starts.cache_clear()
+        table = q._dip_block_starts(grid, (taus * 1e-12).tobytes())
+        cold.append((np.array(table), q.dip_profile(pm, grid, None, taus, model=model)))
+    assert not np.array_equal(cold[0][0], cold[2][0])  # the grids' tables differ
+    for _ in range(2):
+        for (grid, taus), (table, profile) in zip(keys, cold):
+            assert np.array_equal(q._dip_block_starts(grid, (taus * 1e-12).tobytes()), table)
+            assert np.array_equal(q.dip_profile(pm, grid, None, taus, model=model), profile)
+    # the three keys the last cache_clear dropped are built once more, then kept
+    assert q._dip_block_starts.cache_info().misses == len(keys)
+
+
+def test_dip_block_starts_keyed_by_content(pm, model):
+    grid = SpectralGrid(half_width_nm=6.0, samples=1024)
+    taus = np.arange(-200, 201) * 0.05
+    q._dip_block_starts.cache_clear()
+    first = q.dip_profile(pm, grid, None, taus, model=model)
+    assert q._dip_block_starts.cache_info().hits == 0
+    # an equal copy of the axis, as an array and as a list, is the same key
+    assert np.array_equal(q.dip_profile(pm, replace(grid), None, taus.copy(), model=model), first)
+    assert np.array_equal(q.dip_profile(pm, grid, None, list(taus), model=model), first)
+    info = q._dip_block_starts.cache_info()
+    assert (info.hits, info.misses) == (2, 1)
+
+
+def test_dip_block_starts_are_read_only():
+    grid = SpectralGrid(samples=512)
+    table = q._dip_block_starts(grid, (np.arange(-20, 21) * 0.5e-12).tobytes())
+    assert table.shape == (41, 16)
+    with pytest.raises(ValueError):
+        table[0, 0] = 1.0
+
+
+#: The traced peak of a warm dip_scenarios call on the +-6 and +-300 nm grids
+#: at N = 4096 with 561 delays, 2.852 MB measured, plus a margin below the
+#: 404 KB of a block-start table built on every call (3.256 MB traced so).
+WARM_DIP_PEAK_BYTES = 3_000_000
+
+
+def test_warm_dip_scenarios_traced_memory_peak(pm, model):
+    grid = SpectralGrid(half_width_nm=6.0, samples=4096)
+    wide = SpectralGrid(half_width_nm=300.0, samples=4096)
+    taus = np.arange(-14.0, 14.0 + 1e-9, 0.05)
+    assert len(taus) == 561
+
+    def scenarios():
+        return q.dip_scenarios(pm, grid, taus, model=model, unfiltered_grid=wide)
+
+    scenarios()
+    tracemalloc.start()
+    try:
+        scenarios()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= WARM_DIP_PEAK_BYTES, peak
 
 
 @pytest.mark.parametrize("scale, residue", [(1.0 + 1e-15, 0.0), (1.0 + 1e-9, None), (-1.01, None)])
@@ -1398,10 +1491,14 @@ def test_dip_scenarios_same_bits_as_exponential_kernel(
         model=model, temperature_c=temperature_c, pc0_efficiency=pc0_efficiency,
         unfiltered_grid=wide,
     )
-    curves = q.dip_scenarios(pm, grid, taus_ps, **kwargs)
+    # a cold call (block starts built) and a warm one (read from the memo)
+    q._dip_block_starts.cache_clear()
+    cold = q.dip_scenarios(pm, grid, taus_ps, **kwargs)
+    warm = q.dip_scenarios(pm, grid, taus_ps, **kwargs)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(q, "_delay_kernel", _exp_delay_kernel)
         reference = q.dip_scenarios(pm, grid, taus_ps, **kwargs)
-    assert list(curves) == list(reference)
+    assert list(cold) == list(warm) == list(reference)
     for name, p in reference.items():
-        assert np.array_equal(curves[name], p), name
+        assert np.array_equal(cold[name], p), name
+        assert np.array_equal(warm[name], p), name
