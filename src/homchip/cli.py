@@ -6,18 +6,9 @@ deterministic (identical configuration gives byte-identical files).
 main() parses the flags, makes the output directory and, for every
 command but rates, resolves one ChipConfig (resolve()) and loads the
 dispersion model.  Its flags (a --preset counts as flags) override the
-layout-file keys, which override the built-in as-built defaults.  What
-each command reads of it:
-
-- hom-scan: all of it.
-- dip: the geometry, temperature_c and the pump.  Its four scenarios fix
-  their own filters and drive, so it ignores the filter keys, the
-  imperfection keys, pc0_efficiency and disabled_segments.
-- delay-schedule: the geometry and disabled_segments.
-- phasematch: the source and first-converter lengths, temperature_c and
-  the pump.
-
-rates reads no configuration.
+layout-file keys, which override the built-in as-built defaults.  The
+README's Command line section lists the keys each command reads; rates
+reads no configuration.
 
 A configured command is called as cmd(config, model, args), args for
 hom-scan's --pc0.  It computes and checks everything, then returns one
@@ -177,6 +168,11 @@ def _fwhm(x, y, name):
         raise ValueError(
             f"{name} half maximum reaches the edge of the "
             f"{x[0]:.9g}-{x[-1]:.9g} nm window; its FWHM would be clipped"
+        )
+    if len(above) < q.MIN_FEATURE_SAMPLES:
+        raise ValueError(
+            f"{name} FWHM is not resolved: {len(above)} samples at or above half maximum "
+            f"on the {x[1] - x[0]:.3g} nm step; need at least {q.MIN_FEATURE_SAMPLES:g}"
         )
     return x[above[-1]] - x[above[0]]
 

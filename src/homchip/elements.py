@@ -172,9 +172,8 @@ class PdcAmplitude:
     lobe_coverage counts how many phase-matching lobes fit on the narrow
     side of the grid (below 1, the main lobe itself is clipped);
     lobe_samples counts the grid samples across one lobe width pi / a in
-    Omega.  Both are reported here, not checked: the state engine's grid
-    check (quantum module docstring) rejects a grid with fewer than 3
-    lobes or 4 samples across one, except for the unfiltered dip curve.
+    Omega.  Both are reported here and checked by the grid rule (quantum
+    module docstring).
     """
 
     values: np.ndarray
@@ -251,6 +250,13 @@ def _pc_delta_length(pc: PcSpec, wavelength_nm, model, pm):
     return delta * pc.length_mm * 1e-3
 
 
+def pc_lobe_width_nm(length_mm, wavelength_nm, model) -> float:
+    """Wavelength span over which a converter's delta L, linearized at
+    wavelength_nm as _pc_delta_length does, moves by pi: lambda^2 / (dng L)."""
+    ng = [dispersion.group_index_at(model, pol, wavelength_nm) for pol in dispersion.Polarization]
+    return wavelength_nm**2 * 1e-6 / ((ng[0] - ng[1]) * length_mm)
+
+
 def _over_gamma(x, gamma_l):
     """x / g, and 0 where g = 0."""
     return np.where(gamma_l > 0, x / np.where(gamma_l > 0, gamma_l, 1.0), 0.0)
@@ -317,10 +323,10 @@ def pc_chain_matrix(
     phases: the mismatch propagation factors exp(-/+ i delta L) dress the
     unconverted diagonal, the conversion amplitudes stay -i (kappa/gamma)
     sin(gamma L), and an undriven converter is the identity to rounding
-    only (max |M - I| = 2.2e-16 on the default 4096-sample grid, where no
-    sample is exactly I).  The converted wave then carries the mean of
-    the two group delays, i.e. the polarization swap effectively happens
-    at the element midpoint, matching the delay-schedule bookkeeping.
+    only (no sample need be exactly I).  The converted wave then carries
+    the mean of the two group delays, i.e. the polarization swap
+    effectively happens at the element midpoint, matching the
+    delay-schedule bookkeeping.
     Shape and layout as for _coupled_mode_matrix.
     """
     delta_l = _pc_delta_length(pc, wavelength_nm, model, pm)
@@ -420,21 +426,18 @@ def propagation_transfer(
 
     n_g is evaluated at the grid center (once per model, polarization and
     center), so the relative phase slope between the polarizations over
-    the grid equals the walk-off time.
-    The N phases are the outer product of the grid's two phase blocks
-    (SpectralGrid.phase_blocks): cos/sin tables of about 2 sqrt(N) entries.
+    the grid equals the walk-off time.  The phases come from
+    SpectralGrid.phases.
 
     length_mm may be a scalar, giving shape (N,), or an array of K
     lengths, giving (K, N); every row equals the scalar call for its
-    length bit for bit, because the phase blocks are elementwise in tau.
+    length bit for bit, because the phases are elementwise in tau.
     """
     lengths = np.asarray(length_mm, dtype=float)
     if np.any(lengths < 0):
         raise ValueError("length_mm must be >= 0")
     ng = dispersion.group_index_at(model, pol, grid.center_wavelength_nm)
-    starts, within = grid.phase_blocks(ng * (lengths * 1e-3) / C_VACUUM, grid.omega_plus)
-    phases = starts[..., :, None] * within[..., None, :]
-    return phases.reshape(lengths.shape + (-1,))[..., : grid.samples]
+    return grid.phases(ng * (lengths * 1e-3) / C_VACUUM, grid.omega_plus)
 
 
 def filter_amplitude(flt: FilterSpec, wavelength_nm) -> np.ndarray:

@@ -73,8 +73,8 @@ class SpectralGrid:
         """Frequency reversal Omega -> -Omega (exact on this grid)."""
         return values[..., ::-1]
 
-    def phase_blocks(self, taus_s, axis: np.ndarray):
-        """exp(i w tau) over a uniform run of this grid as two ~sqrt-wide tables.
+    def phases(self, taus_s, axis: np.ndarray) -> np.ndarray:
+        """exp(i w tau) over a uniform run of this grid, shape tau.shape + (len(axis),).
 
         axis is a stretch of the grid with step dOmega: omega_plus for the
         propagation phases, the Omega > 0 half detunings[N // 2:] for the
@@ -84,22 +84,25 @@ class SpectralGrid:
             starts = exp(i w_{pB} tau),  p < P = ceil(len(axis) / B),
             within = exp(i q dOmega tau),  q < B,
 
-        shapes tau.shape + (P,) and tau.shape + (B,): P + B cos/sin pairs per
-        delay instead of len(axis).  When B does not divide len(axis), the
-        flat index pB + q runs past its end in the last block; callers drop
-        or zero-pad it.  The tables are cos + i sin (_cis): the same bits as
-        np.exp(1j * angle) for real angles (up to the sign of a zero
-        imaginary part at angle -0.0), without the complex temporary and
-        numpy's complex-exponential loop.
+        (block_starts and block_offsets): P + B cos/sin pairs per delay
+        instead of len(axis).  When B does not divide len(axis), the flat
+        index pB + q runs past the axis in the last block, and that tail is
+        dropped; the dip kernel reads the two tables apart instead.  The
+        tables are cos + i sin (_cis): the same bits as np.exp(1j * angle)
+        for real angles (up to the sign of a zero imaginary part at angle
+        -0.0), without the complex temporary and numpy's complex-exponential
+        loop.
         """
-        return self.block_starts(taus_s, axis), self.block_offsets(taus_s, axis)
+        starts, within = self.block_starts(taus_s, axis), self.block_offsets(taus_s, axis)
+        phases = starts[..., :, None] * within[..., None, :]
+        return phases.reshape(np.shape(taus_s) + (-1,))[..., : len(axis)]
 
     def block_starts(self, taus_s, axis: np.ndarray) -> np.ndarray:
-        """phase_blocks' starts table alone, exp(i w_{pB} tau)."""
+        """The (..., P) table exp(i w_{pB} tau) of phases()."""
         return _cis(np.multiply.outer(taus_s, axis[:: _block_size(axis)]))
 
     def block_offsets(self, taus_s, axis: np.ndarray) -> np.ndarray:
-        """phase_blocks' within table alone, exp(i q dOmega tau)."""
+        """The (..., B) table exp(i q dOmega tau) of phases()."""
         return _cis(np.multiply.outer(taus_s, np.arange(_block_size(axis)) * self.d_omega))
 
     def samples_across_nm(self, width_nm: float) -> float:
@@ -110,7 +113,7 @@ class SpectralGrid:
 
 
 def _block_size(axis: np.ndarray) -> int:
-    """phase_blocks' B = ceil(sqrt(len(axis)))."""
+    """phases()' B = ceil(sqrt(len(axis)))."""
     return math.isqrt(len(axis) - 1) + 1
 
 

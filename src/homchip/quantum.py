@@ -10,148 +10,36 @@ Every 4-mode array in the package follows this rule: modes 0-1 are the
 upper path's (H, V) block and 2-3 the lower path's, and a polarization's
 (upper, lower) pair is the stride-2 slice [pol::2].
 
-The pair state is kept as a complex tensor A[m1, m2, k]: photon 1 in
-guided mode m1 at omega0 + Omega_k, photon 2 in mode m2 at
-omega0 - Omega_k.  The tensor is slot-ordered (the type-II source
-populates exactly one ordering); physical exchange symmetry is applied
-at detection, where the amplitude A[r, s](Omega) is combined with its
-partner A[s, r](-Omega) before squaring.
+The pair state is a complex tensor A[m1, m2, k]: photon 1 in guided mode
+m1 at omega0 + Omega_k, photon 2 in mode m2 at omega0 - Omega_k.  It is
+slot-ordered (the type-II source populates exactly one ordering);
+exchange symmetry is applied at detection, where A[r, s](Omega) is
+combined with its partner A[s, r](-Omega) before squaring.  The
+detectors, polarization-insensitive buckets, one per output path behind
+one common filter, stand in for the unspecified measurement.  Every
+element keeps the midpoint-rule norm sum |A|^2 dOmega = 1: flat losses
+cancel in normalized quantities and live in the rate budget.
 
-The circuit is one list of steps, each element in one exact form of
-three kinds: (H, V) propagation phases on both paths, a 2x2 (H, V) block
-on the upper path (a converter, or the branch mismatch's phases), or a
-constant 4x4 mode matrix (the polarizing splitter, and the balanced
-coupler's path matrix on both polarizations).  The steps are used two
-ways.
+The circuit is one list of steps (_Step, _Chain), each element in one
+exact form.  The dense oracle (build_source_state, chain_transfers,
+apply_element, run_chain, coincidence_probability) embeds the steps as
+(N, 4, 4) matrices and acts with them on the full tensor,
 
-hom_scan, the fast path, uses that the source emits one product mode
-pair, photon 1 in (upper, H) and photon 2 in (upper, V) with the joint
-amplitude phi(Omega), and that every element is linear: two per-photon
-mode vectors u1, u2 carry the state exactly,
+    A'[a, b](Omega) = sum_pq U(omega0+Omega)[a,p] U(omega0-Omega)[b,q] A[p,q](Omega).
+
+hom_scan, the fast path tested against it, uses that the source emits
+one product mode pair, photon 1 in (upper, H) and photon 2 in (upper, V)
+with amplitude phi(Omega), and that every element is linear, so two
+per-photon mode vectors carry the state exactly,
 
     A[a, b](Omega) = u1[a](omega0 + Omega) u2[b](omega0 - Omega) phi(Omega),
 
-and A is formed only at detection, for the output pairs.  The vectors
-are held mode-major, (2, 2, N) path blocks (polarization, photon,
-sample).  Up to the polarizing splitter the lower path is empty, so the
-prefix steps act on the upper-path block alone, and the splitter's step
-expands it to one (4, 2, N) array whose rows 0-1 and 2-3 are the upper-
-and lower-path blocks.  The source-to-splitter prefix depends on a
-setting only through the first converter (pc0_on, pc0_efficiency).  The
-triple converter matrix and the coupler's path matrix are computed once
-per scan: the coupler is trimmed to balance once, so one BsSpec (the bs
-keyword) holds for every setting.  The converter matrices are
-component-major (elements.pc_chain_matrix): each entry J[..., a, b] is
-one contiguous row, which the products below read.
-
-The suffix after the polarizing splitter holds only per-polarization
-section phases, the triple's Jones block J on the upper path and the
-path-only balanced splitter, and two settings differ only in where the
-triple sits.  Let Z_m be the phases up to triple m's midpoint z_m, D the
-product of all the suffix's section phases (common to both paths) and M
-the branch-mismatch phase on the upper path.  The upper path takes
-D M (Z_m^-1 J Z_m) and the lower path D.  D commutes with the splitter
-and multiplies A[a, b](Omega) and its exchange partner A[b, a](-Omega)
-by the same unit factor, so it cancels in the bucket coincidence.  What
-is left of the setting is its walk-off phase E_m = Z_mV conj(Z_mH) on
-the Jones off-diagonals, E_m on the H row and conj(E_m) on the V row.
-So for each first-converter state, hom_scan evolves the prefix once and
-folds its vectors, J, M and the splitter into two arrays A and B, and a
-setting's vectors are
-
-    A + B [E_m, conj(E_m)]
-
-(one multiply-add) before detection.  hom_scan groups the settings by
-first-converter state, so one fold is alive at a time: A and B are written in place
-into two arrays allocated once per scan, each setting's vectors reuse the
-group's prefix array, and detection writes into rows allocated once per
-scan.  Each product keeps its operand order, since numpy's complex
-product is not bitwise commutative, so the in-place forms give the same
-bits.  E_m is built from the same
-section tables as the step list's phases, not as one exponential of the
-group-index difference: the latter rounds differently from the oracle,
-enough to break its bound near an exact cancellation.  Each propagation
-phase exp(i (omega0 + Omega) tau) is the outer product of the grid's two
-phase blocks (SpectralGrid.phase_blocks, the ceil(sqrt N) split below),
-cos/sin tables of about 2 sqrt(N) entries per section.
-
-hom_scan runs all of this on the detection window, the smallest sample
-slice [lo, N - lo) that holds every nonzero detection weight
-|f(Omega) f(-Omega)|^2: a sample of weight 0 adds nothing to a
-coincidence.  The converter matrices are evaluated on the window's
-wavelengths, the geometry tables are read through views of the window,
-and the prefix, the fold, the unfold and the detection run on
-window-length arrays.  The window is symmetric, as the weight is, so
-photon 2's flipped axis stays exact on it.  The bits stay those of the
-full grid: every elementwise product sees the same operands in the same
-order, and the detector writes its power rows into a full-length block
-that is 0 outside the window, so its product with the weight sums the
-same N terms (p 0 and 0 0 are both +0).  A rectangular filter narrows the
-window to its band (rect:2.3 keeps 784 of 4096 samples on the +-6 nm
-grid); a Lorentzian filter, or none, has no zero weight and keeps the
-full grid.  phi is normalized and lobe-checked on the full grid and only
-then sliced, and no smaller SpectralGrid is built for the window: its
-d_omega would round differently and change every phase.
-
-The phases hom_scan reads are fixed by the chip's geometry: no setting,
-temperature, filter or imperfection changes them.  _geometry_tables
-builds them once per (ChipLayout, SpectralGrid, DispersionModel) key,
-all three frozen and hashable, with one propagation_transfer call per
-polarization: the (H, V) rows of the prefix sections and of the branch
-mismatch, and one row E_m per triple (the midpoint phases are dropped
-once E_m is formed).  A functools.lru_cache keeps GEOMETRY_CACHE_SIZE
-= 4 keys, 0.92 MB each at N = 4096 with 8 triples.  This is safe
-because the arrays are read-only, so no caller can alter what a later
-scan reads, and every row is an elementwise function of its key, so a
-warm scan repeats a cold one bit for bit.  The oracle's suffix builds
-its own per-mode phases from the same propagation_transfer rows.
-
-chain_transfers embeds the same steps as dense (N, 4, 4) matrices, and
-apply_element acts with them on the full tensor sample-by-sample:
-
-    A'[a, b](Omega) = sum_pq U(omega0+Omega)[a,p] U(omega0-Omega)[b,q] A[p,q](Omega)
-
-This dense path (build_source_state, apply_element, run_chain,
-coincidence_probability) is the oracle the fast path is tested against.
-Every lossless element keeps the midpoint-rule norm sum |A|^2 dOmega = 1.
-Detection uses polarization-insensitive bucket detectors, one per output
-path, both behind the same spectral filter; this minimal projector set
-stands in for the unspecified general measurement description.
-Wavelength-flat losses are excluded here (they cancel in normalized
-quantities) and live in the rate budget instead.
-
-dip_profile bypasses the chain: it needs Re K(tau) of the delay kernel
-K(tau) = sum_k g_k exp(i Omega_k tau) dOmega at T delays, where
-g = a conj(flip a) for the joint amplitude a.  So g(-Omega) = conj g(Omega)
-on the symmetric grid, which has no Omega = 0 sample, and the sum folds
-onto Omega > 0: Re K = 2 sum_{Omega_k > 0} Re(g_k exp(i Omega_k tau)) dOmega.
-That half axis is uniform, Omega_{N/2+pB+q} = Omega_{N/2+pB} + q dOmega
-with B = ceil(sqrt(N/2)), so exp(i Omega tau) factors
-(SpectralGrid.phase_blocks) into a (T, B) table of in-block offsets and a
-(T, N/(2B)) table of block starts joined by one matrix product: cos/sin
-tables of about 2 T sqrt(N/2) entries instead of T N complex
-exponentials, for a 1-D array of T delays.
-
-The block starts exp(i Omega_{N/2+pB} tau) are memoized: _dip_block_starts
-keeps DIP_TABLE_CACHE_SIZE = 8 tables, one per (SpectralGrid, delay axis)
-key, the axis as the bytes of its 1-D float64 delays, so an equal copy of
-an axis is the same key.  dip_scenarios' grids and delay axes come back
-from call to call, and the starts are the dearer table: their angles
-reach 65 rad on the +-6 nm grid and 3248 rad on the +-300 nm grid at
-|tau| = 14 ps, where a cos/sin pair costs 22-29 ns per entry against
-14-21 ns for the in-block table, whose angles reach 1.4 and 72 rad.  An
-entry holds T ceil(N/(2B)) complex values, 404 KB at T = 561 and
-N = 4096, read-only in its own anonymous mapping (the comment at
-_dip_block_starts says why); it is an elementwise function of its key,
-so a warm call repeats a cold one bit for bit.  The in-block table is
-rebuilt on every call: memoizing it as well raised the dip benchmark's
-peak RSS 6.1-6.4 % above the unmemoized kernel's, past that metric's
-5 % bound (2.9-3.4 % with the starts alone).
-dip_scenarios evaluates each shared input once (the source amplitude per
-grid, each filter and converter envelope on omega0 + Omega, flipped for
-photon 2) and gets its three filtered profiles from one pair of tables
-and one product.  The midpoint sum is periodic in tau with period
-2 pi / dOmega, so a delay with dOmega |tau| >= pi is aliased.
+and A is formed only at detection.  Its fold of the shared suffix is at
+_Chain.fold_suffix and unfold, its geometry memo at _geometry_tables and
+its detection window at hom_scan and _RankOneDetector.  dip_profile and
+dip_scenarios bypass the chain (_delay_kernel, _dip_block_starts).
+numpy's complex product is not bitwise commutative, so every rewrite
+keeps each product's operands and their order.
 
 Every grid passes one rule, checked once where an input enters
 (_check_grid, called by hom_scan, build_source_state, dip_profile and
@@ -159,23 +47,25 @@ coincidence_probability, and once per grid by dip_scenarios).  Its
 floors, in the order they are checked, raise at the first that fails:
 
 1. the delays, where given, are a 1-D array of finite values
-   (ValueError) and not aliased, dOmega |tau| < pi (GridCoverageError);
+   (ValueError) and not aliased, dOmega |tau| < pi, since the midpoint
+   sum is periodic in tau with period 2 pi / dOmega (GridCoverageError);
 2. the grid lies inside the dispersion model's range
    (WavelengthRangeError), and the temperature within 20 C of the
    tuning lines' reference (ValueError), both from el.pdc_amplitude;
 3. the grid covers at least MIN_LOBES phase-matching lobes on its narrow
    side, and puts at least MIN_FEATURE_SAMPLES samples across one lobe;
 4. it puts at least MIN_FEATURE_SAMPLES samples across each real
-   filter's width (GridCoverageError for 3 and 4).
+   filter's width, then across the phase-matching lobe (pi of delta L)
+   of each frequency-dependent converter hom_scan or dip_scenarios
+   builds, at the grid's widest wavelength step (GridCoverageError for
+   3 and 4).
 
 The unfiltered dip curve (delays but no filter) is exempt from the lobe
 floors of 3: its slow tails need a wide window, and the triangle it
-approaches is checked directly.  No filter is one input: None and a
-FilterSpec of shape none both mean it (_real_filters), and each entry
-point resolves a missing model to dispersion.default_model() once, the
-chain's entry points a missing temperature to the PmSpec's reference
-temperature with it (_resolved); _Chain and the element functions below
-them take every argument explicitly.
+approaches is checked directly.  None and a FilterSpec of shape none
+both mean no filter (_real_filters).  Each entry point resolves a missing
+model once, and the chain's entry points a missing temperature with it
+(_resolved); _Chain and the element functions take every argument.
 """
 
 import math
@@ -244,16 +134,7 @@ class ScanPoint:
 # element -> transfer sampling
 
 
-def _section_phases(grid: SpectralGrid, lengths_mm, model) -> np.ndarray:
-    """(H, V) phases of birefringent sections, shape lengths.shape + (2, N)."""
-    return np.stack(
-        [el.propagation_transfer(pol, lengths_mm, grid, model) for pol in Polarization], axis=-2
-    )
-
-
 #: Geometry tables kept by _geometry_tables, one per (layout, grid, model).
-#: An entry holds 3 or 4 (2, N) section tables and one row per triple: at
-#: N = 4096 and 8 triples, 0.92 MB (1.05 MB with a branch mismatch).
 GEOMETRY_CACHE_SIZE = 4
 
 
@@ -264,8 +145,7 @@ class _GeometryTables:
     source_half, pc0_half and pbs_region are the (H, V) phases (2, N) of
     the prefix sections; mismatch those of the upper branch's extra
     length (None without one).  walk_off (T, N) holds, in row m - 1,
-    triple m's walk-off phase E_m = Z_V conj(Z_H) of the sections from the
-    splitter exit to its midpoint.
+    triple m's walk-off phase E_m (_Chain.fold_suffix).
     """
 
     source_half: np.ndarray
@@ -284,24 +164,30 @@ class _GeometryTables:
 def _geometry_tables(
     layout: chip_mod.ChipLayout, grid: SpectralGrid, model: dispersion.DispersionModel
 ) -> _GeometryTables:
-    """Build every geometry table of a chip with one propagation_transfer
-    call per polarization; memoized, since no setting, temperature,
-    filter or imperfection changes them (module docstring)."""
+    """Every propagation phase hom_scan reads, one propagation_transfer call
+    per polarization, memoized per (ChipLayout, SpectralGrid,
+    DispersionModel) key: no setting, temperature, filter or imperfection
+    changes them.  The arrays are read-only, so no caller can alter what a
+    later scan reads, and every row is an elementwise function of the key,
+    so a warm scan repeats a cold one bit for bit.  E_m is the product of
+    the sections' own tables, as in the oracle's suffix, not one
+    exponential of the group-index difference: that rounds differently,
+    enough to break the oracle bound near an exact cancellation.
+    """
     sections = [layout.pdc_length_mm / 2.0, layout.pc0_length_mm / 2.0, layout.pbs_length_mm]
     if layout.branch_length_mismatch_mm:
         sections.append(layout.branch_length_mismatch_mm)
     midpoints = [(m + 0.5) * layout.segment_length_mm for m in layout.triple_indices]
     # one block, allocated before the build's temporaries: copied out of
-    # them afterwards, the tables raised a scan process's peak RSS by 5 %
-    # instead of 1 %
+    # them afterwards, the tables cost a scan process several times the peak RSS
     block = np.empty((2 * len(sections) + len(midpoints), grid.samples), dtype=complex)
     rows = block[: 2 * len(sections)].reshape(len(sections), 2, -1)
     walk_off = block[2 * len(sections) :]
     h, v = (el.propagation_transfer(pol, sections + midpoints, grid, model) for pol in Polarization)
     rows[:, 0], rows[:, 1] = h[: len(sections)], v[: len(sections)]
-    # one N-sample product per triple: numpy swaps the factors of a complex
-    # product whose temporary operand holds 256 KiB or more, and the swapped
-    # product rounds differently, so a (T, N) product would change E's bits
+    # one N-sample product per triple: numpy swaps the factors of a complex product
+    # on a temporary past its elision threshold, which rounds differently, so a
+    # (T, N) product would change E's bits
     for row, z_h, z_v in zip(walk_off, h[len(sections) :], v[len(sections) :]):
         row[:] = z_v * np.conj(z_h)
     for table in (rows, walk_off):
@@ -378,19 +264,15 @@ def _mix(matrix: np.ndarray, rows, out: np.ndarray) -> None:
 class _Chain:
     """The circuit from the source midpoint to the outputs, as steps.
 
-    Holds what a scan shares: the converter matrices, the coupler's
-    (2, 2) (upper, lower) path matrix, set once from bs (None: ideal_bs()
-    at 0 V), and the chip's memoized geometry tables.  prefix() runs to
-    the polarizing-splitter exit and depends on the setting only through
-    (pc0_on, pc0_efficiency); suffix() is the rest: phases, the triple's
-    Jones block and the branch mismatch, then the balanced splitter.
-    fold_suffix() and unfold() are the suffix in hom_scan's folded form
-    (module docstring).  Keywords as for chain_transfers.
-
-    window is the sample slice every step acts on: the converter matrices
-    are evaluated on it and the geometry tables viewed on it.  hom_scan
-    sets it to the detection window; the dense transfers need the full
-    grid, the default.
+    Holds what a scan shares: the triple converter matrix (component-major,
+    elements.pc_chain_matrix), the coupler's (2, 2) (upper, lower) path
+    matrix, set once from bs (None: ideal_bs() at 0 V) since the coupler
+    is trimmed to balance once, and the chip's geometry tables.  prefix()
+    runs to the polarizing-splitter exit and depends on the setting only
+    through (pc0_on, pc0_efficiency); suffix() is the rest, and
+    fold_suffix() and unfold() are the suffix in hom_scan's folded form.
+    Keywords as for chain_transfers.  window is the sample slice every step
+    acts on (hom_scan's detection window; the full grid by default).
     """
 
     layout: chip_mod.ChipLayout
@@ -450,11 +332,9 @@ class _Chain:
         layout = self.layout
         seg = layout.segment_length_mm
         z_mid = (m + 0.5) * seg  # from the splitter exit
-        to_triple, remaining, block = _section_phases(
-            self.grid,
-            [z_mid, layout.segment_count * seg - z_mid, layout.bs_block_length_mm],
-            self.model,
-        )[..., self.window]
+        lengths = [z_mid, layout.segment_count * seg - z_mid, layout.bs_block_length_mm]
+        phases = [el.propagation_transfer(p, lengths, self.grid, self.model) for p in Polarization]
+        to_triple, remaining, block = np.stack(phases, axis=-2)[..., self.window]
         steps = [
             _Step("segments up to triple midpoint", "phase", to_triple),
             _Step(f"triple {m}", "jones", self.triple),
@@ -474,13 +354,19 @@ class _Chain:
         B (cross) such that the suffix of a setting with triple m takes
         vectors to D (A + B [E_m, conj(E_m)]) (unfold).
 
+        With Z_m the section phases up to triple m's midpoint, D those of
+        the whole suffix, J the triple's Jones block and M the branch
+        mismatch, the upper path takes D M (Z_m^-1 J Z_m) and the lower path
+        D.  D is common to both paths, commutes with the path-only balanced
+        splitter and multiplies A[a, b](Omega) and its exchange partner
+        A[b, a](-Omega) by the same unit factor, so it cancels in the bucket
+        coincidence and is left out.  What is left of the setting is its
+        walk-off phase E_m = Z_mV conj(Z_mH) on J's off-diagonals.
+
         vectors are the prefix's (4, 2, N); A and B are (path, polarization,
-        photon, N), written in place: until the coupler mixes them, the
-        lower-path blocks of A and B hold the triple's diagonal and cross
-        products, and B's upper-path block is scratch.  D, the
-        per-polarization product of the suffix's section phases, is common
-        to both paths and cancels in coincidences (module docstring), so
-        hom_scan leaves it out.
+        photon, N), written in place: until the coupler mixes them, their
+        lower-path blocks hold the triple's diagonal and cross products, and
+        B's upper-path block is scratch.
         """
         j = self.triple
         upper, lower = vectors[:2], vectors[2:]
@@ -501,10 +387,8 @@ class _Chain:
             np.multiply(coupler[a, 0], cross[1], out=cross[a])
 
     def unfold(self, m: int, folded, cross, out) -> None:
-        """Write a setting's vectors A + B [E_m, conj(E_m)], (path,
-        polarization, photon, N), into out: E_m = Z_V conj(Z_H) for the
-        phases Z of the sections up to triple m's midpoint, which suffix()
-        builds alike, multiplies B's H rows and conj(E_m) its V rows."""
+        """Write a setting's vectors A + B [E_m, conj(E_m)] (fold_suffix),
+        E_m on B's H rows and conj(E_m) on its V rows, into out."""
         e = self.tables.walk_off[m - 1]
         np.multiply(cross[:, 0], e, out=out[:, 0])
         np.multiply(cross[:, 1], np.conj(e), out=out[:, 1])
@@ -528,13 +412,15 @@ def build_source_state(
     return TwoPhotonAmplitude(grid=grid, values=values)
 
 
-def _check_grid(grid, filters=(), taus_s=None, pm=None, model=None, temperature_c=None):
+def _check_grid(
+    grid, filters=(), taus_s=None, pm=None, model=None, temperature_c=None, converters_mm=()
+):
     """Check a grid against the floors of the module docstring's grid rule,
     in its order, and raise at the first that fails.  filters are the real
     detection filters (_real_filters), taus_s the delays in seconds, a
     float64 array, or None; pm, with model and temperature_c, asks for the
-    source checks.
-    Returns the source's el.PdcAmplitude so checked, or None without pm.
+    source checks; converters_mm are the frequency-dependent converters'
+    lengths.  Returns the checked source el.PdcAmplitude, or None without pm.
 
     A count message rounds the count down, so a value just below the floor
     (3.9999999999999996) does not print as the floor itself.
@@ -565,6 +451,12 @@ def _check_grid(grid, filters=(), taus_s=None, pm=None, model=None, temperature_
     for flt in filters:
         across = grid.samples_across_nm(flt.width_nm)
         features.append((across, f"the {flt.width_nm:g} nm {flt.shape} filter"))
+    # the widest wavelength step is the longest wavelength's; n_g is taken at the grid
+    # center, as for the propagation phases, so a new temperature costs no group_index call
+    step = grid.wavelength_plus_nm[0] - grid.wavelength_plus_nm[1]
+    for length_mm in converters_mm:
+        across = el.pc_lobe_width_nm(length_mm, grid.center_wavelength_nm, model) / step
+        features.append((across, f"the {length_mm:g} mm converter's phase-matching lobe"))
     for across, feature in features:
         if across < MIN_FEATURE_SAMPLES:
             raise GridCoverageError(
@@ -603,16 +495,10 @@ def chain_transfers(
     set once for every setting; None = ideal_bs() at 0 V) and
     flat_converters.
 
-    Each converter region is modeled as half its birefringent
-    propagation, the midpoint-lumped coupled-mode matrix, then the other
-    half, which reproduces the exact solution and places the effective
-    polarization swap at the element midpoint, matching the delay
-    schedule.
-
-    flat_converters=True idealizes the converters as frequency
-    independent (perfect phase matching at every wavelength), the
-    reference case in which the interference dip reaches zero; the
-    default keeps their real conversion bandwidth.
+    Each converter is lumped at its midpoint (elements.pc_chain_matrix);
+    flat_converters=True makes them frequency independent
+    (elements.pc_flat_matrix), the reference case in which the
+    interference dip reaches zero.
     """
     chain = _Chain(layout, pm, grid, **_resolved(pm, chain_kwargs))
     steps = chain.suffix(setting)  # validates the setting first
@@ -635,9 +521,7 @@ def run_chain(
 
 
 def _resolved(pm: el.PmSpec, chain_kwargs: dict) -> dict:
-    """A copy of chain_kwargs with a missing model resolved to
-    dispersion.default_model() and a missing temperature_c to pm's
-    reference temperature, as _Chain takes them."""
+    """A copy of chain_kwargs with model and temperature_c resolved as chain_transfers says."""
     resolved = dict(chain_kwargs)
     resolved["model"] = resolved.get("model") or dispersion.default_model()
     if resolved.get("temperature_c") is None:
@@ -667,11 +551,9 @@ def _filter_weight(grid: SpectralGrid, filters) -> np.ndarray:
 def coincidence_probability(state: TwoPhotonAmplitude, filters=None) -> float:
     """Probability of one photon in each output path.
 
-    Both detectors are polarization-insensitive and sit behind the same
-    filter (None or a FilterSpec of shape none: no filter), whose width
-    the grid must resolve (the module docstring's grid rule).  The
-    exchange-symmetrized amplitude A[r,s](Omega) + A[s,r](-Omega)
-    interferes both assignments of the photons to the detectors.
+    The detectors and the exchange-symmetrized amplitude are those of the
+    module docstring; filters is None, a FilterSpec of shape none (no
+    filter) or one real filter.
     """
     filters = _real_filters(filters)
     _check_grid(state.grid, filters)
@@ -694,9 +576,9 @@ def grid_flip_swap(values: np.ndarray) -> np.ndarray:
 
 def _detection_window(weight: np.ndarray) -> slice:
     """The smallest sample slice [lo, N - lo) that holds every nonzero
-    detection weight; empty when the filter passes no pair.  It is
-    symmetric about Omega = 0, as the weight is, so flipping it pairs
-    each sample with its partner at -Omega."""
+    detection weight |f(Omega) f(-Omega)|^2; empty when the filter passes
+    no pair.  It is symmetric about Omega = 0, as the weight is, so
+    flipping it pairs each sample with its partner at -Omega."""
     nonzero = np.flatnonzero(weight)
     n = len(weight)
     lo = int(min(nonzero[0], n - 1 - nonzero[-1])) if len(nonzero) else n // 2
@@ -710,13 +592,11 @@ class _RankOneDetector:
 
     vectors is mode-major (4, 2, n), the n samples of the detection
     window: rows 0-1 (OUT_UPPER) and 2-3 (OUT_LOWER) are the path blocks,
-    column 0 is photon 1 and column 1 photon 2, both sampled at
-    omega0 + Omega; photon 2 is read on the flipped axis, which the
-    window's symmetry keeps exact.  The power rows are written into a
-    full-length (2, 2, N) block that stays 0 outside the window, where
+    column 0 is photon 1 and column 1 photon 2, both at omega0 + Omega;
+    photon 2 is read on the flipped axis.  The power rows are written into
+    a full-length (2, 2, N) block that stays 0 outside the window, where
     the weight is 0 too, so the product with the weight sums the same N
-    terms as on the full grid (p 0 and 0 0 are both +0) and every raw
-    keeps its bits.
+    terms as on the full grid (p 0 and 0 0 are both +0) with its bits.
     """
 
     def __init__(self, phi, weight, d_omega, window):
@@ -753,21 +633,26 @@ def hom_scan(
 ) -> list:
     """Raw coincidence versus switch setting, with the schedule delays.
 
-    Runs the per-photon engine of the module docstring; keywords as for
+    The per-photon fast path of the module docstring; keywords as for
     chain_transfers.  Equals coincidence_probability(run_chain(...)) to
-    rounding.  Settings are evaluated grouped by their prefix (pc0_on,
-    pc0_efficiency), one fold alive at a time, and returned in input
-    order.
+    rounding.  Settings are grouped by their prefix (pc0_on,
+    pc0_efficiency), one fold alive at a time in two arrays allocated once
+    per scan, and returned in input order.
 
-    Everything runs on the detection window (_detection_window), where
-    the filter weight is nonzero: a rectangular filter's band, or the
-    full grid for a Lorentzian filter or none.  The raws are those of the
-    full grid bit for bit (module docstring, _RankOneDetector).
+    Everything runs on the detection window (_detection_window), since a
+    sample of weight 0 adds nothing to a coincidence: a rectangular
+    filter's band, or the full grid for a Lorentzian filter or none.  phi
+    is normalized and checked on the full grid and only then sliced; no
+    smaller SpectralGrid is built for the window, since its d_omega would
+    round differently and change every phase.  The raws keep the full
+    grid's bits (_RankOneDetector).
     """
     chain_kwargs = _resolved(pm, chain_kwargs)
     model, temperature_c = chain_kwargs["model"], chain_kwargs["temperature_c"]
     filters = _real_filters(filters)
-    phi = _check_grid(grid, filters, None, pm, model, temperature_c).values
+    flat = chain_kwargs.get("flat_converters")
+    converters = () if flat else (layout.pc0_length_mm, 3.0 * layout.segment_length_mm)
+    phi = _check_grid(grid, filters, None, pm, model, temperature_c, converters).values
     weight = _filter_weight(grid, filters)
     window = _detection_window(weight)
     chain = _Chain(layout, pm, grid, window=window, **chain_kwargs)
@@ -780,7 +665,7 @@ def hom_scan(
     # the upper-path block (polarization, photon, n): photon 1 in H, photon 2 in V
     start = np.zeros((2, 2, window.stop - window.start), dtype=complex)
     start[0, 0] = start[1, 1] = 1.0
-    # two arrays rather than one 1 MB block: freeing that block lifted
+    # two arrays rather than one block: freeing that block lifted
     # malloc's trim threshold, and the benchmark's peak RSS with it
     folded = np.empty((2,) + start.shape, dtype=complex)
     cross = np.empty_like(folded)
@@ -858,22 +743,9 @@ def dip_profile(
     detuning.  The unfiltered profile is the triangle
     1/2 * min(1, |tau| / tau_w) with tau_w = dng * L / c.
 
-    Envelopes are elementwise callables of wavelength in nm.  Every
-    envelope and filter is evaluated once on wavelength_plus_nm; photon
-    2 takes the flipped array, its value at omega0 - Omega (the grid is
-    symmetric, so the flip is exact).
-
-    Re K is evaluated by _delay_kernel, which folds the sum onto
-    Omega > 0 and factors exp(i Omega tau) on that uniform half axis
-    into two ~sqrt(N / 2)-wide tables and one matrix product.  The grid
-    resolves only |tau| < pi / dOmega, because the midpoint sum is
-    periodic in tau with period 2 pi / dOmega: a larger delay raises
-    GridCoverageError with the sample count that would resolve it
-    (N >= 1496 for the +-300 nm window and |tau| <= 10 ps).  The grid
-    passes the module docstring's grid rule: with a filter it must also
-    cover MIN_LOBES phase-matching lobes and resolve the lobe and the
-    filter's width; without one (None, or a FilterSpec of shape none,
-    which give the same bits) the lobe floors do not apply.
+    Envelopes are elementwise callables of wavelength in nm, each
+    evaluated once on wavelength_plus_nm (_joint flips photon 2's).  Re K
+    comes from _delay_kernel; the grid passes the module's grid rule.
     """
     taus_s = np.asarray(taus_ps, dtype=float) * 1e-12
     model = model or dispersion.default_model()
@@ -908,8 +780,8 @@ def _dip_curves(grid: SpectralGrid, joint: np.ndarray, taus_s: np.ndarray) -> np
     """dip_profile's P(tau) for each row of the joint amplitudes (S, N): (S, T).
 
     |Re K(tau)| <= K(0) (Cauchy-Schwarz), so P lies in [0, 1]; K(0) and the
-    kernel sum the same terms in different orders, which leaves residues
-    like -4.4e-16 at tau = 0.  Those are clipped; anything more than
+    kernel sum the same terms in different orders, which leaves rounding
+    residues just below 0 at tau = 0.  Those are clipped; anything more than
     DIP_ROUNDING outside [0, 1] is a defect and raises ValueError.
     """
     k0 = np.sum(np.abs(joint) ** 2, axis=-1) * grid.d_omega
@@ -929,30 +801,28 @@ def _delay_kernel(g: np.ndarray, grid: SpectralGrid, taus_s: np.ndarray) -> np.n
     """Re K(tau), K(tau) = sum_k g_k exp(i Omega_k tau) dOmega, for each row of
     g (S, N) with g(-Omega) = conj g(Omega): shape (S, T).
 
-    The symmetric grid has no Omega = 0 sample and pairs Omega_k with
-    Omega_{N-1-k} = -Omega_k, whose terms are complex conjugates, so
+    g = a conj(flip a) of a joint amplitude a has that symmetry.  The grid
+    has no Omega = 0 sample and pairs Omega_k with Omega_{N-1-k} = -Omega_k,
+    whose terms are complex conjugates, so
 
         Re K(tau) = 2 sum_{Omega_k > 0} Re(g_k exp(i Omega_k tau)) dOmega.
 
     The half axis Omega_{N/2 + j}, j < H = N / 2, is uniform, so
-    exp(i Omega tau) splits (SpectralGrid.phase_blocks, cos/sin tables)
-    into a (T, P) table over block starts and a (T, B) table over in-block
-    offsets, B = ceil(sqrt H), P = ceil(H / B).  Each row's half is zero-padded to
-    P*B and read as G[s, p, q] = g[s, N/2 + pB + q], and
+    exp(i Omega tau) splits (SpectralGrid.phases) into a (T, P) table of
+    block starts and a (T, B) table of in-block offsets, B = ceil(sqrt H),
+    P = ceil(H / B).  Each row's half is zero-padded to P*B and read as
+    G[s, p, q] = g[s, N/2 + pB + q], and
 
         Re K_s(tau) = 2 Re sum_p exp(i Omega_{N/2+pB} tau)
                           sum_q exp(i q dOmega tau) G[s, p, q] dOmega,
 
-    which costs T (B + P) cos/sin pairs and one (T, B) x (B, S P) product
-    for all S rows.  Only Omega must be uniform; tau is a 1-D float64
-    array of T delays, in any order.  The (T, P) block starts come from
-    _dip_block_starts, memoized per (grid, tau bytes), so a repeated grid
-    and delay axis costs T B cos/sin pairs; the (T, B) in-block table is
-    built on every call, since keeping it too costs more peak RSS than the
-    dip benchmark allows (module docstring).  G is laid out with one copy,
-    and the block starts multiply the product in place, in the operand
-    order and summation order that give the same bits as the
-    complex-exponential form the tests keep as a reference.
+    which costs T (B + P) cos/sin pairs instead of T N complex
+    exponentials, and one (T, B) x (B, S P) product for all S rows; tau is
+    a 1-D float64 array of T delays, in any order.  The block starts come
+    from _dip_block_starts.  G is laid out with one copy, and the block
+    starts multiply the product in place, in the operand and summation
+    order that give the bits of the complex-exponential form the tests
+    keep as a reference.
     """
     half = grid.samples // 2
     starts = _dip_block_starts(grid, taus_s.tobytes())
@@ -969,22 +839,27 @@ def _delay_kernel(g: np.ndarray, grid: SpectralGrid, taus_s: np.ndarray) -> np.n
 
 
 #: Block-start tables kept by _dip_block_starts, one per (grid, delay axis):
-#: room for four delay axes on dip_scenarios' two grids.  An entry holds
-#: T ceil(H / B) complex values: 404 KB at T = 561 and N = 4096.
+#: room for four delay axes on dip_scenarios' two grids.
 DIP_TABLE_CACHE_SIZE = 8
 
 
 @lru_cache(maxsize=DIP_TABLE_CACHE_SIZE)
 def _dip_block_starts(grid: SpectralGrid, taus_bytes: bytes) -> np.ndarray:
     """_delay_kernel's (T, P) block starts exp(i Omega_{N/2+pB} tau) for
-    the 1-D float64 delays taus_bytes holds, read-only; memoized, since
-    they are an elementwise function of the key (module docstring)."""
+    the 1-D float64 delays taus_bytes holds, read-only.
+
+    Memoized per (SpectralGrid, delay bytes), so an equal copy of an axis
+    is the same key: dip_scenarios' grids and delay axes come back from
+    call to call, and the starts are the dearer table, since a cos/sin
+    pair costs more at their large angles.  An entry is an elementwise
+    function of its key, so a warm call repeats a cold one bit for bit.
+    The in-block table is rebuilt on every call: keeping it too raised the
+    dip benchmark's peak RSS past its bound.
+    """
     taus_s = np.frombuffer(taus_bytes)
     starts = grid.block_starts(taus_s, grid.detunings[grid.samples // 2 :])
-    # each entry in its own anonymous mapping (mmap refuses 0 bytes), since
-    # entries outlive every operation: on the heap they raised the dip
-    # benchmark's peak RSS 5.4-5.8 % above the unmemoized kernel's, past its
-    # 5 % bound, and in mappings 2.9-3.4 %
+    # each entry in its own anonymous mapping (mmap refuses 0 bytes): entries outlive
+    # every operation, and on the heap they raised the dip benchmark's peak RSS past its bound
     table = np.frombuffer(mmap.mmap(-1, max(starts.nbytes, 1)), dtype=complex, count=starts.size)
     table = table.reshape(starts.shape)
     table[...] = starts
@@ -1004,26 +879,19 @@ def dip_scenarios(
     lorentz_width_nm: float = 1.2,
     unfiltered_grid: SpectralGrid | None = None,
 ) -> dict:
-    """The four canonical dip profiles (source only; rectangular filter;
-    segmented-converter envelope with the fiber filter, first converter
-    off; both converter envelopes with the fiber filter, first converter
-    on).
+    """The four canonical dip profiles: source only; rectangular filter;
+    segmented-converter envelope with the fiber filter, first converter off;
+    both converter envelopes with the fiber filter, first converter on.
 
     The unfiltered curve integrates the bare phase-matching spectrum,
     whose slow tails need a much wider grid than the filtered cases;
     pass unfiltered_grid to control that window separately.  Each grid
-    passes the module docstring's grid rule, the unfiltered one first:
-    the filtered grid must cover MIN_LOBES phase-matching lobes and
-    resolve the lobe and both filter widths, and the unfiltered curve is
-    exempt from the lobe floors.
+    passes the module docstring's grid rule, the unfiltered one first.
 
-    Each profile equals its dip_profile call (both build the joint
-    amplitude with _joint), but the shared inputs are evaluated once:
-    the source amplitude per grid, and each filter and converter
-    envelope on omega0 + Omega.  The three filtered joint amplitudes
-    share one _delay_kernel call, so one pair of phase tables serves them;
-    the unfiltered curve gets its own pair on its grid.  Each pair's block
-    starts come from the memo once the (grid, delay axis) has been seen.
+    Each profile equals its dip_profile call (both use _joint), but the
+    source amplitude per grid and each filter and converter envelope are
+    evaluated once, and the three filtered profiles share one
+    _delay_kernel call.
     """
     layout = layout or chip_mod.ChipLayout()
     model = model or dispersion.default_model()
@@ -1036,7 +904,8 @@ def dip_scenarios(
         el.FilterSpec("rectangular", center, rect_width_nm),
         el.FilterSpec("lorentzian", center, lorentz_width_nm),
     )
-    source = _check_grid(grid, specs, taus_s, pm, model, t).values
+    converters = (layout.pc0_length_mm, 3.0 * layout.segment_length_mm)
+    source = _check_grid(grid, specs, taus_s, pm, model, t, converters).values
     lam = grid.wavelength_plus_nm
     rect, lorentz = (el.filter_amplitude(flt, lam) for flt in specs)
     triple = el.PcSpec(length_mm=3.0 * layout.segment_length_mm, temperature_c=t)

@@ -398,6 +398,36 @@ def test_clipped_fwhm_names_its_spectrum(tmp_path, capsys):
     assert "converter spectrum half maximum reaches the edge" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv, layout_text, message",
+    [
+        (["phasematch"], "pc0_length_mm = 1e5\n",
+         "converter spectrum FWHM is not resolved: 1 samples at or above half maximum "
+         "on the 0.005 nm step; need at least 4"),
+        (["phasematch"], "pdc_length_mm = 5000\n",
+         "source spectrum FWHM is not resolved: 1 samples at or above half maximum "
+         "on the 0.005 nm step; need at least 4"),
+        (["hom-scan", "--filter", "lorentz:1.2"], "segment_length_mm = 2000\n",
+         "grid puts 1.68 samples across the 6000 mm converter's phase-matching lobe "
+         "at 4096 samples; need at least 4"),
+        (["hom-scan", "--filter", "lorentz:1.2"], "pc0_length_mm = 10000\n",
+         "grid puts 1.01 samples across the 10000 mm converter's phase-matching lobe "
+         "at 4096 samples; need at least 4"),
+    ],
+    ids=["phasematch-converter", "phasematch-source", "hom-scan-triple", "hom-scan-first-converter"],
+)
+def test_unresolved_spectra_exit_1_without_output(tmp_path, capsys, argv, layout_text, message):
+    # each band is narrower than the step it is sampled on, so its answer
+    # would depend on the step
+    layout = tmp_path / "chip.layout"
+    layout.write_text(layout_text)
+    out = tmp_path / "out"
+    assert main(argv + ["--layout", str(layout), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(out.iterdir())
+
+
 def test_density_floor_message_reads_below_floor(tmp_path, capsys):
     # 40 samples put 3.9999999999999996 samples across the filter
     argv = ["hom-scan", "--preset", "paper", "--filter", "lorentz:1.2", "--grid-samples", "40"]

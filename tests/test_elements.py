@@ -455,12 +455,15 @@ def test_phase_blocks_equal_complex_exponential(
     axis = grid.detunings[samples // 2 :] if on_half_detunings else grid.omega_plus
     rng = np.random.default_rng(seed)
     taus_s = np.concatenate([[0.0], rng.uniform(-reach_s, reach_s, count)])
-    starts, within = grid.phase_blocks(taus_s, axis)
+    starts, within = grid.block_starts(taus_s, axis), grid.block_offsets(taus_s, axis)
     block = within.shape[-1]
     assert np.array_equal(starts, np.exp(1j * np.multiply.outer(taus_s, axis[::block])))
     assert np.array_equal(
         within, np.exp(1j * np.multiply.outer(taus_s, np.arange(block) * grid.d_omega))
     )
+    # phases() assembles sample pB + q as starts[p] * within[q]
+    k = np.arange(len(axis))
+    assert np.array_equal(grid.phases(taus_s, axis), starts[:, k // block] * within[:, k % block])
 
 
 def test_propagation_rejects_negative_lengths(model):

@@ -28,6 +28,7 @@ from homchip.dispersion import (
 )
 from homchip.elements import BsSpec, FilterSpec, PcSpec, PmSpec, pc_conversion_amplitude
 from homchip.grid import SpectralGrid
+from homchip import dispersion
 from homchip import elements as el
 from homchip import quantum as q
 
@@ -66,7 +67,7 @@ def identity_transfer(grid):
 
 def propagation_element(grid, length_mm, model):
     """Dense transfer of a birefringent section on both paths."""
-    phases = q._section_phases(grid, length_mm, model)
+    phases = np.stack([el.propagation_transfer(pol, length_mm, grid, model) for pol in "HV"])
     return q._Step(f"propagation {length_mm:g} mm", "phase", phases).transfer(grid)
 
 
@@ -596,6 +597,24 @@ def _scenarios(grid, taus, **kwargs):
     return lambda pm, model, layout: q.dip_scenarios(pm, grid, taus, model=model, **kwargs)
 
 
+def _on(chip, call):
+    """Run call on chip instead of the fixture's as-built layout."""
+    return lambda pm, model, layout: call(pm, model, chip)
+
+
+#: converters whose phase-matching lobes 4096 samples on +-6 nm do not resolve
+LONG_TRIPLES = ChipLayout(segment_length_mm=2000.0)
+LONG_PC0 = ChipLayout(pc0_length_mm=10000.0)
+LONG_TRIPLE_AT_4096 = (
+    "grid puts 1.68 samples across the 6000 mm converter's phase-matching lobe "
+    "at 4096 samples; need at least 4"
+)
+LONG_PC0_AT_4096 = (
+    "grid puts 1.01 samples across the 10000 mm converter's phase-matching lobe "
+    "at 4096 samples; need at least 4"
+)
+
+
 GRID_CHECKS = [
     # one failing check each
     ("hom_scan range", _scan(FAR), WavelengthRangeError, RANGE),
@@ -692,6 +711,24 @@ GRID_CHECKS = [
     ("dip_scenarios temperature before filtered aliasing",
      _scenarios(_grid(6, 64), [25.0], temperature_c=70.0, unfiltered_grid=_grid(300, 8192)),
      ValueError, TEMPERATURE),
+    # the converter floor: each frequency-dependent converter, after the filters
+    ("hom_scan triple converter samples", _on(LONG_TRIPLES, _scan(_grid(6, 4096), _lorentz(1.2))),
+     q.GridCoverageError, LONG_TRIPLE_AT_4096),
+    ("hom_scan first converter samples", _on(LONG_PC0, _scan(_grid(6, 4096))),
+     q.GridCoverageError, LONG_PC0_AT_4096),
+    ("hom_scan first converter before triple",
+     _on(replace(LONG_TRIPLES, pc0_length_mm=10000.0), _scan(_grid(6, 4096))),
+     q.GridCoverageError, LONG_PC0_AT_4096),
+    ("hom_scan filter before converter samples", _on(LONG_TRIPLES, _scan(_grid(6, 34), _lorentz(1.2))),
+     q.GridCoverageError,
+     "grid puts 3.40 samples across the 1.2 nm lorentzian filter at 34 samples; need at least 4"),
+    ("dip_scenarios triple converter samples", _scenarios(_grid(6, 4096), [0.0], layout=LONG_TRIPLES),
+     q.GridCoverageError, LONG_TRIPLE_AT_4096),
+    ("dip_scenarios first converter samples", _scenarios(_grid(6, 4096), [0.0], layout=LONG_PC0),
+     q.GridCoverageError, LONG_PC0_AT_4096),
+    ("dip_scenarios filters before converter samples",
+     _scenarios(_grid(6, 2048), [0.0], layout=LONG_TRIPLES, lorentz_width_nm=0.02),
+     q.GridCoverageError, NARROW_FILTER.format("lorentzian")),
 ]
 
 
@@ -702,6 +739,30 @@ def test_grid_check_messages_and_order(pm, model, layout, call, error, message):
     with pytest.raises(error) as raised:
         call(pm, model, layout)
     assert str(raised.value) == message
+
+
+def test_flat_converters_are_exempt_from_the_converter_floor(pm, model):
+    # frequency-independent converters have no phase-matching lobe to resolve
+    grid = _grid(6, 4096)
+    settings = enumerate_settings(LONG_TRIPLES)[:1]
+    with pytest.raises(q.GridCoverageError, match="6000 mm converter"):
+        q.hom_scan(LONG_TRIPLES, settings, pm, grid, model=model)
+    assert q.hom_scan(LONG_TRIPLES, settings, pm, grid, model=model, flat_converters=True)
+
+
+def test_converter_floor_adds_no_group_index_call(pm, model, monkeypatch):
+    # the floor takes n_g at the grid center, memoized whatever the temperature
+    calls = []
+    group_index = dispersion.group_index
+    monkeypatch.setattr(dispersion, "group_index", lambda *a: calls.append(a) or group_index(*a))
+    grid = _grid(6, 4096)
+    q._check_grid(grid, (), None, pm, model, 44.1, (7.62, 7.62))
+    for temperature_c in (43.9, 44.3):
+        start = len(calls)
+        q._check_grid(grid, (), None, pm, model, temperature_c)
+        source_only = len(calls) - start
+        q._check_grid(grid, (), None, pm, model, temperature_c, (7.62, 7.62))
+        assert len(calls) - start == 2 * source_only > 0
 
 
 @pytest.mark.parametrize("half_width_nm", [1.0, 6.0, 300.0])
