@@ -163,7 +163,10 @@ def cmd_dip(config, model, args):
 
 
 def _fwhm(x, y, name):
-    above = np.where(y >= np.max(y) / 2.0)[0]
+    """Width at half maximum, each crossing interpolated linearly between
+    the two samples that straddle it."""
+    half = np.max(y) / 2.0
+    above = np.where(y >= half)[0]
     if above[0] == 0 or above[-1] == len(y) - 1:
         raise ValueError(
             f"{name} half maximum reaches the edge of the "
@@ -174,7 +177,11 @@ def _fwhm(x, y, name):
             f"{name} FWHM is not resolved: {len(above)} samples at or above half maximum "
             f"on the {x[1] - x[0]:.3g} nm step; need at least {q.MIN_FEATURE_SAMPLES:g}"
         )
-    return x[above[-1]] - x[above[0]]
+
+    def crossing(i, j):
+        return x[i] + (half - y[i]) / (y[j] - y[i]) * (x[j] - x[i])
+
+    return crossing(above[-1], above[-1] + 1) - crossing(above[0] - 1, above[0])
 
 
 def cmd_phasematch(config, model, args):

@@ -155,14 +155,21 @@ def _sinc(x):
     return np.sinc(np.asarray(x) / np.pi)
 
 
+def _dng_at(model, wavelength_nm: float) -> float:
+    """dng = n_gH - n_gV at one wavelength, from the memoized group indices."""
+    pol = dispersion.Polarization
+    return dispersion.group_index_at(model, pol.H, wavelength_nm) - dispersion.group_index_at(
+        model, pol.V, wavelength_nm
+    )
+
+
 def _pdc_tuning(pm: PmSpec, temperature_c, model) -> tuple:
     """(center_nm, a) of the pair source: the temperature-tuned degeneracy
     wavelength and the sinc scale a = dng L / (2c) in seconds, dng taken
     at that center."""
     t = pm.reference_temperature_c if temperature_c is None else temperature_c
     center_nm = pm_center_vs_temperature(pm, "PDC", t)
-    dng = float(dispersion.group_index_difference(model, center_nm))
-    return center_nm, dng * pm.pdc_length_mm * 1e-3 / (2.0 * C_VACUUM)
+    return center_nm, _dng_at(model, center_nm) * pm.pdc_length_mm * 1e-3 / (2.0 * C_VACUUM)
 
 
 @dataclass(frozen=True)
@@ -243,9 +250,8 @@ def shg_spectrum(
 def _pc_delta_length(pc: PcSpec, wavelength_nm, model, pm):
     """delta * L, with delta linearized around the converter center."""
     center_nm = pm_center_vs_temperature(pm, "PC", pc.temperature_c)
-    dng = float(dispersion.group_index_difference(model, center_nm))
     lam = np.asarray(wavelength_nm, dtype=float)
-    ddelta_dlam = -np.pi * dng / (center_nm * 1e-9) ** 2  # 1/m per m
+    ddelta_dlam = -np.pi * _dng_at(model, center_nm) / (center_nm * 1e-9) ** 2  # 1/m per m
     delta = ddelta_dlam * (lam - center_nm) * 1e-9
     return delta * pc.length_mm * 1e-3
 
@@ -253,8 +259,7 @@ def _pc_delta_length(pc: PcSpec, wavelength_nm, model, pm):
 def pc_lobe_width_nm(length_mm, wavelength_nm, model) -> float:
     """Wavelength span over which a converter's delta L, linearized at
     wavelength_nm as _pc_delta_length does, moves by pi: lambda^2 / (dng L)."""
-    ng = [dispersion.group_index_at(model, pol, wavelength_nm) for pol in dispersion.Polarization]
-    return wavelength_nm**2 * 1e-6 / ((ng[0] - ng[1]) * length_mm)
+    return wavelength_nm**2 * 1e-6 / (_dng_at(model, wavelength_nm) * length_mm)
 
 
 def _over_gamma(x, gamma_l):

@@ -37,7 +37,7 @@ per-photon mode vectors carry the state exactly,
 and A is formed only at detection.  Its fold of the shared suffix is at
 _Chain.fold_suffix and unfold, its geometry memo at _geometry_tables and
 its detection window at hom_scan and _RankOneDetector.  dip_profile and
-dip_scenarios bypass the chain (_delay_kernel, _dip_block_starts).
+dip_scenarios bypass the chain (_delay_kernel, _dip_phase_tables).
 numpy's complex product is not bitwise commutative, so every rewrite
 keeps each product's operands and their order.
 
@@ -818,15 +818,14 @@ def _delay_kernel(g: np.ndarray, grid: SpectralGrid, taus_s: np.ndarray) -> np.n
 
     which costs T (B + P) cos/sin pairs instead of T N complex
     exponentials, and one (T, B) x (B, S P) product for all S rows; tau is
-    a 1-D float64 array of T delays, in any order.  The block starts come
-    from _dip_block_starts.  G is laid out with one copy, and the block
-    starts multiply the product in place, in the operand and summation
-    order that give the bits of the complex-exponential form the tests
-    keep as a reference.
+    a 1-D float64 array of T delays, in any order.  Both tables come from
+    _dip_phase_tables, so a call on a kept (grid, delay axis) evaluates no
+    cos/sin.  G is laid out with one copy, and the block starts multiply
+    the product in place, in the operand and summation order that give the
+    bits of the complex-exponential form the tests keep as a reference.
     """
     half = grid.samples // 2
-    starts = _dip_block_starts(grid, taus_s.tobytes())
-    within = grid.block_offsets(taus_s, grid.detunings[half:])
+    starts, within = _dip_phase_tables(grid, taus_s.tobytes())
     blocks, block = starts.shape[-1], within.shape[-1]
     rows = len(g)
     g_blocks = np.zeros((block, rows, blocks), dtype=complex)  # G[q, s, p], zero-padded
@@ -838,33 +837,37 @@ def _delay_kernel(g: np.ndarray, grid: SpectralGrid, taus_s: np.ndarray) -> np.n
     return 2.0 * grid.d_omega * kernel.real.T
 
 
-#: Block-start tables kept by _dip_block_starts, one per (grid, delay axis):
+#: Phase-table pairs kept by _dip_phase_tables, one per (grid, delay axis):
 #: room for four delay axes on dip_scenarios' two grids.
 DIP_TABLE_CACHE_SIZE = 8
 
 
 @lru_cache(maxsize=DIP_TABLE_CACHE_SIZE)
-def _dip_block_starts(grid: SpectralGrid, taus_bytes: bytes) -> np.ndarray:
-    """_delay_kernel's (T, P) block starts exp(i Omega_{N/2+pB} tau) for
-    the 1-D float64 delays taus_bytes holds, read-only.
+def _dip_phase_tables(grid: SpectralGrid, taus_bytes: bytes) -> tuple:
+    """_delay_kernel's (starts, within) for the 1-D float64 delays
+    taus_bytes holds: the (T, P) block starts exp(i Omega_{N/2+pB} tau)
+    and the (T, B) in-block offsets exp(i q dOmega tau), both read-only.
 
     Memoized per (SpectralGrid, delay bytes), so an equal copy of an axis
     is the same key: dip_scenarios' grids and delay axes come back from
-    call to call, and the starts are the dearer table, since a cos/sin
-    pair costs more at their large angles.  An entry is an elementwise
-    function of its key, so a warm call repeats a cold one bit for bit.
-    The in-block table is rebuilt on every call: keeping it too raised the
-    dip benchmark's peak RSS past its bound.
+    call to call, and a kept pair spares every cos/sin of the kernel.  An
+    entry is an elementwise function of its key, so a warm call repeats a
+    cold one bit for bit.
     """
     taus_s = np.frombuffer(taus_bytes)
-    starts = grid.block_starts(taus_s, grid.detunings[grid.samples // 2 :])
-    # each entry in its own anonymous mapping (mmap refuses 0 bytes): entries outlive
-    # every operation, and on the heap they raised the dip benchmark's peak RSS past its bound
-    table = np.frombuffer(mmap.mmap(-1, max(starts.nbytes, 1)), dtype=complex, count=starts.size)
-    table = table.reshape(starts.shape)
-    table[...] = starts
-    table.flags.writeable = False
-    return table
+    axis = grid.detunings[grid.samples // 2 :]
+    starts, within = grid.block_starts(taus_s, axis), grid.block_offsets(taus_s, axis)
+    # both tables back to back in one anonymous mapping per entry (mmap refuses
+    # 0 bytes): entries outlive every operation, and on the heap they raised
+    # the dip benchmark's peak RSS past its bound
+    cut = starts.size
+    flat = np.frombuffer(
+        mmap.mmap(-1, max(starts.nbytes + within.nbytes, 1)), dtype=complex, count=cut + within.size
+    )
+    flat[:cut] = starts.ravel()
+    flat[cut:] = within.ravel()
+    flat.flags.writeable = False
+    return flat[:cut].reshape(starts.shape), flat[cut:].reshape(within.shape)
 
 
 def dip_scenarios(

@@ -14,7 +14,9 @@ exit code, as stderr.txt and exit_code.txt.
         version and machine they were recorded on, sampled rows of each
         CSV, which test_cli_matrix.py checks where numpy or the machine
         differ, and each failing run's outputs as text.
-        Regenerate with PYTHONPATH=src.
+        Regenerate with PYTHONPATH=src.  Prints each run/output whose
+        digest (or failing text) changed, appeared or disappeared against
+        the record it overwrites, for CHANGES.md.
     python tests/cli_matrix.py run OUT
         runs the matrix as subprocesses (python -m homchip, so the
         PYTHONPATH in force picks the code) and writes each run's outputs
@@ -200,6 +202,27 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def output_digests(record: dict) -> dict:
+    """{run/output: sha256} of a record: its digests, and each failing
+    run's outputs hashed from their text."""
+    failures = {
+        f"{run}/{name}": sha256(text.encode("utf-8"))
+        for run, files in record["failures"].items()
+        for name, text in files.items()
+    }
+    return {**record["digests"], **failures}
+
+
+def digest_changes(old: dict, new: dict) -> list:
+    """'changed', 'new' or 'gone' and the key, for each run/output whose
+    digest differs between two output_digests maps, in key order."""
+    return [
+        f"{'new' if key not in old else 'gone' if key not in new else 'changed'} {key}"
+        for key in sorted(old.keys() | new.keys())
+        if old.get(key) != new.get(key)
+    ]
+
+
 def record(path: Path = RECORD) -> None:
     from homchip.cli import main
 
@@ -216,10 +239,12 @@ def record(path: Path = RECORD) -> None:
         run: {name: data.decode("utf-8") for name, data in outputs[run].items()}
         for run in FAILING_RUNS
     }
-    text = json.dumps(
-        {"environment": environment(), "digests": digests, "csv_samples": samples, "failures": failures},
-        indent=1,
-    )
+    fresh = {"environment": environment(), "digests": digests, "csv_samples": samples, "failures": failures}
+    if path.exists():
+        before = output_digests(json.loads(path.read_text(encoding="utf-8")))
+        for line in digest_changes(before, output_digests(fresh)):
+            print(line)
+    text = json.dumps(fresh, indent=1)
     text = re.sub(r"\[[^\[\]{}]*\]", lambda row: " ".join(row[0].split()), text)  # a row a line
     path.write_text(text + "\n", encoding="utf-8", newline="\n")
 

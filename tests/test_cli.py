@@ -7,9 +7,13 @@ from types import ModuleType
 
 import pytest
 
+import numpy as np
+
+from homchip import cli
 from homchip.chip import ChipLayout, LayoutError, parse_filter, parse_layout
 from homchip.cli import PRESETS, build_parser, main, resolve
-from homchip.elements import FilterSpec, PmSpec
+from homchip.dispersion import default_model
+from homchip.elements import FilterSpec, PcSpec, PmSpec, pc_transmission_spectrum, shg_spectrum
 from homchip.grid import SpectralGrid
 
 LAYOUTS = Path(__file__).resolve().parent.parent / "layouts"
@@ -396,6 +400,26 @@ def test_clipped_fwhm_names_its_spectrum(tmp_path, capsys):
     argv = ["phasematch", "--layout", str(layout), "--out", str(tmp_path / "out")]
     assert main(argv) == 1
     assert "converter spectrum half maximum reaches the edge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spectrum, lengths_mm",
+    [("source", (20.7, 100.0, 300.0, 1000.0)), ("converter", (7.62, 100.0, 300.0, 1000.0))],
+)
+def test_phasematch_fwhm_scales_as_one_over_length(spectrum, lengths_mm):
+    # both bands are functions of (detuning x length) alone, so their widths
+    # go as 1 / L; the interpolated crossings keep that down to a few samples
+    model = default_model()
+    pm = PmSpec()
+    lam = np.linspace(pm.center_nm - 6.0, pm.center_nm + 6.0, 2401)  # phasematch's axis
+    products = []
+    for length in lengths_mm:
+        if spectrum == "source":
+            y = shg_spectrum(replace(pm, pdc_length_mm=length), lam, model=model)
+        else:
+            y = 1.0 - pc_transmission_spectrum(PcSpec(length_mm=length), lam, model, pm)
+        products.append(cli._fwhm(lam, y, spectrum) * length)
+    assert max(products) / min(products) - 1.0 <= 0.01, products
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

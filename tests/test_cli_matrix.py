@@ -75,3 +75,13 @@ def test_run_keeps_its_outputs(outputs, run):
 def test_failing_run_keeps_its_exit_code_and_message(outputs, run):
     files = {name: data.decode("utf-8") for name, data in outputs[run].items()}
     assert files == RECORD["failures"][run]
+
+
+def test_digest_changes_names_each_moved_output():
+    old = {"a/x.csv": "1", "a/stdout.txt": "2", "b/gone.svg": "3"}
+    new = {"a/x.csv": "1", "a/stdout.txt": "9", "c/new.csv": "4"}
+    assert cli_matrix.digest_changes(old, new) == [
+        "changed a/stdout.txt", "gone b/gone.svg", "new c/new.csv"
+    ]
+    assert cli_matrix.digest_changes(old, old) == []
+

@@ -127,6 +127,14 @@ def test_pdc_bandwidth_scales_inversely_with_length(pm, model):
     assert abs(w2 / w1) == pytest.approx(0.5, rel=0.02)
 
 
+def test_tuning_dng_same_bits_as_group_index_difference(model):
+    # the tuning reads dng from the memoized group indices; the values keep
+    # the bits of the unmemoized difference across the trusted tuning range
+    centers = np.random.default_rng(7).uniform(1531.7, 1571.7, 2000)
+    for center in centers.tolist() + [LAM0]:
+        assert el._dng_at(model, center) == float(group_index_difference(model, center))
+
+
 def test_pdc_first_zero_at_main_lobe_edge(pm, model):
     # root of the implemented mismatch: delta-beta * L / 2 = pi
     dng = float(group_index_difference(model, LAM0))

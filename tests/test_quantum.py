@@ -755,14 +755,44 @@ def test_converter_floor_adds_no_group_index_call(pm, model, monkeypatch):
     calls = []
     group_index = dispersion.group_index
     monkeypatch.setattr(dispersion, "group_index", lambda *a: calls.append(a) or group_index(*a))
+    dispersion.group_index_at.cache_clear()
     grid = _grid(6, 4096)
     q._check_grid(grid, (), None, pm, model, 44.1, (7.62, 7.62))
     for temperature_c in (43.9, 44.3):
         start = len(calls)
         q._check_grid(grid, (), None, pm, model, temperature_c)
-        source_only = len(calls) - start
+        assert len(calls) - start == 2  # n_gH and n_gV at the source's new center
         q._check_grid(grid, (), None, pm, model, temperature_c, (7.62, 7.62))
-        assert len(calls) - start == 2 * source_only > 0
+        assert len(calls) - start == 2
+
+
+def test_dip_scenarios_takes_each_group_index_once(pm, model, monkeypatch):
+    calls = []
+    group_index = dispersion.group_index
+    monkeypatch.setattr(dispersion, "group_index", lambda *a: calls.append(a) or group_index(*a))
+    dispersion.group_index_at.cache_clear()
+    grid, wide = _grid(6, 4096), _grid(300, 4096)
+    taus = np.arange(-20, 21) * 0.5
+
+    def scenarios(temperature_c):
+        return q.dip_scenarios(
+            pm, grid, taus, model=model, temperature_c=temperature_c, unfiltered_grid=wide
+        )
+
+    scenarios(43.6)
+    start = len(calls)
+    curves = scenarios(44.05)
+    # n_gH and n_gV at the source's and at the converters' tuned centers
+    assert sorted((a[1], a[2]) for a in calls[start:]) == sorted(
+        (pol, el.pm_center_vs_temperature(pm, process, 44.05))
+        for process in ("PDC", "PC")
+        for pol in dispersion.Polarization
+    )
+    start = len(calls)
+    again = scenarios(44.05)
+    assert len(calls) == start
+    for name, p in curves.items():
+        assert np.array_equal(again[name], p), name
 
 
 @pytest.mark.parametrize("half_width_nm", [1.0, 6.0, 300.0])
@@ -1337,47 +1367,70 @@ def test_geometry_tables_are_read_only(model):
                 step.data[...] = 1.0
 
 
-# ---------------------------------------------------------------- dip block starts
+# ---------------------------------------------------------------- dip phase tables
 
 
-def test_dip_block_starts_interleaved_keys_match_cold(pm, model):
+def test_dip_phase_tables_interleaved_keys_match_cold(pm, model):
     # two grids times two delay axes; each within the +-300 nm grid's alias bound
     grids = (_grid(6.0, 1024), _grid(300.0, 1024))
     axes = (np.arange(-100, 101) * 0.05, np.arange(-30, 31) * 0.13)
     keys = [(grid, taus) for grid in grids for taus in axes]
     cold = []
     for grid, taus in keys:
-        q._dip_block_starts.cache_clear()
-        table = q._dip_block_starts(grid, (taus * 1e-12).tobytes())
-        cold.append((np.array(table), q.dip_profile(pm, grid, None, taus, model=model)))
-    assert not np.array_equal(cold[0][0], cold[2][0])  # the grids' tables differ
+        q._dip_phase_tables.cache_clear()
+        tables = [np.array(t) for t in q._dip_phase_tables(grid, (taus * 1e-12).tobytes())]
+        cold.append((tables, q.dip_profile(pm, grid, None, taus, model=model)))
+    for cold_table, other in zip(cold[0][0], cold[2][0]):
+        assert not np.array_equal(cold_table, other)  # the grids' tables differ
     for _ in range(2):
-        for (grid, taus), (table, profile) in zip(keys, cold):
-            assert np.array_equal(q._dip_block_starts(grid, (taus * 1e-12).tobytes()), table)
+        for (grid, taus), (tables, profile) in zip(keys, cold):
+            kept = q._dip_phase_tables(grid, (taus * 1e-12).tobytes())
+            assert len(kept) == 2
+            for table, cold_table in zip(kept, tables):
+                assert np.array_equal(table, cold_table)
             assert np.array_equal(q.dip_profile(pm, grid, None, taus, model=model), profile)
     # the three keys the last cache_clear dropped are built once more, then kept
-    assert q._dip_block_starts.cache_info().misses == len(keys)
+    assert q._dip_phase_tables.cache_info().misses == len(keys)
 
 
-def test_dip_block_starts_keyed_by_content(pm, model):
+def test_dip_phase_tables_keyed_by_content(pm, model):
     grid = SpectralGrid(half_width_nm=6.0, samples=1024)
     taus = np.arange(-200, 201) * 0.05
-    q._dip_block_starts.cache_clear()
+    q._dip_phase_tables.cache_clear()
     first = q.dip_profile(pm, grid, None, taus, model=model)
-    assert q._dip_block_starts.cache_info().hits == 0
+    assert q._dip_phase_tables.cache_info().hits == 0
     # an equal copy of the axis, as an array and as a list, is the same key
     assert np.array_equal(q.dip_profile(pm, replace(grid), None, taus.copy(), model=model), first)
     assert np.array_equal(q.dip_profile(pm, grid, None, list(taus), model=model), first)
-    info = q._dip_block_starts.cache_info()
+    info = q._dip_phase_tables.cache_info()
     assert (info.hits, info.misses) == (2, 1)
 
 
-def test_dip_block_starts_are_read_only():
+def test_dip_phase_tables_are_read_only():
     grid = SpectralGrid(samples=512)
-    table = q._dip_block_starts(grid, (np.arange(-20, 21) * 0.5e-12).tobytes())
-    assert table.shape == (41, 16)
-    with pytest.raises(ValueError):
-        table[0, 0] = 1.0
+    starts, within = q._dip_phase_tables(grid, (np.arange(-20, 21) * 0.5e-12).tobytes())
+    assert (starts.shape, within.shape) == ((41, 16), (41, 16))
+    for table in (starts, within):
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+
+
+def test_warm_dip_scenarios_evaluate_no_cos_sin(pm, model, monkeypatch):
+    from homchip import grid as grid_mod
+
+    grid = SpectralGrid(half_width_nm=6.0, samples=4096)
+    wide = SpectralGrid(half_width_nm=300.0, samples=4096)
+    taus = np.arange(-200, 201) * 0.05
+    kwargs = dict(model=model, unfiltered_grid=wide)
+    q.dip_scenarios(pm, grid, taus, **kwargs)
+    calls = []
+    cis = grid_mod._cis
+    monkeypatch.setattr(grid_mod, "_cis", lambda angles: calls.append(np.shape(angles)) or cis(angles))
+    q.dip_scenarios(pm, grid, taus, **kwargs)
+    assert calls == []
+    # a new delay axis builds its two tables on each grid
+    q.dip_scenarios(pm, grid, taus[1:], **kwargs)
+    assert len(calls) == 4
 
 
 #: The traced peak of a warm dip_scenarios call on the +-6 and +-300 nm grids
@@ -1553,7 +1606,7 @@ def test_dip_scenarios_same_bits_as_exponential_kernel(
         unfiltered_grid=wide,
     )
     # a cold call (block starts built) and a warm one (read from the memo)
-    q._dip_block_starts.cache_clear()
+    q._dip_phase_tables.cache_clear()
     cold = q.dip_scenarios(pm, grid, taus_ps, **kwargs)
     warm = q.dip_scenarios(pm, grid, taus_ps, **kwargs)
     with pytest.MonkeyPatch.context() as patch:
