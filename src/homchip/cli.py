@@ -10,6 +10,11 @@ layout-file keys, which override the built-in as-built defaults.  The
 README's Command line section lists the keys each command reads; rates
 reads no configuration.
 
+Importing this module executes no engine module and loads no numpy: the
+engine modules are bound lazily (_lazy), main() executes them right after
+parsing for every command but rates, and numpy is imported inside the
+commands that build arrays, so rates runs without numpy.
+
 A configured command is called as cmd(config, model, args), args for
 hom-scan's --pc0.  It computes and checks everything, then returns one
 record and writes nothing itself.  The record is the tuple (files, plots, summary):
@@ -25,18 +30,39 @@ csv+svg, then the summary.  So a command that fails leaves no file.
 """
 
 import argparse
+import importlib.util
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from . import chip as chip_mod
-from . import quantum as q
 from . import rates as rates_mod
-from .dispersion import WavelengthRangeError, calibration_residual, check_range, default_model
-from .elements import PcSpec, pc_transmission_spectrum, pm_center_vs_temperature, shg_spectrum
 from .svgplot import Series, write_plot
+
+
+def _lazy(name: str):
+    """The engine module homchip.<name>, put in sys.modules now and
+    executed on its first attribute read (importlib.util.LazyLoader), so
+    importing the CLI executes no engine module and loads no numpy."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)  # as an import binds a submodule
+    return module
+
+
+# each in sys.modules once the CLI is imported, where a span tracer looks
+# up its targets; a name evaluated at import (a default, an annotation, a
+# `from` import) would execute its module, so the commands read these
+# attributes inside functions
+chip_mod = _lazy("chip")
+dispersion = _lazy("dispersion")
+elements = _lazy("elements")
+q = _lazy("quantum")
 
 #: Imperfection presets: hom_scan keywords plus the first converter's drive efficiency.
 PRESETS = {
@@ -64,7 +90,7 @@ def write_csv(path: Path, header, rows):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def resolve(args: argparse.Namespace) -> chip_mod.ChipConfig:
+def resolve(args: argparse.Namespace) -> "chip_mod.ChipConfig":
     """The configuration a command reads: the flags it was given over its
     layout file (or the as-built defaults) parsed by parse_layout."""
     text = Path(args.layout).read_text(encoding="utf-8") if args.layout else ""
@@ -140,6 +166,8 @@ def cmd_hom_scan(config, model, args):
 
 
 def cmd_dip(config, model, args):
+    import numpy as np
+
     taus = np.arange(-200, 201) * 0.05  # integer steps, so the centre row is exactly 0
     grid = config.grid
     curves = q.dip_scenarios(
@@ -165,6 +193,8 @@ def cmd_dip(config, model, args):
 def _fwhm(x, y, name):
     """Width at half maximum, each crossing interpolated linearly between
     the two samples that straddle it."""
+    import numpy as np
+
     half = np.max(y) / 2.0
     above = np.where(y >= half)[0]
     if above[0] == 0 or above[-1] == len(y) - 1:
@@ -185,15 +215,17 @@ def _fwhm(x, y, name):
 
 
 def cmd_phasematch(config, model, args):
+    import numpy as np
+
     pm, t_op, center = config.pm, config.temperature_c, config.center_wavelength_nm
     lam = np.linspace(center - 6.0, center + 6.0, 2401)
-    check_range(model, lam)
-    shg = shg_spectrum(pm, lam, temperature_c=t_op, model=model)
-    pc = PcSpec(length_mm=config.layout.pc0_length_mm, temperature_c=t_op)
-    transmission = pc_transmission_spectrum(pc, lam, model, pm)
+    dispersion.check_range(model, lam)
+    shg = elements.shg_spectrum(pm, lam, temperature_c=t_op, model=model)
+    pc = elements.PcSpec(length_mm=config.layout.pc0_length_mm, temperature_c=t_op)
+    transmission = elements.pc_transmission_spectrum(pc, lam, model, pm)
     temps = np.arange(t_op - 10.0, t_op + 10.0 + 1e-9, 0.5)
-    pdc_line = [pm_center_vs_temperature(pm, "PDC", t) for t in temps]
-    pc_line = [pm_center_vs_temperature(pm, "PC", t) for t in temps]
+    pdc_line = [elements.pm_center_vs_temperature(pm, "PDC", t) for t in temps]
+    pc_line = [elements.pm_center_vs_temperature(pm, "PC", t) for t in temps]
     w_pdc = _fwhm(lam, shg, "source spectrum")
     w_pc = _fwhm(lam, 1.0 - transmission, "converter spectrum")
     spectra = (["wavelength_nm", "shg_normalized", "pc_transmission"], list(zip(lam, shg, transmission)))
@@ -219,7 +251,7 @@ def cmd_phasematch(config, model, args):
         f"slopes {pm.pdc_slope_nm_per_c:.9g} and {pm.pc_slope_nm_per_c:.9g} nm/C; "
         f"source FWHM {w_pdc:.3f} nm, converter FWHM {w_pc:.3f} nm "
         f"(ratio {w_pdc / w_pc:.3f}); "
-        f"uncalibrated group-index residual {calibration_residual(model):+.2e}",
+        f"uncalibrated group-index residual {dispersion.calibration_residual(model):+.2e}",
     )
 
 
@@ -311,16 +343,21 @@ def write_record(record, out: Path, svg: bool) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.command != "rates":
+        # execute the engine (quantum imports the other engine modules)
+        # before any array exists: executed between a command's
+        # allocations, it raised the process's peak resident set
+        q.__name__
     try:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "rates":
             record = cmd_rates()
         else:
-            record = COMMANDS[args.command](resolve(args), default_model(), args)
+            record = COMMANDS[args.command](resolve(args), dispersion.default_model(), args)
         write_record(record, out, args.format == "csv+svg")
         return 0
-    except (chip_mod.LayoutError, WavelengthRangeError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # LayoutError and WavelengthRangeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import dispersion
-from .grid import C_VACUUM, OPERATING_WAVELENGTH_NM, SpectralGrid
+from .grid import C_VACUUM, OPERATING_WAVELENGTH_NM, SpectralGrid, _cis
 
 OPERATING_TEMPERATURE_C = 43.6
 
@@ -264,16 +264,17 @@ def pc_lobe_width_nm(length_mm, wavelength_nm, model) -> float:
 
 def _over_gamma(x, gamma_l):
     """x / g, and 0 where g = 0."""
-    return np.where(gamma_l > 0, x / np.where(gamma_l > 0, gamma_l, 1.0), 0.0)
+    out = np.zeros(np.broadcast(x, gamma_l).shape)
+    return np.divide(x, gamma_l, out=out, where=gamma_l > 0)
 
 
 def _coupled_mode_terms(kappa_l, delta_l):
     """g = |(k, d)| L, sin g and the conversion amplitude -i (k/g) sin g of
     the coupled-mode solution for the products kappa*L, delta*L; the sine
-    and the amplitude are 0 where g = 0."""
+    and the amplitude are 0 where g = 0 (g >= 0, and sin 0 is 0)."""
     kappa_l = np.asarray(kappa_l, dtype=float)
     gamma_l = np.hypot(kappa_l, np.asarray(delta_l, dtype=float))
-    sin_term = np.where(gamma_l > 0, np.sin(gamma_l), 0.0)
+    sin_term = np.sin(gamma_l)
     return gamma_l, sin_term, -1j * _over_gamma(kappa_l, gamma_l) * sin_term
 
 
@@ -336,7 +337,7 @@ def pc_chain_matrix(
     """
     delta_l = _pc_delta_length(pc, wavelength_nm, model, pm)
     rows = _coupled_mode_rows(pc.kappa_length, delta_l)
-    phase = np.exp(-1j * np.asarray(delta_l))
+    phase = _cis(-delta_l)  # the bits of np.exp(-1j * delta_l)
     # in place; for a scalar wavelength rows[0, 0] is a copy, since a
     # product onto its own 0-d row rounds differently
     np.multiply(rows[0, 0], phase, out=rows[0, 0, ...])

@@ -190,7 +190,8 @@ def _geometry_tables(
     # (T, N) product would change E's bits
     for row, z_h, z_v in zip(walk_off, h[len(sections) :], v[len(sections) :]):
         row[:] = z_v * np.conj(z_h)
-    for table in (rows, walk_off):
+    # the block owns the data, so no view of it can be made writable again
+    for table in (block, rows, walk_off):
         table.flags.writeable = False
     return _GeometryTables(*rows[:3], rows[3] if len(rows) > 3 else None, walk_off)
 
@@ -311,17 +312,19 @@ class _Chain:
         return el.pc_chain_matrix(pc, wavelengths, self.model, self.pm)
 
     def prefix(self, setting: chip_mod.SwitchSetting) -> list:
-        pc0 = el.PcSpec(length_mm=self.layout.pc0_length_mm, temperature_c=self.temperature_c)
-        pc0 = (
-            pc0.with_drive_efficiency(setting.pc0_efficiency)
-            if setting.pc0_on
-            else replace(pc0, voltage_v=0.0)
-        )
+        """Steps to the polarizing-splitter exit.  An undriven first
+        converter is the identity (its pc_chain_matrix only to rounding),
+        so its step is left out."""
         tables = self.tables
-        return [
+        steps = [
             _Step("source second half", "phase", tables.source_half),
             _Step("first converter, front half", "phase", tables.pc0_half),
-            _Step("first converter", "jones", self._converter(pc0)),
+        ]
+        if setting.pc0_on:
+            pc0 = el.PcSpec(length_mm=self.layout.pc0_length_mm, temperature_c=self.temperature_c)
+            pc0 = pc0.with_drive_efficiency(setting.pc0_efficiency)
+            steps.append(_Step("first converter", "jones", self._converter(pc0)))
+        return steps + [
             _Step("first converter, back half", "phase", tables.pc0_half),
             _Step("splitter region", "phase", tables.pbs_region),
             _Step("polarizing splitter", "modes", self.pbs),
@@ -859,14 +862,14 @@ def _dip_phase_tables(grid: SpectralGrid, taus_bytes: bytes) -> tuple:
     starts, within = grid.block_starts(taus_s, axis), grid.block_offsets(taus_s, axis)
     # both tables back to back in one anonymous mapping per entry (mmap refuses
     # 0 bytes): entries outlive every operation, and on the heap they raised
-    # the dip benchmark's peak RSS past its bound
-    cut = starts.size
-    flat = np.frombuffer(
-        mmap.mmap(-1, max(starts.nbytes + within.nbytes, 1)), dtype=complex, count=cut + within.size
-    )
-    flat[:cut] = starts.ravel()
-    flat[cut:] = within.ravel()
-    flat.flags.writeable = False
+    # the dip benchmark's peak RSS past its bound.  Filled through a writable
+    # view, returned over a read-only buffer, which no flag can make writable
+    cut, count = starts.size, starts.size + within.size
+    mapping = mmap.mmap(-1, max(starts.nbytes + within.nbytes, 1))
+    fill = np.frombuffer(mapping, dtype=complex, count=count)
+    fill[:cut] = starts.ravel()
+    fill[cut:] = within.ravel()
+    flat = np.frombuffer(memoryview(mapping).toreadonly(), dtype=complex, count=count)
     return flat[:cut].reshape(starts.shape), flat[cut:].reshape(within.shape)
 
 

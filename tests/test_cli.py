@@ -468,15 +468,64 @@ def test_sparse_grid_above_density_floor_converges(tmp_path, capsys, samples):
     assert "visibility = 0.7906" in capsys.readouterr().out
 
 
-def test_runtime_imports_no_scipy():
+def test_runtime_imports_no_scipy(tmp_path):
+    # importing the CLI executes no engine module, so every command runs
+    # first, with its output silenced, and only then are the modules listed
     code = (
-        "import sys, homchip.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "import contextlib, io, sys, homchip.cli\n"
+        "runs = [[c, '--out', sys.argv[1], '--format', 'csv'] for c in homchip.cli.COMMANDS]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [homchip.cli.main(argv) for argv in runs]\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == f"{[0] * len(cli.COMMANDS)} []"
+
+
+def test_rates_runs_without_numpy(tmp_path, capsys):
+    # `python -m homchip rates` in a fresh interpreter where importing
+    # numpy fails; its files carry the bytes of an in-process run
+    code = (
+        "import runpy, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "sys.argv = ['homchip', 'rates', '--out', sys.argv[1]]\n"
+        "runpy.run_module('homchip', run_name='__main__')\n"
+    )
+    lean = tmp_path / "lean"
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(lean)], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert main(["rates", "--out", str(tmp_path / "full")]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in lean.iterdir()) == ["rates.csv", "rates.txt"]
+    for name in ("rates.csv", "rates.txt"):
+        assert (lean / name).read_bytes() == (tmp_path / "full" / name).read_bytes(), name
+
+
+def test_package_root_and_cli_import_no_numpy():
+    code = (
+        "import sys\n"
+        "import homchip\n"
+        "loaded = ['numpy' in sys.modules]\n"
+        "import homchip.cli\n"
+        "loaded.append('numpy' in sys.modules)\n"
+        "from homchip import chip\n"
+        "print(loaded, chip.ChipLayout().segment_count > 0, 'numpy' in sys.modules)\n"
+        "try:\n"
+        "    homchip.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.splitlines() == [
+        "[False, False] True True",
+        "module 'homchip' has no attribute 'no_such_name'",
+    ]
 
 
 def test_tracer_targets_exist_after_importing_the_cli():
@@ -508,9 +557,11 @@ ROOT_NAMES = {
 def test_package_root_holds_the_library_use_names(capsys):
     import homchip
 
+    # the root resolves its names on first access, so they are read
+    # through dir() and getattr, not from the module's namespace
     public = {
-        name for name, value in vars(homchip).items()
-        if not name.startswith("_") and not isinstance(value, ModuleType)
+        name for name in dir(homchip)
+        if not name.startswith("_") and not isinstance(getattr(homchip, name), ModuleType)
     }
     assert public == ROOT_NAMES
     assert isinstance(homchip.__version__, str)

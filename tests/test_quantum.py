@@ -1353,9 +1353,12 @@ def test_geometry_tables_are_read_only(model):
     layout = ChipLayout(branch_length_mismatch_mm=0.02)
     tables = q._geometry_tables(layout, SpectralGrid(samples=512), model)
     arrays = (tables.source_half, tables.pc0_half, tables.pbs_region, tables.mismatch)
-    for array in arrays + (tables.walk_off,):
+    window = tables.window(slice(8, 64))
+    for array in arrays + (tables.walk_off, window.source_half, window.walk_off):
         with pytest.raises(ValueError):
             array[0, 0] = 1.0
+        with pytest.raises(ValueError):  # read-only at the owner, not just by flag
+            array.flags.writeable = True
     pm = PmSpec()
     chain = q._Chain(
         layout, pm, SpectralGrid(samples=512), model=model,
@@ -1413,6 +1416,8 @@ def test_dip_phase_tables_are_read_only():
     for table in (starts, within):
         with pytest.raises(ValueError):
             table[0, 0] = 1.0
+        with pytest.raises(ValueError):  # read-only at the buffer, not just by flag
+            table.flags.writeable = True
 
 
 def test_warm_dip_scenarios_evaluate_no_cos_sin(pm, model, monkeypatch):
