@@ -11,9 +11,11 @@ README's Command line section lists the keys each command reads; rates
 reads no configuration.
 
 Importing this module executes no engine module and loads no numpy: the
-engine modules are bound lazily (_lazy), main() executes them right after
-parsing for every command but rates, and numpy is imported inside the
-commands that build arrays, so rates runs without numpy.
+package root binds the engine modules lazily, main() executes them right
+after parsing for every command but rates, and numpy is imported inside
+the commands that build arrays, so rates runs without numpy.  Engine
+names are read as module attributes inside functions: a `from` import, a
+default or an annotation evaluated at import would execute the module.
 
 A configured command is called as cmd(config, model, args), args for
 hom-scan's --pc0.  It computes and checks everything, then returns one
@@ -30,39 +32,13 @@ csv+svg, then the summary.  So a command that fails leaves no file.
 """
 
 import argparse
-import importlib.util
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import rates as rates_mod
+from . import chip, dispersion, elements, quantum, rates
 from .svgplot import Series, write_plot
 
-
-def _lazy(name: str):
-    """The engine module homchip.<name>, put in sys.modules now and
-    executed on its first attribute read (importlib.util.LazyLoader), so
-    importing the CLI executes no engine module and loads no numpy."""
-    fullname = f"{__package__}.{name}"
-    if fullname in sys.modules:
-        return sys.modules[fullname]
-    spec = importlib.util.find_spec(fullname)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[fullname] = module
-    spec.loader.exec_module(module)
-    setattr(sys.modules[__package__], name, module)  # as an import binds a submodule
-    return module
-
-
-# each in sys.modules once the CLI is imported, where a span tracer looks
-# up its targets; a name evaluated at import (a default, an annotation, a
-# `from` import) would execute its module, so the commands read these
-# attributes inside functions
-chip_mod = _lazy("chip")
-dispersion = _lazy("dispersion")
-elements = _lazy("elements")
-q = _lazy("quantum")
 
 #: Imperfection presets: hom_scan keywords plus the first converter's drive efficiency.
 PRESETS = {
@@ -90,18 +66,18 @@ def write_csv(path: Path, header, rows):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def resolve(args: argparse.Namespace) -> "chip_mod.ChipConfig":
+def resolve(args: argparse.Namespace) -> "chip.ChipConfig":
     """The configuration a command reads: the flags it was given over its
     layout file (or the as-built defaults) parsed by parse_layout."""
     text = Path(args.layout).read_text(encoding="utf-8") if args.layout else ""
-    config = chip_mod.parse_layout(text)
+    config = chip.parse_layout(text)
     given = vars(args)
     flags = dict(PRESETS.get(given.get("preset"), {}))
     for name in ("grid_samples", "grid_halfwidth_nm"):
         if given.get(name) is not None:
             flags[name] = given[name]
     if given.get("filter") is not None:
-        flags["filter"] = chip_mod.parse_filter(given["filter"], config.center_wavelength_nm)
+        flags["filter"] = chip.parse_filter(given["filter"], config.center_wavelength_nm)
     if "pc0_efficiency" in flags:
         flags["setting"] = replace(config.setting, pc0_efficiency=flags.pop("pc0_efficiency"))
     return replace(config, **flags)
@@ -123,8 +99,8 @@ def _branch_series(rows, x, y):
 
 def cmd_delay_schedule(config, model, args):
     rows = []
-    for s in chip_mod.enumerate_settings(config.layout, config.setting):
-        delay = chip_mod.delay_schedule(config.layout, s, model)
+    for s in chip.enumerate_settings(config.layout, config.setting):
+        delay = chip.delay_schedule(config.layout, s, model)
         rows.append((s.label, s.pc0_on, s.triple_index, delay, abs(delay) < 0.01))
     title = "Arrival-time difference at the balanced splitter"
     return (
@@ -135,10 +111,10 @@ def cmd_delay_schedule(config, model, args):
 
 
 def cmd_hom_scan(config, model, args):
-    points = q.normalize_scan(
-        q.hom_scan(
+    points = quantum.normalize_scan(
+        quantum.hom_scan(
             config.layout,
-            chip_mod.enumerate_settings(config.layout, config.setting),
+            chip.enumerate_settings(config.layout, config.setting),
             config.pm,
             config.grid,
             filters=config.filter,
@@ -161,7 +137,7 @@ def cmd_hom_scan(config, model, args):
             ("scan_vs_triple.svg", _branch_series(rows, 2, 5), title, "driven triple index", ylabel, 1.0),
             ("scan_vs_delay.svg", _branch_series(rows, 3, 5), title, "delay (ps)", ylabel, 1.0),
         ],
-        f"{len(rows)} settings; visibility = {q.visibility(points):.4f}",
+        f"{len(rows)} settings; visibility = {quantum.visibility(points):.4f}",
     )
 
 
@@ -170,7 +146,7 @@ def cmd_dip(config, model, args):
 
     taus = np.arange(-200, 201) * 0.05  # integer steps, so the centre row is exactly 0
     grid = config.grid
-    curves = q.dip_scenarios(
+    curves = quantum.dip_scenarios(
         config.pm,
         grid,
         taus,
@@ -202,10 +178,10 @@ def _fwhm(x, y, name):
             f"{name} half maximum reaches the edge of the "
             f"{x[0]:.9g}-{x[-1]:.9g} nm window; its FWHM would be clipped"
         )
-    if len(above) < q.MIN_FEATURE_SAMPLES:
+    if len(above) < quantum.MIN_FEATURE_SAMPLES:
         raise ValueError(
             f"{name} FWHM is not resolved: {len(above)} samples at or above half maximum "
-            f"on the {x[1] - x[0]:.3g} nm step; need at least {q.MIN_FEATURE_SAMPLES:g}"
+            f"on the {x[1] - x[0]:.3g} nm step; need at least {quantum.MIN_FEATURE_SAMPLES:g}"
         )
 
     def crossing(i, j):
@@ -256,9 +232,9 @@ def cmd_phasematch(config, model, args):
 
 
 def cmd_rates():
-    budget = rates_mod.default_loss_budget()
-    report = rates_mod.expected_rates(rates_mod.SourceSpec(), (0.05, 0.05))
-    klyshko = rates_mod.klyshko_efficiency(2000.0, 100.0)
+    budget = rates.default_loss_budget()
+    report = rates.expected_rates(rates.SourceSpec(), (0.05, 0.05))
+    klyshko = rates.klyshko_efficiency(2000.0, 100.0)
     lines = ["loss budget", "-" * 42]
     lines += [f"  {label:<28s} {db:6.2f} dB" for label, db in budget.items]
     lines += [
@@ -272,7 +248,7 @@ def cmd_rates():
         f"  {'coincidences':<28s} {report.coincidences_hz:10.1f} Hz",
         f"  {'heralding (2 kHz, 100 Hz)':<28s} {klyshko:10.2%}",
         "",
-        "note: " + rates_mod.reconciliation_note(budget),
+        "note: " + rates.reconciliation_note(budget),
     ]
     rows = [(label, db, "dB") for label, db in budget.items] + [
         ("itemized_total", budget.total_db, "dB"),
@@ -347,7 +323,7 @@ def main(argv=None) -> int:
         # execute the engine (quantum imports the other engine modules)
         # before any array exists: executed between a command's
         # allocations, it raised the process's peak resident set
-        q.__name__
+        quantum.__name__
     try:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -98,14 +98,18 @@ def check_range(model: DispersionModel, wavelength_nm, margin_nm=0.0):
         )
 
 
+def _axis(model: DispersionModel, pol) -> tuple:
+    """(Sellmeier coefficients, group-index offset) of the axis pol sees
+    (module docstring)."""
+    if Polarization(pol) is Polarization.H:
+        return model.sellmeier_ordinary, model.ng_offset_h
+    return model.sellmeier_extraordinary, model.ng_offset_v
+
+
 def refractive_index(model: DispersionModel, pol, wavelength_nm):
     """Phase index n(lambda) for one polarization; wavelength in nm."""
     check_range(model, wavelength_nm)
-    coeffs = (
-        model.sellmeier_ordinary
-        if Polarization(pol) is Polarization.H
-        else model.sellmeier_extraordinary
-    )
+    coeffs, _ = _axis(model, pol)
     return _sellmeier_n(coeffs, np.asarray(wavelength_nm, dtype=float) * 1e-3)
 
 
@@ -116,10 +120,7 @@ def group_index(model: DispersionModel, pol, wavelength_nm):
     Sellmeier evaluations.
     """
     check_range(model, wavelength_nm, margin_nm=FD_STEP_NM)
-    if Polarization(pol) is Polarization.H:
-        coeffs, offset = model.sellmeier_ordinary, model.ng_offset_h
-    else:
-        coeffs, offset = model.sellmeier_extraordinary, model.ng_offset_v
+    coeffs, offset = _axis(model, pol)
     lam = np.asarray(wavelength_nm, dtype=float)
     n = _sellmeier_n(coeffs, lam * 1e-3)
     dn = (
@@ -129,18 +130,18 @@ def group_index(model: DispersionModel, pol, wavelength_nm):
     return n - lam * dn + offset
 
 
-def group_index_difference(model: DispersionModel, wavelength_nm):
-    """dng = n_gH - n_gV (calibrated); positive in the telecom band."""
-    return group_index(model, Polarization.H, wavelength_nm) - group_index(
-        model, Polarization.V, wavelength_nm
-    )
-
-
 @lru_cache(maxsize=64)
 def group_index_at(model: DispersionModel, pol, wavelength_nm: float) -> float:
     """group_index at one wavelength as a float, evaluated once per
     (model, polarization, wavelength)."""
     return float(group_index(model, pol, wavelength_nm))
+
+
+def group_index_difference(model: DispersionModel, wavelength_nm: float) -> float:
+    """dng = n_gH - n_gV (calibrated) at one wavelength, from the memoized
+    group indices; positive in the telecom band."""
+    h, v = (group_index_at(model, pol, wavelength_nm) for pol in Polarization)
+    return h - v
 
 
 def calibration_group_indices(model: DispersionModel) -> tuple:

@@ -57,16 +57,16 @@ class SpectralGrid:
     def detunings(self) -> np.ndarray:
         """Signal detunings Omega, rad/s; antisymmetric under index reversal."""
         k = np.arange(self.samples)
-        return (k + 0.5 - self.samples / 2) * self.d_omega
+        return _read_only((k + 0.5 - self.samples / 2) * self.d_omega)
 
     @cached_property
     def omega_plus(self) -> np.ndarray:
-        return self.omega0 + self.detunings
+        return _read_only(self.omega0 + self.detunings)
 
     @cached_property
     def wavelength_plus_nm(self) -> np.ndarray:
         """Exact wavelength of the photon at omega0 + Omega, per sample."""
-        return 2.0 * np.pi * C_VACUUM / self.omega_plus * 1e9
+        return _read_only(2.0 * np.pi * C_VACUUM / self.omega_plus * 1e9)
 
     @staticmethod
     def flip(values: np.ndarray) -> np.ndarray:
@@ -110,6 +110,13 @@ class SpectralGrid:
         lam0 = self.center_wavelength_nm * 1e-9
         width_omega = 2.0 * np.pi * C_VACUUM * (width_nm * 1e-9) / lam0**2
         return width_omega / self.d_omega
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    """values with writing switched off: a cached grid array is shared by
+    every caller of its grid, so an in-place edit would move their results."""
+    values.flags.writeable = False
+    return values
 
 
 def _block_size(axis: np.ndarray) -> int:

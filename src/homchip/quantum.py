@@ -37,7 +37,8 @@ per-photon mode vectors carry the state exactly,
 and A is formed only at detection.  Its fold of the shared suffix is at
 _Chain.fold_suffix and unfold, its geometry memo at _geometry_tables and
 its detection window at hom_scan and _RankOneDetector.  dip_profile and
-dip_scenarios bypass the chain (_delay_kernel, _dip_phase_tables).
+dip_scenarios bypass the chain (_delay_kernel, _dip_phase_tables).  Both
+memos keep their tables in _kept.
 numpy's complex product is not bitwise commutative, so every rewrite
 keeps each product's operands and their order.
 
@@ -134,6 +135,23 @@ class ScanPoint:
 # element -> transfer sampling
 
 
+def _kept(*arrays) -> tuple:
+    """Read-only copies of complex arrays, back to back in one anonymous
+    mapping, for the memos (_geometry_tables, _dip_phase_tables).
+
+    Their entries outlive every operation, and on the heap, among the
+    operations' temporaries, they raised a process's peak resident set.
+    The copies are views of a read-only buffer, which no flag can make
+    writable.  mmap refuses 0 bytes, so an empty entry maps one.
+    """
+    count = sum(a.size for a in arrays)
+    mapping = mmap.mmap(-1, max(count * np.dtype(complex).itemsize, 1))
+    np.concatenate([a.ravel() for a in arrays], out=np.frombuffer(mapping, complex, count))
+    flat = np.frombuffer(memoryview(mapping).toreadonly(), complex, count)
+    cuts = np.cumsum([a.size for a in arrays])[:-1]
+    return tuple(part.reshape(a.shape) for part, a in zip(np.split(flat, cuts), arrays))
+
+
 #: Geometry tables kept by _geometry_tables, one per (layout, grid, model).
 GEOMETRY_CACHE_SIZE = 4
 
@@ -178,21 +196,13 @@ def _geometry_tables(
     if layout.branch_length_mismatch_mm:
         sections.append(layout.branch_length_mismatch_mm)
     midpoints = [(m + 0.5) * layout.segment_length_mm for m in layout.triple_indices]
-    # one block, allocated before the build's temporaries: copied out of
-    # them afterwards, the tables cost a scan process several times the peak RSS
-    block = np.empty((2 * len(sections) + len(midpoints), grid.samples), dtype=complex)
-    rows = block[: 2 * len(sections)].reshape(len(sections), 2, -1)
-    walk_off = block[2 * len(sections) :]
     h, v = (el.propagation_transfer(pol, sections + midpoints, grid, model) for pol in Polarization)
-    rows[:, 0], rows[:, 1] = h[: len(sections)], v[: len(sections)]
+    n = len(sections)
     # one N-sample product per triple: numpy swaps the factors of a complex product
     # on a temporary past its elision threshold, which rounds differently, so a
     # (T, N) product would change E's bits
-    for row, z_h, z_v in zip(walk_off, h[len(sections) :], v[len(sections) :]):
-        row[:] = z_v * np.conj(z_h)
-    # the block owns the data, so no view of it can be made writable again
-    for table in (block, rows, walk_off):
-        table.flags.writeable = False
+    walk_off = np.stack([z_v * np.conj(z_h) for z_h, z_v in zip(h[n:], v[n:])])
+    rows, walk_off = _kept(np.stack((h[:n], v[:n]), axis=1), walk_off)
     return _GeometryTables(*rows[:3], rows[3] if len(rows) > 3 else None, walk_off)
 
 
@@ -859,18 +869,7 @@ def _dip_phase_tables(grid: SpectralGrid, taus_bytes: bytes) -> tuple:
     """
     taus_s = np.frombuffer(taus_bytes)
     axis = grid.detunings[grid.samples // 2 :]
-    starts, within = grid.block_starts(taus_s, axis), grid.block_offsets(taus_s, axis)
-    # both tables back to back in one anonymous mapping per entry (mmap refuses
-    # 0 bytes): entries outlive every operation, and on the heap they raised
-    # the dip benchmark's peak RSS past its bound.  Filled through a writable
-    # view, returned over a read-only buffer, which no flag can make writable
-    cut, count = starts.size, starts.size + within.size
-    mapping = mmap.mmap(-1, max(starts.nbytes + within.nbytes, 1))
-    fill = np.frombuffer(mapping, dtype=complex, count=count)
-    fill[:cut] = starts.ravel()
-    fill[cut:] = within.ravel()
-    flat = np.frombuffer(memoryview(mapping).toreadonly(), dtype=complex, count=count)
-    return flat[:cut].reshape(starts.shape), flat[cut:].reshape(within.shape)
+    return _kept(grid.block_starts(taus_s, axis), grid.block_offsets(taus_s, axis))
 
 
 def dip_scenarios(

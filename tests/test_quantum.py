@@ -461,6 +461,25 @@ def test_dip_envelopes_match_dense_oracle(pm, model, lorentz):
     assert np.max(np.abs(p - oracle)) <= 1e-12
 
 
+def test_in_place_envelope_cannot_rewrite_the_grid(pm, model, lorentz):
+    # an envelope reads the grid's own wavelength array; editing it in place
+    # would shift every later result on that grid
+    grid = SpectralGrid(half_width_nm=6.0, samples=1024)
+    taus = np.arange(-20, 21) * 0.5
+    first = q.dip_profile(pm, grid, lorentz, taus, model=model)
+
+    def shifting(lam):
+        lam -= 0.0005
+        return np.ones_like(lam)
+
+    with pytest.raises(ValueError, match="read-only"):
+        q.dip_profile(pm, grid, lorentz, taus, (shifting,), model=model)
+    for array in (grid.detunings, grid.omega_plus, grid.wavelength_plus_nm):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    assert np.array_equal(q.dip_profile(pm, grid, lorentz, taus, model=model), first)
+
+
 def test_dip_vanishing_spectrum_errors(pm, model):
     grid = SpectralGrid(half_width_nm=6.0, samples=2048)
     off_band = FilterSpec("rectangular", 1600.0, 0.5)
@@ -1417,6 +1436,22 @@ def test_dip_phase_tables_are_read_only():
         with pytest.raises(ValueError):
             table[0, 0] = 1.0
         with pytest.raises(ValueError):  # read-only at the buffer, not just by flag
+            table.flags.writeable = True
+
+
+def test_empty_delay_axis_gives_empty_curves(pm, model):
+    # an empty axis is a zero-size memo entry; its tables stay read-only
+    grid, wide = _grid(6, 1024), _grid(300, 1024)
+    assert q.dip_profile(pm, grid, None, [], model=model).shape == (0,)
+    curves = q.dip_scenarios(pm, grid, np.array([]), model=model, unfiltered_grid=wide)
+    assert len(curves) == 4
+    assert all(p.shape == (0,) for p in curves.values())
+    starts, within = q._dip_phase_tables(grid, np.array([]).tobytes())
+    assert (starts.shape, within.shape) == ((0, 23), (0, 23))
+    for table in (starts, within):
+        with pytest.raises(ValueError):
+            table[...] = 1.0
+        with pytest.raises(ValueError):
             table.flags.writeable = True
 
 

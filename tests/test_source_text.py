@@ -63,3 +63,69 @@ def test_no_measured_figures_in_package_prose():
         if FIGURE.search(line)
     ]
     assert not found, "measured figures in comments or docstrings:\n" + "\n".join(found)
+
+
+# ---------------------------------------------------------------- one implementation per job
+
+#: Modules that one file alone may import: the import machinery, for the
+#: package root's lazy loader, and mmap, for quantum._kept, the one store of
+#: both memos' tables.  importlib.resources reads the shipped data file; it
+#: loads no module.
+OWNERS = {"importlib": "__init__.py", "mmap": "quantum.py"}
+NOT_MACHINERY = ("importlib.resources",)
+
+
+def bindings(stmt):
+    """(bound name, dotted name) of each name an import statement binds:
+    `import a.b` binds a and imports a.b, `from a import b as c` binds c and
+    imports a.b; a relative module keeps its leading dots."""
+    if isinstance(stmt, ast.Import):
+        return [(alias.asname or alias.name.split(".")[0], alias.name) for alias in stmt.names]
+    if isinstance(stmt, ast.ImportFrom):
+        module = "." * stmt.level + (stmt.module or "")
+        sep = "." if stmt.module else ""
+        return [(alias.asname or alias.name, module + sep + alias.name) for alias in stmt.names]
+    return []
+
+
+def read_names(tree):
+    """Every name a module reads, and every string constant that is one (an
+    __all__ entry names what it exports)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def sources():
+    for path in sorted(SRC.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def test_every_module_level_import_is_read():
+    unread = [
+        f"{name}: {bound} ({dotted})"
+        for name, tree in sources()
+        for stmt in tree.body
+        for bound, dotted in bindings(stmt)
+        if bound not in read_names(tree)
+    ]
+    assert not unread, "imported but never read:\n" + "\n".join(unread)
+
+
+def test_import_machinery_and_mmap_have_one_owner():
+    found = {
+        (name, dotted)
+        for name, tree in sources()
+        for node in ast.walk(tree)
+        for _, dotted in bindings(node)
+        if dotted.split(".")[0] in OWNERS and not dotted.startswith(NOT_MACHINERY)
+    }
+    strays = sorted(
+        f"{name} imports {dotted}" for name, dotted in found if OWNERS[dotted.split(".")[0]] != name
+    )
+    assert not strays, "\n".join(strays)
+    assert {name for name, _ in found} == set(OWNERS.values())  # each owner still imports it
