@@ -9,10 +9,14 @@ and count-rate budgets for the tunable birefringent delay-line circuit.
 The package root holds the names of the README's "Library use" example
 and default_model; everything else lives in its module.  Importing the
 package binds the engine modules (chip, dispersion, elements, grid,
-quantum) lazily (_lazy): each is in sys.modules and an attribute here,
-and executes on its first attribute read.  A root name is read from its
-module on first access.  So importing the package, or a module that
-needs no numpy (rates, svgplot), loads no numpy.
+quantum) and numpy (_numpy) lazily (_lazy): each is in sys.modules and
+an attribute here, and executes on its first attribute read.  A root
+name is read from its module on first access.  The package's modules
+read numpy as `from . import _numpy as np`: a plain `import numpy`
+reads the lazy module's __spec__ and so executes it.  So importing the
+package, a module that needs no numpy (rates, svgplot), or the scalar
+path from a layout file to the delay schedule (chip, dispersion,
+elements, grid) executes no numpy.
 """
 
 import importlib.util
@@ -22,18 +26,25 @@ __version__ = "0.1.0"
 
 
 def _lazy(name: str):
-    """The engine module homchip.<name>, put in sys.modules now and
-    executed on its first attribute read (importlib.util.LazyLoader)."""
-    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    """The module `name` (a full name), put in sys.modules now and executed
+    on its first attribute read (importlib.util.LazyLoader).  A name
+    already in sys.modules, imported or blocked with None, gives that
+    entry; a module that is not installed gives None."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        return None
     spec.loader = importlib.util.LazyLoader(spec.loader)
     module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
+    sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
 
 
-chip, dispersion, elements, grid, quantum = map(
-    _lazy, ("chip", "dispersion", "elements", "grid", "quantum")
+_numpy = _lazy("numpy")
+chip, dispersion, elements, grid, quantum = (
+    _lazy(f"{__name__}.{name}") for name in ("chip", "dispersion", "elements", "grid", "quantum")
 )
 
 #: Each public name and the module that defines it.

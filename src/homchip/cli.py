@@ -10,12 +10,14 @@ layout-file keys, which override the built-in as-built defaults.  The
 README's Command line section lists the keys each command reads; rates
 reads no configuration.
 
-Importing this module executes no engine module and loads no numpy: the
-package root binds the engine modules lazily, main() executes them right
-after parsing for every command but rates, and numpy is imported inside
-the commands that build arrays, so rates runs without numpy.  Engine
-names are read as module attributes inside functions: a `from` import, a
-default or an annotation evaluated at import would execute the module.
+Importing this module executes no engine module and no numpy: the
+package root binds both lazily.  main() executes the engine and then
+numpy right after parsing for every command but rates and delay-schedule.
+delay-schedule executes only chip, dispersion, elements and grid, whose
+scalar path runs on floats, and rates no engine module, so both run
+without numpy.  Engine names are read as module attributes inside
+functions: a `from` import, a default or an annotation evaluated at
+import would execute the module.
 
 A configured command is called as cmd(config, model, args), args for
 hom-scan's --pc0.  It computes and checks everything, then returns one
@@ -36,6 +38,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from . import _numpy as np
 from . import chip, dispersion, elements, quantum, rates
 from .svgplot import Series, write_plot
 
@@ -142,8 +145,6 @@ def cmd_hom_scan(config, model, args):
 
 
 def cmd_dip(config, model, args):
-    import numpy as np
-
     taus = np.arange(-200, 201) * 0.05  # integer steps, so the centre row is exactly 0
     grid = config.grid
     curves = quantum.dip_scenarios(
@@ -169,8 +170,6 @@ def cmd_dip(config, model, args):
 def _fwhm(x, y, name):
     """Width at half maximum, each crossing interpolated linearly between
     the two samples that straddle it."""
-    import numpy as np
-
     half = np.max(y) / 2.0
     above = np.where(y >= half)[0]
     if above[0] == 0 or above[-1] == len(y) - 1:
@@ -191,8 +190,6 @@ def _fwhm(x, y, name):
 
 
 def cmd_phasematch(config, model, args):
-    import numpy as np
-
     pm, t_op, center = config.pm, config.temperature_c, config.center_wavelength_nm
     lam = np.linspace(center - 6.0, center + 6.0, 2401)
     dispersion.check_range(model, lam)
@@ -319,11 +316,14 @@ def write_record(record, out: Path, svg: bool) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command != "rates":
-        # execute the engine (quantum imports the other engine modules)
-        # before any array exists: executed between a command's
-        # allocations, it raised the process's peak resident set
+    if args.command not in ("rates", "delay-schedule"):
+        # execute the engine (quantum imports the other engine modules),
+        # then numpy (a plain import executes the lazy module, or names a
+        # missing numpy), before any array exists: executed between a
+        # command's allocations, or numpy before the engine, they raised
+        # the process's peak resident set
         quantum.__name__
+        import numpy  # noqa: F401
     try:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

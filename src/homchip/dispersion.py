@@ -20,13 +20,13 @@ Sign conventions, fixed and asserted throughout the package:
   * A positive walk-off time means the H photon arrives later.
 """
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
 
-import numpy as np
-
+from . import _numpy as np
 from .grid import C_VACUUM, OPERATING_WAVELENGTH_NM
 
 
@@ -76,24 +76,38 @@ class DispersionModel:
             raise ValueError("valid_range_um must be an increasing positive pair")
 
 
+def _real(values):
+    """A real Python scalar as a float, anything else as a float array: the
+    Sellmeier path below runs on either, so a scalar needs no numpy."""
+    if isinstance(values, (int, float)):
+        return float(values)
+    return np.asarray(values, dtype=float)
+
+
 def _sellmeier_n(coeffs, wavelength_um):
-    lam2 = np.asarray(wavelength_um, dtype=float) ** 2
+    """n(lambda) of one axis, wavelength_um a float or a float array
+    (_real): the same operations in the same order on both, so a float
+    gets the bits of its entry in an array."""
+    lam2 = wavelength_um * wavelength_um
     n2 = 1.0 + sum(
         coeffs[i] * lam2 / (lam2 - coeffs[i + 1]) for i in range(0, len(coeffs), 2)
     )
-    return np.sqrt(n2)
+    return math.sqrt(n2) if isinstance(n2, float) else np.sqrt(n2)
 
 
 def check_range(model: DispersionModel, wavelength_nm, margin_nm=0.0):
     """Raise WavelengthRangeError unless every wavelength (nm) lies inside the
-    coefficient validity range, shrunk by margin_nm on each side."""
-    lam_um = np.asarray(wavelength_nm, dtype=float) * 1e-3
+    coefficient validity range, shrunk by margin_nm on each side.  NaN
+    compares as inside."""
+    lam_um = _real(wavelength_nm) * 1e-3
     lo, hi = model.valid_range_um
     lo += margin_nm * 1e-3
     hi -= margin_nm * 1e-3
-    if (lam_um < lo).any() or (lam_um > hi).any():
+    scalar = isinstance(lam_um, float)
+    if (lam_um < lo or lam_um > hi) if scalar else ((lam_um < lo).any() or (lam_um > hi).any()):
+        span = (wavelength_nm,) * 2 if scalar else (np.min(wavelength_nm), np.max(wavelength_nm))
         raise WavelengthRangeError(
-            f"wavelength {np.min(wavelength_nm):.6g}-{np.max(wavelength_nm):.6g} nm "
+            f"wavelength {span[0]:.6g}-{span[1]:.6g} nm "
             f"outside coefficient validity {lo * 1e3:.6g}-{hi * 1e3:.6g} nm"
         )
 
@@ -110,7 +124,7 @@ def refractive_index(model: DispersionModel, pol, wavelength_nm):
     """Phase index n(lambda) for one polarization; wavelength in nm."""
     check_range(model, wavelength_nm)
     coeffs, _ = _axis(model, pol)
-    return _sellmeier_n(coeffs, np.asarray(wavelength_nm, dtype=float) * 1e-3)
+    return _sellmeier_n(coeffs, _real(wavelength_nm) * 1e-3)
 
 
 def group_index(model: DispersionModel, pol, wavelength_nm):
@@ -121,7 +135,7 @@ def group_index(model: DispersionModel, pol, wavelength_nm):
     """
     check_range(model, wavelength_nm, margin_nm=FD_STEP_NM)
     coeffs, offset = _axis(model, pol)
-    lam = np.asarray(wavelength_nm, dtype=float)
+    lam = _real(wavelength_nm)
     n = _sellmeier_n(coeffs, lam * 1e-3)
     dn = (
         _sellmeier_n(coeffs, (lam + FD_STEP_NM) * 1e-3)
@@ -235,7 +249,7 @@ def parse_coefficient_file(text: str) -> DispersionModel:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
         if key in ("sellmeier_o", "sellmeier_e"):
             try:
-                values[key] = tuple(float(tok) for tok in rhs.split(","))
+                numbers = values[key] = tuple(float(tok) for tok in rhs.split(","))
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: bad coefficient list") from exc
         elif key in ("ng_offset_h", "ng_offset_v"):
@@ -243,9 +257,10 @@ def parse_coefficient_file(text: str) -> DispersionModel:
                 values[key] = float(rhs)
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: bad number for {key}") from exc
+            numbers = (values[key],)
         else:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
-        if not np.all(np.isfinite(values[key])):
+        if not all(map(math.isfinite, numbers)):
             raise ValueError(f"line {lineno}: {key} must be finite")
     for required in ("sellmeier_o", "sellmeier_e"):
         if required not in values:

@@ -22,8 +22,7 @@ Conventions:
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
+from . import _numpy as np
 from . import dispersion
 from .grid import C_VACUUM, OPERATING_WAVELENGTH_NM, SpectralGrid, _cis
 
@@ -176,7 +175,7 @@ class PdcAmplitude:
     module docstring).
     """
 
-    values: np.ndarray
+    values: "np.ndarray"
     lobe_coverage: float
     lobe_samples: float
 
@@ -222,7 +221,7 @@ def shg_spectrum(
     temperature_c: float | None = None,
     *,
     model: dispersion.DispersionModel,
-) -> np.ndarray:
+) -> "np.ndarray":
     """Normalized frequency-doubling response of the pair-source section.
 
     The reverse process maps out the same phase-matching curve, so this
@@ -303,7 +302,7 @@ def _entries_last(rows):
 
 def pc_transfer(
     pc: PcSpec, wavelength_nm, model: dispersion.DispersionModel, pm: PmSpec
-) -> np.ndarray:
+) -> "np.ndarray":
     """Converter Jones matrix on (H, V) at the given wavelength(s).
 
     Returns shape (2, 2) for a scalar wavelength, (N, 2, 2) for arrays.
@@ -316,7 +315,7 @@ def pc_transfer(
 
 def pc_chain_matrix(
     pc: PcSpec, wavelength_nm, model: dispersion.DispersionModel, pm: PmSpec
-) -> np.ndarray:
+) -> "np.ndarray":
     """Converter matrix lumped at the element midpoint.
 
     Sandwiched between two half-length birefringent propagation phases
@@ -340,19 +339,19 @@ def pc_chain_matrix(
     return _entries_last(rows)
 
 
-def pc_flat_matrix(pc: PcSpec) -> np.ndarray:
+def pc_flat_matrix(pc: PcSpec) -> "np.ndarray":
     """Frequency-independent converter matrix (idealized: no phase mismatch
     anywhere, conversion set by the drive alone)."""
     return _coupled_mode_matrix(pc.kappa_length, 0.0)
 
 
-def pc_conversion_amplitude(pc, wavelength_nm, model, pm) -> np.ndarray:
+def pc_conversion_amplitude(pc, wavelength_nm, model, pm) -> "np.ndarray":
     """H->V conversion amplitude -i (kappa/gamma) sin(gamma L): the [1, 0]
     entry of pc_transfer, bit for bit, without building the matrix."""
     return _coupled_mode_terms(pc.kappa_length, _pc_delta_length(pc, wavelength_nm, model, pm))[2]
 
 
-def pc_transmission_spectrum(pc, wavelength_nm, model, pm) -> np.ndarray:
+def pc_transmission_spectrum(pc, wavelength_nm, model, pm) -> "np.ndarray":
     """Unconverted power 1 - |conversion|^2, as measured behind a polarizer."""
     lam = np.asarray(wavelength_nm, dtype=float)
     conv = pc_conversion_amplitude(pc, lam, model, pm)
@@ -363,7 +362,7 @@ def pc_transmission_spectrum(pc, wavelength_nm, model, pm) -> np.ndarray:
 # polarizing splitter and balanced splitter
 
 
-def pbs_transfer(extinction_db: float = math.inf) -> np.ndarray:
+def pbs_transfer(extinction_db: float = math.inf) -> "np.ndarray":
     """4x4 mode matrix of the polarizing splitter.
 
     H stays in its waveguide (bar state, toward the segmented branch),
@@ -390,12 +389,12 @@ def pbs_transfer(extinction_db: float = math.inf) -> np.ndarray:
     return m
 
 
-def coupler_section_matrix(kappa_per_mm, delta_per_mm, length_mm) -> np.ndarray:
+def coupler_section_matrix(kappa_per_mm, delta_per_mm, length_mm) -> "np.ndarray":
     """Single uniform coupler section on the two paths."""
     return _coupled_mode_matrix(kappa_per_mm * length_mm, delta_per_mm * length_mm)
 
 
-def bs_transfer(bs: BsSpec) -> np.ndarray:
+def bs_transfer(bs: BsSpec) -> "np.ndarray":
     """2x2 path matrix of the reversed-detuning two-section coupler.
 
     M = M_half(-delta2) @ M_half(+delta1), with delta_i set by the two
@@ -421,7 +420,7 @@ def ideal_bs() -> BsSpec:
 
 def propagation_transfer(
     pol, length_mm, grid: SpectralGrid, model: dispersion.DispersionModel
-) -> np.ndarray:
+) -> "np.ndarray":
     """Per-sample phases exp(i w tau), tau = n_g L / c, in the group-delay
     approximation, at w = omega0 + Omega.
 
@@ -441,7 +440,7 @@ def propagation_transfer(
     return grid.phases(ng * (lengths * 1e-3) / C_VACUUM, grid.omega_plus)
 
 
-def filter_amplitude(flt: FilterSpec, wavelength_nm) -> np.ndarray:
+def filter_amplitude(flt: FilterSpec, wavelength_nm) -> "np.ndarray":
     """Field transmission of a detection filter, |amplitude| <= 1."""
     lam = np.asarray(wavelength_nm, dtype=float)
     if flt.shape == "none":

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
+from . import _numpy as np
 
 #: Speed of light in vacuum, m/s (exact by the SI definition of the metre).
 C_VACUUM = 299_792_458.0
@@ -54,26 +54,26 @@ class SpectralGrid:
         return 2.0 * self.half_width_omega / self.samples
 
     @cached_property
-    def detunings(self) -> np.ndarray:
+    def detunings(self) -> "np.ndarray":
         """Signal detunings Omega, rad/s; antisymmetric under index reversal."""
         k = np.arange(self.samples)
         return _read_only((k + 0.5 - self.samples / 2) * self.d_omega)
 
     @cached_property
-    def omega_plus(self) -> np.ndarray:
+    def omega_plus(self) -> "np.ndarray":
         return _read_only(self.omega0 + self.detunings)
 
     @cached_property
-    def wavelength_plus_nm(self) -> np.ndarray:
+    def wavelength_plus_nm(self) -> "np.ndarray":
         """Exact wavelength of the photon at omega0 + Omega, per sample."""
         return _read_only(2.0 * np.pi * C_VACUUM / self.omega_plus * 1e9)
 
     @staticmethod
-    def flip(values: np.ndarray) -> np.ndarray:
+    def flip(values: "np.ndarray") -> "np.ndarray":
         """Frequency reversal Omega -> -Omega (exact on this grid)."""
         return values[..., ::-1]
 
-    def phases(self, taus_s, axis: np.ndarray) -> np.ndarray:
+    def phases(self, taus_s, axis: "np.ndarray") -> "np.ndarray":
         """exp(i w tau) over a uniform run of this grid, shape tau.shape + (len(axis),).
 
         axis is a stretch of the grid with step dOmega: omega_plus for the
@@ -97,11 +97,11 @@ class SpectralGrid:
         phases = starts[..., :, None] * within[..., None, :]
         return phases.reshape(np.shape(taus_s) + (-1,))[..., : len(axis)]
 
-    def block_starts(self, taus_s, axis: np.ndarray) -> np.ndarray:
+    def block_starts(self, taus_s, axis: "np.ndarray") -> "np.ndarray":
         """The (..., P) table exp(i w_{pB} tau) of phases()."""
         return _cis(np.multiply.outer(taus_s, axis[:: _block_size(axis)]))
 
-    def block_offsets(self, taus_s, axis: np.ndarray) -> np.ndarray:
+    def block_offsets(self, taus_s, axis: "np.ndarray") -> "np.ndarray":
         """The (..., B) table exp(i q dOmega tau) of phases()."""
         return _cis(np.multiply.outer(taus_s, np.arange(_block_size(axis)) * self.d_omega))
 
@@ -112,19 +112,19 @@ class SpectralGrid:
         return width_omega / self.d_omega
 
 
-def _read_only(values: np.ndarray) -> np.ndarray:
+def _read_only(values: "np.ndarray") -> "np.ndarray":
     """values with writing switched off: a cached grid array is shared by
     every caller of its grid, so an in-place edit would move their results."""
     values.flags.writeable = False
     return values
 
 
-def _block_size(axis: np.ndarray) -> int:
+def _block_size(axis: "np.ndarray") -> int:
     """phases()' B = ceil(sqrt(len(axis)))."""
     return math.isqrt(len(axis) - 1) + 1
 
 
-def _cis(angles: np.ndarray) -> np.ndarray:
+def _cis(angles: "np.ndarray") -> "np.ndarray":
     """exp(i angles) for real angles: cos and sin written straight into the
     real and imaginary parts of one complex array."""
     out = np.empty(np.shape(angles), dtype=complex)

@@ -74,8 +74,7 @@ import mmap
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, reduce
 
-import numpy as np
-
+from . import _numpy as np
 from . import chip as chip_mod
 from . import dispersion
 from . import elements as el
@@ -105,7 +104,7 @@ class GridCoverageError(ValueError):
 @dataclass(frozen=True)
 class TwoPhotonAmplitude:
     grid: SpectralGrid
-    values: np.ndarray  # (4, 4, N) complex
+    values: "np.ndarray"  # (4, 4, N) complex
 
     def norm(self) -> float:
         return float(np.sum(np.abs(self.values) ** 2) * self.grid.d_omega)
@@ -116,7 +115,7 @@ class ElementTransfer:
     """Mode matrix per frequency sample, evaluated at omega0 + Omega_k."""
 
     label: str
-    matrices: np.ndarray  # (N, 4, 4) complex
+    matrices: "np.ndarray"  # (N, 4, 4) complex
 
 
 @dataclass(frozen=True)
@@ -166,11 +165,11 @@ class _GeometryTables:
     triple m's walk-off phase E_m (_Chain.fold_suffix).
     """
 
-    source_half: np.ndarray
-    pc0_half: np.ndarray
-    pbs_region: np.ndarray
-    mismatch: np.ndarray | None
-    walk_off: np.ndarray
+    source_half: "np.ndarray"
+    pc0_half: "np.ndarray"
+    pbs_region: "np.ndarray"
+    mismatch: "np.ndarray | None"
+    walk_off: "np.ndarray"
 
     def window(self, window: slice) -> "_GeometryTables":
         """Every table on a sample slice: read-only views, no copy."""
@@ -222,7 +221,7 @@ class _Step:
 
     label: str
     kind: str
-    data: np.ndarray
+    data: "np.ndarray"
 
     def transfer(self, grid: SpectralGrid) -> ElementTransfer:
         """Dense (N, 4, 4) form, as apply_element consumes it."""
@@ -237,7 +236,7 @@ class _Step:
             mats[:, k, k] = self.data.T[:, k % 2]
         return ElementTransfer(self.label, mats)
 
-    def apply(self, vectors: np.ndarray) -> np.ndarray:
+    def apply(self, vectors: "np.ndarray") -> "np.ndarray":
         """Act on per-photon mode vectors, mode-major (4, photons, N) and
         sampled at omega0 + Omega; rows 0-1 are the upper-path block.  A
         (2, photons, N) input is that block alone, the lower path empty,
@@ -256,7 +255,7 @@ class _Step:
         return out
 
 
-def _mix(matrix: np.ndarray, rows, out: np.ndarray) -> None:
+def _mix(matrix: "np.ndarray", rows, out: "np.ndarray") -> None:
     """out[a] = matrix[a, 0] rows[0] + matrix[a, 1] rows[1] + ... for each
     row a of out, in that operand and summation order, over the len(rows)
     columns read; matrix is constant (.., ..) or per sample (N, .., ..),
@@ -315,7 +314,7 @@ class _Chain:
         self.coupler = el.bs_transfer(self.bs or el.ideal_bs())
         self.tables = _geometry_tables(self.layout, self.grid, self.model).window(self.window)
 
-    def _converter(self, pc: el.PcSpec) -> np.ndarray:
+    def _converter(self, pc: el.PcSpec) -> "np.ndarray":
         if self.flat_converters:
             return el.pc_flat_matrix(pc)
         wavelengths = self.grid.wavelength_plus_nm[self.window]
@@ -362,7 +361,7 @@ class _Chain:
         steps.append(_Step("balanced splitter", "modes", np.kron(self.coupler, np.eye(2))))
         return steps
 
-    def fold_suffix(self, vectors: np.ndarray, folded, cross) -> None:
+    def fold_suffix(self, vectors: "np.ndarray", folded, cross) -> None:
         """The suffix for every triple at once: writes arrays A (folded) and
         B (cross) such that the suffix of a setting with triple m takes
         vectors to D (A + B [E_m, conj(E_m)]) (unfold).
@@ -552,7 +551,7 @@ def _real_filters(filters) -> tuple:
     return () if filters is None or filters.shape == "none" else (filters,)
 
 
-def _filter_weight(grid: SpectralGrid, filters) -> np.ndarray:
+def _filter_weight(grid: SpectralGrid, filters) -> "np.ndarray":
     """|f(Omega) f(-Omega)|^2 of the real detection filters, 1 without one."""
     weight = np.ones(grid.samples)
     for flt in filters:
@@ -578,7 +577,7 @@ def coincidence_probability(state: TwoPhotonAmplitude, filters=None) -> float:
     return float(p)
 
 
-def grid_flip_swap(values: np.ndarray) -> np.ndarray:
+def grid_flip_swap(values: "np.ndarray") -> "np.ndarray":
     """Exchange partner A[s, r](-Omega) of a slot-ordered amplitude."""
     return values.transpose(1, 0, 2)[:, :, ::-1]
 
@@ -587,7 +586,7 @@ def grid_flip_swap(values: np.ndarray) -> np.ndarray:
 # scans
 
 
-def _detection_window(weight: np.ndarray) -> slice:
+def _detection_window(weight: "np.ndarray") -> slice:
     """The smallest sample slice [lo, N - lo) that holds every nonzero
     detection weight |f(Omega) f(-Omega)|^2; empty when the filter passes
     no pair.  It is symmetric about Omega = 0, as the weight is, so
@@ -697,7 +696,7 @@ def hom_scan(
     ]
 
 
-def _evolve(vectors: np.ndarray, steps) -> np.ndarray:
+def _evolve(vectors: "np.ndarray", steps) -> "np.ndarray":
     for step in steps:
         vectors = step.apply(vectors)
     return vectors
@@ -738,7 +737,7 @@ def dip_profile(
     photon2_envelopes=(),
     model=None,
     temperature_c: float | None = None,
-) -> np.ndarray:
+) -> "np.ndarray":
     """Coincidence probability versus a continuous relative delay.
 
     Bypasses the segmented geometry: the joint spectrum is the source
@@ -775,7 +774,7 @@ def dip_profile(
     return _dip_curves(grid, joint[None], taus_s)[0]
 
 
-def _joint(grid: SpectralGrid, source, photon1=(), photon2=(), filters=()) -> np.ndarray:
+def _joint(grid: SpectralGrid, source, photon1=(), photon2=(), filters=()) -> "np.ndarray":
     """Joint amplitude from the source and per-photon arrays on omega0 + Omega.
 
     Photon 2 sits at omega0 - Omega, so its envelopes enter flipped, and
@@ -789,7 +788,7 @@ def _joint(grid: SpectralGrid, source, photon1=(), photon2=(), filters=()) -> np
     return reduce(np.multiply, factors, source)
 
 
-def _dip_curves(grid: SpectralGrid, joint: np.ndarray, taus_s: np.ndarray) -> np.ndarray:
+def _dip_curves(grid: SpectralGrid, joint: "np.ndarray", taus_s: "np.ndarray") -> "np.ndarray":
     """dip_profile's P(tau) for each row of the joint amplitudes (S, N): (S, T).
 
     |Re K(tau)| <= K(0) (Cauchy-Schwarz), so P lies in [0, 1]; K(0) and the
@@ -810,7 +809,7 @@ def _dip_curves(grid: SpectralGrid, joint: np.ndarray, taus_s: np.ndarray) -> np
     return np.clip(p, 0.0, 1.0)
 
 
-def _delay_kernel(g: np.ndarray, grid: SpectralGrid, taus_s: np.ndarray) -> np.ndarray:
+def _delay_kernel(g: "np.ndarray", grid: SpectralGrid, taus_s: "np.ndarray") -> "np.ndarray":
     """Re K(tau), K(tau) = sum_k g_k exp(i Omega_k tau) dOmega, for each row of
     g (S, N) with g(-Omega) = conj g(Omega): shape (S, T).
 

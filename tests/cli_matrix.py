@@ -80,6 +80,8 @@ RUNS = {
     # the fold's mismatch path under the paper imperfections
     "hom-scan-mismatch": ["hom-scan", "--layout", "branch_mismatch.layout"] + SVG,
     "hom-scan-mismatch-rect": ["hom-scan", "--layout", "branch_mismatch.layout", "--filter", "rect:3.0"] + SVG,
+    # the mismatch's n_gV term of the delay schedule
+    "delay-schedule-mismatch": ["delay-schedule", "--layout", "branch_mismatch.layout"] + SVG,
     # off the reference temperature and pump, the tuning crossing still prints
     "phasematch-warm": ["phasematch", "--layout", "warm.layout"] + SVG,
 }

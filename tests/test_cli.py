@@ -505,15 +505,55 @@ def test_rates_runs_without_numpy(tmp_path, capsys):
         assert (lean / name).read_bytes() == (tmp_path / "full" / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("layout", [None, "characterized_device.layout", "branch_mismatch"])
+@pytest.mark.parametrize("fmt", ["csv", "csv+svg"])
+def test_delay_schedule_runs_without_numpy(tmp_path, capsys, layout, fmt):
+    # as test_rates_runs_without_numpy: the scalar path from the layout file
+    # through the Sellmeier group indices to delays.csv needs no numpy
+    flags = ["--format", fmt]
+    if layout == "branch_mismatch":  # the n_gV term of the schedule
+        (tmp_path / "mismatch.layout").write_text("branch_mismatch_mm = 0.02\n")
+        flags += ["--layout", str(tmp_path / "mismatch.layout")]
+    elif layout:
+        flags += ["--layout", str(LAYOUTS / layout)]
+    code = (
+        "import runpy, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "sys.argv = ['homchip', 'delay-schedule', '--out', sys.argv[1]] + sys.argv[2:]\n"
+        "runpy.run_module('homchip', run_name='__main__')\n"
+    )
+    lean = tmp_path / "lean"
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(lean), *flags], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert main(["delay-schedule", "--out", str(tmp_path / "full"), *flags]) == 0
+    assert result.stdout == capsys.readouterr().out
+    names = sorted(p.name for p in (tmp_path / "full").iterdir())
+    assert names == (["delays.csv", "delays.svg"] if fmt == "csv+svg" else ["delays.csv"])
+    assert sorted(p.name for p in lean.iterdir()) == names
+    for name in names:
+        assert (lean / name).read_bytes() == (tmp_path / "full" / name).read_bytes(), name
+
+
 def test_package_root_and_cli_import_no_numpy():
+    # the package root binds numpy lazily (homchip._lazy), so 'numpy' is in
+    # sys.modules from the first import on; numpy has executed once any of
+    # its submodules is imported
     code = (
         "import sys\n"
+        "def executed(): return any(m.startswith('numpy.') for m in sys.modules)\n"
         "import homchip\n"
-        "loaded = ['numpy' in sys.modules]\n"
+        "loaded = [executed()]\n"
         "import homchip.cli\n"
-        "loaded.append('numpy' in sys.modules)\n"
-        "from homchip import chip\n"
-        "print(loaded, chip.ChipLayout().segment_count > 0, 'numpy' in sys.modules)\n"
+        "loaded.append(executed())\n"
+        "from homchip import chip, dispersion\n"
+        "ok = chip.ChipLayout().segment_count > 0\n"
+        "loaded.append(executed())\n"
+        "chip.parse_layout('')\n"
+        "loaded.append(executed())\n"
+        "dispersion.default_model()\n"
+        "print(loaded, ok, executed(), 'numpy' in sys.modules)\n"
         "try:\n"
         "    homchip.no_such_name\n"
         "except AttributeError as exc:\n"
@@ -523,9 +563,17 @@ def test_package_root_and_cli_import_no_numpy():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert result.stdout.splitlines() == [
-        "[False, False] True True",
+        "[False, False, False, False] True False True",
         "module 'homchip' has no attribute 'no_such_name'",
     ]
+
+
+def test_lazy_returns_what_is_there():
+    import homchip
+
+    assert homchip._numpy is sys.modules["numpy"] is np  # imported before homchip here
+    assert homchip._lazy("numpy") is np
+    assert homchip._lazy("homchip.no_such_module") is None  # not installed
 
 
 def test_tracer_targets_exist_after_importing_the_cli():

@@ -1,4 +1,7 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homchip import dispersion as disp
 from homchip.dispersion import (
@@ -194,3 +197,55 @@ def test_default_model_is_cached():
 
 def test_fd_step_documented():
     assert disp.FD_STEP_NM == pytest.approx(0.1)
+
+
+# ---------------------------------------------------------------- one Sellmeier for floats and arrays
+
+LO_NM, HI_NM = (edge * 1e3 for edge in default_model().valid_range_um)
+STEP = disp.FD_STEP_NM
+#: The range edges, the edges one difference step either side, and NaN.
+EDGES = [
+    edge + shift for edge in (LO_NM, HI_NM) for shift in (-STEP, 0.0, STEP)
+] + [float("nan")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lam=st.floats(min_value=LO_NM + STEP, max_value=HI_NM - STEP),
+    pol=st.sampled_from(list(Polarization)),
+)
+def test_float_and_array_sellmeier_same_bits(model, lam, pol):
+    # a float runs the scalar path (no numpy), its one-entry array the array path
+    coeffs, _ = disp._axis(model, pol)
+    one = np.array([lam])
+    assert type(group_index(model, pol, lam)) is float
+    assert group_index(model, pol, lam).hex() == group_index(model, pol, one)[0].hex()
+    assert refractive_index(model, pol, lam).hex() == refractive_index(model, pol, one)[0].hex()
+    assert disp._sellmeier_n(coeffs, lam * 1e-3).hex() == disp._sellmeier_n(coeffs, one * 1e-3)[0].hex()
+
+
+def raises_range_error(model, wavelength_nm, margin_nm):
+    try:
+        disp.check_range(model, wavelength_nm, margin_nm)
+    except WavelengthRangeError:
+        return True
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lam=st.one_of(st.sampled_from(EDGES), st.floats(min_value=LO_NM - 100.0, max_value=HI_NM + 100.0)),
+    margin=st.sampled_from([0.0, STEP]),
+)
+def test_check_range_same_verdict_on_float_and_array(model, lam, margin):
+    assert raises_range_error(model, lam, margin) == raises_range_error(model, np.array([lam]), margin)
+
+
+def test_check_range_edges_and_nan(model):
+    # both paths: the range shrunk by the margin holds its own edges, a
+    # step beyond them lies outside, and NaN passes (it compares as inside)
+    for wavelength in (lambda x: x, lambda x: np.array([x])):
+        verdicts = [raises_range_error(model, wavelength(x), 0.0) for x in EDGES]
+        assert verdicts == [True, False, False, False, False, True, False]
+        verdicts = [raises_range_error(model, wavelength(x), STEP) for x in EDGES]
+        assert verdicts == [True, True, False, False, True, True, False]
