@@ -38,7 +38,8 @@ and A is formed only at detection.  Its fold of the shared suffix is at
 _Chain.fold_suffix and unfold, its geometry memo at _geometry_tables and
 its detection window at hom_scan and _RankOneDetector.  dip_profile and
 dip_scenarios bypass the chain (_delay_kernel, _dip_phase_tables).  Both
-memos keep their tables in _kept.
+memos keep their tables in _kept.  The dip kernel's product buffer
+(_product_buffer) is per-thread scratch, not a memo.
 numpy's complex product is not bitwise commutative, so every rewrite
 keeps each product's operands and their order.
 
@@ -71,6 +72,7 @@ model once, and the chain's entry points a missing temperature with it
 
 import math
 import mmap
+import threading
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, reduce
 
@@ -835,18 +837,43 @@ def _delay_kernel(g: "np.ndarray", grid: SpectralGrid, taus_s: "np.ndarray") -> 
     cos/sin.  G is laid out with one copy, and the block starts multiply
     the product in place, in the operand and summation order that give the
     bits of the complex-exponential form the tests keep as a reference.
+
+    The (T, S, P) product is written (np.matmul's out) into the calling
+    thread's scratch buffer, _product_buffer, not into a fresh array: a
+    fresh array that size is mapped page by page on every call, and those
+    page faults were a large part of a warm dip request.  The buffer is
+    per thread, since two threads writing one buffer would mix their
+    curves, and it is scratch, not a memo: nothing outlives the call that
+    wrote it.  It only grows, to the largest T S P its thread has needed;
+    with S <= 3 rows that is at most 3 T P <= 1.5 T (P + B) complex
+    numbers, about one and a half _dip_phase_tables entries.
     """
     half = grid.samples // 2
     starts, within = _dip_phase_tables(grid, taus_s.tobytes())
-    blocks, block = starts.shape[-1], within.shape[-1]
+    taus, blocks, block = len(starts), starts.shape[-1], within.shape[-1]
     rows = len(g)
     g_blocks = np.zeros((block, rows, blocks), dtype=complex)  # G[q, s, p], zero-padded
     for row, half_row in zip(g_blocks.transpose(1, 2, 0), g[:, half:]):
         row.flat[:half] = half_row  # row[p, q] in flat order pB + q
-    inner = (within @ g_blocks.reshape(block, -1)).reshape(-1, rows, blocks)  # (T, S, P)
+    inner = _product_buffer(taus * rows * blocks).reshape(taus, rows * blocks)
+    np.matmul(within, g_blocks.reshape(block, rows * blocks), out=inner)
+    inner = inner.reshape(taus, rows, blocks)  # (T, S, P)
     np.multiply(starts[:, None, :], inner, out=inner)
     kernel = np.sum(inner, axis=-1)
     return 2.0 * grid.d_omega * kernel.real.T
+
+
+#: Each thread's scratch for _delay_kernel's product (not a memo).
+_scratch = threading.local()
+
+
+def _product_buffer(count: int) -> "np.ndarray":
+    """A writable 1-D complex array of count entries: the calling thread's
+    buffer, grown (never shrunk) when count exceeds it."""
+    buffer = getattr(_scratch, "product", None)
+    if buffer is None or len(buffer) < count:
+        buffer = _scratch.product = np.empty(count, dtype=complex)
+    return buffer[:count]
 
 
 #: Phase-table pairs kept by _dip_phase_tables, one per (grid, delay axis):

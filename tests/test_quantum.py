@@ -1,5 +1,7 @@
 import math
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from functools import reduce
 
@@ -1656,3 +1658,61 @@ def test_dip_scenarios_same_bits_as_exponential_kernel(
     for name, p in reference.items():
         assert np.array_equal(cold[name], p), name
         assert np.array_equal(warm[name], p), name
+
+
+def test_warm_delay_kernel_equals_cold_and_allocates_no_product(monkeypatch):
+    # a fresh thread-local store, so the product buffer grows and is reused here
+    monkeypatch.setattr(q, "_scratch", threading.local())
+    grid = SpectralGrid(half_width_nm=6.0, samples=4096)
+    rng = np.random.default_rng(26)
+    a = rng.normal(size=(3, grid.samples)) + 1j * rng.normal(size=(3, grid.samples))
+    g = a * np.conj(grid.flip(a))
+    axes = {t: (np.arange(t) - t // 2) * 0.05e-12 for t in (0, 281, 401, 561)}
+    for taus in axes.values():  # the phase tables are kept before any call is traced
+        starts, _ = q._dip_phase_tables(grid, taus.tobytes())
+    blocks = starts.shape[-1]
+    order = [(281, 1), (0, 3), (401, 3), (281, 3), (561, 1), (0, 1), (401, 1), (561, 3)]
+    cold, largest = {}, 0
+    for taus, rows in order + order[::-1]:
+        product = taus * rows * blocks * 16
+        tracemalloc.start()
+        try:
+            kernel = q._delay_kernel(g[:rows], grid, axes[taus])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kernel.shape == (rows, taus)
+        assert np.array_equal(kernel, _exp_delay_kernel(g[:rows], grid, axes[taus]))
+        assert np.array_equal(kernel, cold.setdefault((taus, rows), kernel))
+        if product > largest:  # the buffer grows: the product is allocated once
+            assert peak >= product, (taus, rows, peak)
+            largest = product
+        elif taus:
+            assert peak < product, (taus, rows, peak)
+    assert len(cold) == len(order)
+
+
+def test_dip_threads_do_not_share_the_product(pm, model):
+    grid = SpectralGrid(half_width_nm=6.0, samples=4096)
+    wide = SpectralGrid(half_width_nm=300.0, samples=4096)
+    axes = (
+        np.arange(-7.0, 7.0 + 1e-9, 0.05),
+        np.arange(-14.0, 14.0 + 1e-9, 0.05),
+        np.arange(-200, 201) * 0.05,  # the CLI's delay axis
+    )
+
+    def scenarios(taus):
+        return q.dip_scenarios(pm, grid, taus, model=model, unfiltered_grid=wide)
+
+    serial = [scenarios(taus) for taus in axes]
+
+    def worker(first):
+        wrong = 0
+        for call in range(30):
+            index = (first + call) % len(axes)
+            curves = scenarios(axes[index])
+            wrong += sum(not np.array_equal(curves[k], p) for k, p in serial[index].items())
+        return wrong
+
+    with ThreadPoolExecutor(max_workers=3) as pool:
+        assert list(pool.map(worker, range(3))) == [0, 0, 0]
