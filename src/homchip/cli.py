@@ -146,16 +146,13 @@ def cmd_hom_scan(config, model, args):
 
 def cmd_dip(config, model, args):
     taus = np.arange(-200, 201) * 0.05  # integer steps, so the centre row is exactly 0
-    grid = config.grid
     curves = quantum.dip_scenarios(
         config.pm,
-        grid,
+        config.grid,
         taus,
         layout=config.layout,
         model=model,
         temperature_c=config.temperature_c,
-        # the unfiltered dip needs the wide window whatever --grid-halfwidth-nm says
-        unfiltered_grid=replace(grid, half_width_nm=300.0),
     )
     rows = [(t, v, name) for name, p in curves.items() for t, v in zip(taus, p)]
     series = [Series(name, list(taus), list(p)) for name, p in curves.items()]

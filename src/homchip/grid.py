@@ -113,10 +113,12 @@ class SpectralGrid:
 
 
 def _read_only(values: "np.ndarray") -> "np.ndarray":
-    """values with writing switched off: a cached grid array is shared by
-    every caller of its grid, so an in-place edit would move their results."""
+    """A view of values, an array the caller has just built, read-only at the
+    owner: the one rule for every array the package keeps, the grid's cached
+    arrays and quantum's memo tables, which every later caller shares.  Item
+    assignment and flags.writeable = True both raise on the view."""
     values.flags.writeable = False
-    return values
+    return values[...]
 
 
 def _block_size(axis: "np.ndarray") -> int:

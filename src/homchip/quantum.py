@@ -38,8 +38,9 @@ and A is formed only at detection.  Its fold of the shared suffix is at
 _Chain.fold_suffix and unfold, its geometry memo at _geometry_tables and
 its detection window at hom_scan and _RankOneDetector.  dip_profile and
 dip_scenarios bypass the chain (_delay_kernel, _dip_phase_tables).  Both
-memos keep their tables in _kept.  The dip kernel's product buffer
-(_product_buffer) is per-thread scratch, not a memo.
+memos freeze the tables they build with grid._read_only, the rule for the
+grid's cached arrays.  The dip kernel's product buffer (_product_buffer)
+is per-thread scratch, not a memo.
 numpy's complex product is not bitwise commutative, so every rewrite
 keeps each product's operands and their order.
 
@@ -71,7 +72,6 @@ model once, and the chain's entry points a missing temperature with it
 """
 
 import math
-import mmap
 import threading
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, reduce
@@ -81,7 +81,7 @@ from . import chip as chip_mod
 from . import dispersion
 from . import elements as el
 from .dispersion import Polarization
-from .grid import SpectralGrid
+from .grid import SpectralGrid, _read_only
 
 #: Two paths times two polarizations, path-major (module docstring).
 N_MODES = 4
@@ -136,23 +136,6 @@ class ScanPoint:
 # element -> transfer sampling
 
 
-def _kept(*arrays) -> tuple:
-    """Read-only copies of complex arrays, back to back in one anonymous
-    mapping, for the memos (_geometry_tables, _dip_phase_tables).
-
-    Their entries outlive every operation, and on the heap, among the
-    operations' temporaries, they raised a process's peak resident set.
-    The copies are views of a read-only buffer, which no flag can make
-    writable.  mmap refuses 0 bytes, so an empty entry maps one.
-    """
-    count = sum(a.size for a in arrays)
-    mapping = mmap.mmap(-1, max(count * np.dtype(complex).itemsize, 1))
-    np.concatenate([a.ravel() for a in arrays], out=np.frombuffer(mapping, complex, count))
-    flat = np.frombuffer(memoryview(mapping).toreadonly(), complex, count)
-    cuts = np.cumsum([a.size for a in arrays])[:-1]
-    return tuple(part.reshape(a.shape) for part, a in zip(np.split(flat, cuts), arrays))
-
-
 #: Geometry tables kept by _geometry_tables, one per (layout, grid, model).
 GEOMETRY_CACHE_SIZE = 4
 
@@ -186,12 +169,13 @@ def _geometry_tables(
     """Every propagation phase hom_scan reads, one propagation_transfer call
     per polarization, memoized per (ChipLayout, SpectralGrid,
     DispersionModel) key: no setting, temperature, filter or imperfection
-    changes them.  The arrays are read-only, so no caller can alter what a
-    later scan reads, and every row is an elementwise function of the key,
-    so a warm scan repeats a cold one bit for bit.  E_m is the product of
-    the sections' own tables, as in the oracle's suffix, not one
-    exponential of the group-index difference: that rounds differently,
-    enough to break the oracle bound near an exact cancellation.
+    changes them.  The arrays are read-only at their owner
+    (grid._read_only), so no caller can alter what a later scan reads, and
+    every row is an elementwise function of the key, so a warm scan repeats
+    a cold one bit for bit.  E_m is the product of the sections' own
+    tables, as in the oracle's suffix, not one exponential of the
+    group-index difference: that rounds differently, enough to break the
+    oracle bound near an exact cancellation.
     """
     sections = [layout.pdc_length_mm / 2.0, layout.pc0_length_mm / 2.0, layout.pbs_length_mm]
     if layout.branch_length_mismatch_mm:
@@ -203,8 +187,8 @@ def _geometry_tables(
     # on a temporary past its elision threshold, which rounds differently, so a
     # (T, N) product would change E's bits
     walk_off = np.stack([z_v * np.conj(z_h) for z_h, z_v in zip(h[n:], v[n:])])
-    rows, walk_off = _kept(np.stack((h[:n], v[:n]), axis=1), walk_off)
-    return _GeometryTables(*rows[:3], rows[3] if len(rows) > 3 else None, walk_off)
+    rows = _read_only(np.stack((h[:n], v[:n]), axis=1))
+    return _GeometryTables(*rows[:3], rows[3] if len(rows) > 3 else None, _read_only(walk_off))
 
 
 # ---------------------------------------------------------------------------
@@ -885,7 +869,8 @@ DIP_TABLE_CACHE_SIZE = 8
 def _dip_phase_tables(grid: SpectralGrid, taus_bytes: bytes) -> tuple:
     """_delay_kernel's (starts, within) for the 1-D float64 delays
     taus_bytes holds: the (T, P) block starts exp(i Omega_{N/2+pB} tau)
-    and the (T, B) in-block offsets exp(i q dOmega tau), both read-only.
+    and the (T, B) in-block offsets exp(i q dOmega tau), both read-only at
+    their owner (grid._read_only).
 
     Memoized per (SpectralGrid, delay bytes), so an equal copy of an axis
     is the same key: dip_scenarios' grids and delay axes come back from
@@ -895,7 +880,8 @@ def _dip_phase_tables(grid: SpectralGrid, taus_bytes: bytes) -> tuple:
     """
     taus_s = np.frombuffer(taus_bytes)
     axis = grid.detunings[grid.samples // 2 :]
-    return _kept(grid.block_starts(taus_s, axis), grid.block_offsets(taus_s, axis))
+    starts, within = grid.block_starts(taus_s, axis), grid.block_offsets(taus_s, axis)
+    return _read_only(starts), _read_only(within)
 
 
 def dip_scenarios(
@@ -915,9 +901,10 @@ def dip_scenarios(
     both converter envelopes with the fiber filter, first converter on.
 
     The unfiltered curve integrates the bare phase-matching spectrum,
-    whose slow tails need a much wider grid than the filtered cases;
-    pass unfiltered_grid to control that window separately.  Each grid
-    passes the module docstring's grid rule, the unfiltered one first.
+    whose slow tails need a much wider grid than the filtered cases: by
+    default grid widened to +-300 nm (same center and samples), or
+    unfiltered_grid where given.  Each grid passes the module docstring's
+    grid rule, the unfiltered one first.
 
     Each profile equals its dip_profile call (both use _joint), but the
     source amplitude per grid and each filter and converter envelope are
@@ -928,7 +915,7 @@ def dip_scenarios(
     model = model or dispersion.default_model()
     t = pm.reference_temperature_c if temperature_c is None else temperature_c
     taus_s = np.asarray(taus_ps, dtype=float) * 1e-12
-    wide = unfiltered_grid or grid
+    wide = unfiltered_grid or replace(grid, half_width_nm=300.0)
     wide_source = _check_grid(wide, taus_s=taus_s, pm=pm, model=model, temperature_c=t).values
     center = grid.center_wavelength_nm
     specs = (

@@ -415,10 +415,28 @@ def test_dip_symmetry(pm, model, lorentz):
 def test_dip_scenarios_baselines(pm, model):
     grid = SpectralGrid(half_width_nm=6.0, samples=2048)
     taus = np.array([-60.0, 0.0, 60.0])
-    curves = q.dip_scenarios(pm, grid, taus, model=model)
+    # +-60 ps alias on the default +-300 nm unfiltered window at 2048 samples
+    curves = q.dip_scenarios(pm, grid, taus, model=model, unfiltered_grid=grid)
     for name, p in curves.items():
         assert p[0] == pytest.approx(0.5, abs=0.02), name
         assert p[1] <= 0.02, name
+
+
+def test_dip_scenarios_default_unfiltered_window_is_wide(pm, model):
+    # the bare source's slow tails need +-300 nm; on the filtered +-6 nm grid
+    # the unfiltered curve lies 1.6e-2 off the triangle
+    grid = SpectralGrid(half_width_nm=6.0, samples=4096)
+    taus = np.arange(-200, 201) * 0.05
+    curves = q.dip_scenarios(pm, grid, taus, model=model, temperature_c=43.6)
+    wide = replace(grid, half_width_nm=300.0)
+    explicit = q.dip_scenarios(
+        pm, grid, taus, model=model, temperature_c=43.6, unfiltered_grid=wide
+    )
+    for name, p in curves.items():
+        assert np.array_equal(p, explicit[name]), name
+    tau_w = float(group_index_difference(model, LAM0)) * 20.7e-3 / C * 1e12
+    triangle = 0.5 * np.minimum(1.0, np.abs(taus) / tau_w)
+    assert np.max(np.abs(curves["unfiltered"] - triangle)) <= 3e-4
 
 
 def test_dip_lorentz_strictly_wider(pm, model, lorentz):
@@ -1370,6 +1388,36 @@ def test_geometry_tables_interleaved_keys_match_cold(differ, pm, model):
         assert _scan_raws(*k, pm) == cold[k][2]
 
 
+def test_grid_arrays_are_read_only():
+    grid = SpectralGrid(samples=64)
+    for array in (grid.detunings, grid.omega_plus, grid.wavelength_plus_nm):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+        with pytest.raises(ValueError):  # read-only at the owner, not just by flag
+            array.flags.writeable = True
+
+
+def test_evicted_geometry_tables_stay_intact_while_held(model):
+    layout = ChipLayout(branch_length_mismatch_mm=0.02)
+    grids = [SpectralGrid(samples=64 + 2 * i) for i in range(q.GEOMETRY_CACHE_SIZE + 1)]
+    q._geometry_tables.cache_clear()
+    held = q._geometry_tables(layout, grids[0], model)
+    names = ("source_half", "pc0_half", "pbs_region", "mismatch", "walk_off")
+    copies = [np.array(getattr(held, name)) for name in names]
+    for grid in grids[1:]:
+        q._geometry_tables(layout, grid, model)
+    info = q._geometry_tables.cache_info()
+    assert (info.currsize, info.misses) == (q.GEOMETRY_CACHE_SIZE, len(grids))
+    for name, copy in zip(names, copies):
+        assert np.array_equal(getattr(held, name), copy), name
+    rebuilt = q._geometry_tables(layout, grids[0], model)
+    assert q._geometry_tables.cache_info().misses == len(grids) + 1  # it was evicted
+    assert rebuilt is not held
+    for name, copy in zip(names, copies):
+        assert np.array_equal(getattr(rebuilt, name), copy), name
+        assert np.array_equal(getattr(held, name), copy), name
+
+
 def test_geometry_tables_are_read_only(model):
     layout = ChipLayout(branch_length_mismatch_mm=0.02)
     tables = q._geometry_tables(layout, SpectralGrid(samples=512), model)
@@ -1439,6 +1487,26 @@ def test_dip_phase_tables_are_read_only():
             table[0, 0] = 1.0
         with pytest.raises(ValueError):  # read-only at the buffer, not just by flag
             table.flags.writeable = True
+
+
+def test_evicted_dip_phase_tables_stay_intact_while_held():
+    grid = SpectralGrid(samples=64)
+    axes = [np.arange(-k, k + 1) * 0.1e-12 for k in range(q.DIP_TABLE_CACHE_SIZE + 1)]
+    axes = [taus.tobytes() for taus in axes]
+    q._dip_phase_tables.cache_clear()
+    held = q._dip_phase_tables(grid, axes[0])
+    copies = [np.array(table) for table in held]
+    for taus_bytes in axes[1:]:
+        q._dip_phase_tables(grid, taus_bytes)
+    info = q._dip_phase_tables.cache_info()
+    assert (info.currsize, info.misses) == (q.DIP_TABLE_CACHE_SIZE, len(axes))
+    rebuilt = q._dip_phase_tables(grid, axes[0])
+    assert q._dip_phase_tables.cache_info().misses == len(axes) + 1  # it was evicted
+    assert rebuilt is not held
+    for table, kept, copy in zip(rebuilt, held, copies):
+        assert table is not kept
+        assert np.array_equal(table, copy)
+        assert np.array_equal(kept, copy)
 
 
 def test_empty_delay_axis_gives_empty_curves(pm, model):

@@ -68,10 +68,9 @@ def test_no_measured_figures_in_package_prose():
 # ---------------------------------------------------------------- one implementation per job
 
 #: Modules that one file alone may import: the import machinery, for the
-#: package root's lazy loader, and mmap, for quantum._kept, the one store of
-#: both memos' tables.  importlib.resources reads the shipped data file; it
-#: loads no module.
-OWNERS = {"importlib": "__init__.py", "mmap": "quantum.py"}
+#: package root's lazy loader.  importlib.resources reads the shipped data
+#: file; it loads no module.
+OWNERS = {"importlib": "__init__.py"}
 NOT_MACHINERY = ("importlib.resources",)
 
 
@@ -116,12 +115,19 @@ def test_every_module_level_import_is_read():
     assert not unread, "imported but never read:\n" + "\n".join(unread)
 
 
-def test_import_machinery_and_mmap_have_one_owner():
-    found = {
+def test_import_machinery_has_one_owner():
+    imported = {
         (name, dotted)
         for name, tree in sources()
         for node in ast.walk(tree)
         for _, dotted in bindings(node)
+    }
+    # every kept array lives on the heap, read-only through grid._read_only:
+    # the package has no second store
+    assert not [name for name, dotted in imported if dotted.split(".")[0] == "mmap"]
+    found = {
+        (name, dotted)
+        for name, dotted in imported
         if dotted.split(".")[0] in OWNERS and not dotted.startswith(NOT_MACHINERY)
     }
     strays = sorted(
