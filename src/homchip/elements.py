@@ -164,6 +164,14 @@ def _pdc_tuning(pm: PmSpec, temperature_c, model) -> tuple:
     return center_nm, dng * pm.pdc_length_mm * 1e-3 / (2.0 * C_VACUUM)
 
 
+def _pdc_detuning(pm: PmSpec, grid: SpectralGrid, temperature_c, model) -> tuple:
+    """(omega_c, a) of the pair source on a grid: the tuned center's
+    angular frequency minus grid.omega0, rad/s, and a (_pdc_tuning)."""
+    center_nm, a = _pdc_tuning(pm, temperature_c, model)
+    omega_center = 2.0 * np.pi * C_VACUUM / (center_nm * 1e-9)
+    return omega_center - grid.omega0, a
+
+
 @dataclass(frozen=True)
 class PdcAmplitude:
     """Pair-source spectral amplitude on a grid, unit-normalized.
@@ -199,9 +207,7 @@ def pdc_amplitude(
     anything else is computed.
     """
     dispersion.check_range(model, grid.wavelength_plus_nm[[0, -1]])
-    center_nm, a = _pdc_tuning(pm, temperature_c, model)
-    omega_center = 2.0 * np.pi * C_VACUUM / (center_nm * 1e-9)
-    omega_c = omega_center - grid.omega0
+    omega_c, a = _pdc_detuning(pm, grid, temperature_c, model)
     phi = _sinc(a * (grid.detunings - omega_c))
     norm = np.sqrt(np.sum(np.abs(phi) ** 2) * grid.d_omega)
     phi = phi.astype(complex) / norm

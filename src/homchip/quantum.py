@@ -37,7 +37,8 @@ per-photon mode vectors carry the state exactly,
 and A is formed only at detection.  Its fold of the shared suffix is at
 _Chain.fold_suffix and unfold, its geometry memo at _geometry_tables and
 its detection window at hom_scan and _RankOneDetector.  dip_profile and
-dip_scenarios bypass the chain (_delay_kernel, _dip_phase_tables).  Both
+dip_scenarios bypass the chain (_delay_kernel, _dip_phase_tables), and
+dip_scenarios' unfiltered curve is closed form (_unfiltered_dip).  Both
 memos freeze the tables they build with grid._read_only, the rule for the
 grid's cached arrays.  The dip kernel's product buffer (_product_buffer)
 is per-thread scratch, not a memo.
@@ -45,9 +46,9 @@ numpy's complex product is not bitwise commutative, so every rewrite
 keeps each product's operands and their order.
 
 Every grid passes one rule, checked once where an input enters
-(_check_grid, called by hom_scan, build_source_state, dip_profile and
-coincidence_probability, and once per grid by dip_scenarios).  Its
-floors, in the order they are checked, raise at the first that fails:
+(_check_grid, called by hom_scan, build_source_state, dip_profile,
+coincidence_probability and dip_scenarios).  Its floors, in the order
+they are checked, raise at the first that fails:
 
 1. the delays, where given, are a 1-D array of finite values
    (ValueError) and not aliased, dOmega |tau| < pi, since the midpoint
@@ -63,8 +64,8 @@ floors, in the order they are checked, raise at the first that fails:
    builds, at the grid's widest wavelength step (GridCoverageError for
    3 and 4).
 
-The unfiltered dip curve (delays but no filter) is exempt from the lobe
-floors of 3: its slow tails need a wide window, and the triangle it
+dip_profile's unfiltered curve (delays but no filter) is exempt from the
+lobe floors of 3: its slow tails need a wide window, and the triangle it
 approaches is checked directly.  None and a FilterSpec of shape none
 both mean no filter (_real_filters).  Each entry point resolves a missing
 model once, and the chain's entry points a missing temperature with it
@@ -732,13 +733,14 @@ def dip_profile(
     exp(i Omega tau) is applied between the photons, and the pair meets
     an ideal balanced splitter:
 
-        P(tau) = 1/2 * (1 - Re K(tau) / K(0)),
+        P(tau) = 1/2 * (1 - Re K(tau) / integral |A|^2 dOmega),
         K(tau) = integral A(Omega) A*(-Omega) exp(i Omega tau) dOmega.
 
     The delay axis is the interference-kernel delay: a geometric
     arrival-time difference dt from the delay schedule corresponds to
     tau = 2 dt, because the exchanged amplitudes beat at twice the
-    detuning.  The unfiltered profile is the triangle
+    detuning.  The unfiltered profile tends, as the grid widens, to
+    _unfiltered_dip: at the reference temperature the triangle
     1/2 * min(1, |tau| / tau_w) with tau_w = dng * L / c.
 
     Envelopes are elementwise callables of wavelength in nm, each
@@ -777,22 +779,47 @@ def _joint(grid: SpectralGrid, source, photon1=(), photon2=(), filters=()) -> "n
 def _dip_curves(grid: SpectralGrid, joint: "np.ndarray", taus_s: "np.ndarray") -> "np.ndarray":
     """dip_profile's P(tau) for each row of the joint amplitudes (S, N): (S, T).
 
-    |Re K(tau)| <= K(0) (Cauchy-Schwarz), so P lies in [0, 1]; K(0) and the
-    kernel sum the same terms in different orders, which leaves rounding
-    residues just below 0 at tau = 0.  Those are clipped; anything more than
+    |Re K(tau)| <= k0 = sum |A|^2 dOmega (Cauchy-Schwarz), so P lies in
+    [0, 1]; for a symmetric spectrum k0 and the kernel sum the same terms
+    in different orders, which leaves rounding residues just below 0 at
+    tau = 0.  Those are clipped; anything more than
     DIP_ROUNDING outside [0, 1] is a defect and raises ValueError.
     """
     k0 = np.sum(np.abs(joint) ** 2, axis=-1) * grid.d_omega
     if np.any(k0 <= 0):
         raise ValueError("joint spectrum vanishes; nothing passes the filters")
     g = joint * np.conj(grid.flip(joint))
-    p = 0.5 * (1.0 - _delay_kernel(g, grid, taus_s) / k0[:, None])
+    return _clipped(0.5 * (1.0 - _delay_kernel(g, grid, taus_s) / k0[:, None]))
+
+
+def _clipped(p: "np.ndarray") -> "np.ndarray":
+    """Dip probabilities clipped to [0, 1]; ValueError for any more than
+    DIP_ROUNDING outside."""
     inside = (p >= -DIP_ROUNDING) & (p <= 1.0 + DIP_ROUNDING)
     if not np.all(inside):
         raise ValueError(
             f"dip probability {p[~inside].flat[0]!r} lies outside [0, 1] beyond rounding"
         )
     return np.clip(p, 0.0, 1.0)
+
+
+def _unfiltered_dip(
+    pm: el.PmSpec, grid: SpectralGrid, taus_s, model, temperature_c
+) -> "np.ndarray":
+    """dip_profile's unfiltered P(tau) on an unbounded window, in closed form:
+
+        P(tau) = 1/2 (1 - (x / tau_w) sinc(Omega_c x / pi)),
+        x = max(tau_w - |tau|, 0),
+
+    with np.sinc, tau_w = 2a and (Omega_c, a) from el._pdc_detuning.  The
+    source sinc(a (Omega - Omega_c)) transforms to a box of width tau_w
+    turned by exp(i Omega_c t), and K(tau) is the overlap of two such
+    boxes.  At Omega_c = 0, P is the triangle.
+    """
+    omega_c, a = el._pdc_detuning(pm, grid, temperature_c, model)
+    tau_w = 2.0 * a
+    x = np.maximum(tau_w - np.abs(taus_s), 0.0)
+    return _clipped(0.5 * (1.0 - x / tau_w * np.sinc(omega_c * x / np.pi)))
 
 
 def _delay_kernel(g: "np.ndarray", grid: SpectralGrid, taus_s: "np.ndarray") -> "np.ndarray":
@@ -861,8 +888,8 @@ def _product_buffer(count: int) -> "np.ndarray":
 
 
 #: Phase-table pairs kept by _dip_phase_tables, one per (grid, delay axis):
-#: room for four delay axes on dip_scenarios' two grids.
-DIP_TABLE_CACHE_SIZE = 8
+#: room for four delay axes on dip_scenarios' one grid.
+DIP_TABLE_CACHE_SIZE = 4
 
 
 @lru_cache(maxsize=DIP_TABLE_CACHE_SIZE)
@@ -900,23 +927,20 @@ def dip_scenarios(
     segmented-converter envelope with the fiber filter, first converter off;
     both converter envelopes with the fiber filter, first converter on.
 
-    The unfiltered curve integrates the bare phase-matching spectrum,
-    whose slow tails need a much wider grid than the filtered cases: by
-    default grid widened to +-300 nm (same center and samples), or
-    unfiltered_grid where given.  Each grid passes the module docstring's
-    grid rule, the unfiltered one first.
+    grid passes the module docstring's grid rule.  The unfiltered curve is
+    dip_profile's on an unbounded window, in closed form (_unfiltered_dip):
+    the bare source's slow tails would need a far wider grid than the
+    filtered cases.  unfiltered_grid is accepted and ignored; ROADMAP
+    item 7, the benchmark refresh, drops it.
 
-    Each profile equals its dip_profile call (both use _joint), but the
-    source amplitude per grid and each filter and converter envelope are
-    evaluated once, and the three filtered profiles share one
-    _delay_kernel call.
+    Each filtered profile equals its dip_profile call (both use _joint),
+    but the source amplitude and each filter and converter envelope are
+    evaluated once, and the three profiles share one _delay_kernel call.
     """
     layout = layout or chip_mod.ChipLayout()
     model = model or dispersion.default_model()
     t = pm.reference_temperature_c if temperature_c is None else temperature_c
     taus_s = np.asarray(taus_ps, dtype=float) * 1e-12
-    wide = unfiltered_grid or replace(grid, half_width_nm=300.0)
-    wide_source = _check_grid(wide, taus_s=taus_s, pm=pm, model=model, temperature_c=t).values
     center = grid.center_wavelength_nm
     specs = (
         el.FilterSpec("rectangular", center, rect_width_nm),
@@ -939,6 +963,6 @@ def dip_scenarios(
             grid, source, (conv_pc0, conv_triple), (conv_pc0,), (lorentz,)
         ),
     }
-    curves = {"unfiltered": _dip_curves(wide, wide_source[None], taus_s)[0]}
+    curves = {"unfiltered": _unfiltered_dip(pm, grid, taus_s, model, t)}
     curves.update(zip(filtered, _dip_curves(grid, np.stack(list(filtered.values())), taus_s)))
     return curves

@@ -20,7 +20,11 @@ exit code, as stderr.txt and exit_code.txt.
     python tests/cli_matrix.py run OUT
         runs the matrix as subprocesses (python -m homchip, so the
         PYTHONPATH in force picks the code) and writes each run's outputs
-        into OUT/<run name>/; two trees can then be compared with diff -r.
+        into OUT/<run name>/, with an exit_code.txt for every run; two
+        trees can then be compared with diff -r.  It makes every run and
+        only then fails, naming each run whose exit status disagrees with
+        the table: code from before a run moved between RUNS and
+        FAILING_RUNS disagrees on that run.
 """
 
 import contextlib
@@ -58,6 +62,8 @@ RUNS = {
     **{cmd: [cmd] + SVG for cmd in ("delay-schedule", "hom-scan", "dip", "phasematch", "rates")},
     **{f"{cmd}-csv": [cmd] + CSV for cmd in ("delay-schedule", "hom-scan", "dip", "phasematch", "rates")},
     "dip-8192": ["dip", "--grid-samples", "8192"] + SVG,
+    # the +-10 ps delay axis needs 30 samples on the +-6 nm grid
+    "dip-1024": ["dip", "--grid-samples", "1024"] + CSV,
     "hom-scan-paper": ["hom-scan", "--preset", "paper", "--filter", "lorentz:1.2"] + SVG,
     # a rectangular filter's weight is 0 outside its band, so these scans
     # run the converters on the detection window alone
@@ -89,8 +95,8 @@ RUNS = {
 #: run name -> argv without --out of a run that exits 1 at a grid check,
 #: writing no file (the quantum module docstring's grid rule)
 FAILING_RUNS = {
-    # the +-10 ps delay axis aliases on the +-300 nm unfiltered grid
-    "dip-aliased-delays": ["dip", "--grid-samples", "1024"] + CSV,
+    # the +-10 ps delay axis aliases on the +-6 nm grid below 30 samples
+    "dip-aliased-delays": ["dip", "--grid-samples", "28"] + CSV,
     "hom-scan-coarse-lobe": ["hom-scan", "--grid-samples", "32"] + CSV,
     "hom-scan-coarse-filter": [
         "hom-scan", "--preset", "paper", "--filter", "lorentz:1.2", "--grid-samples", "40"
@@ -120,10 +126,9 @@ def write_layouts(directory: Path) -> Path:
     return directory
 
 
-def check_exit(name: str, code: int) -> None:
-    """Raise unless a run of RUNS exited 0 and one of FAILING_RUNS nonzero."""
-    if (code != 0) != (name in FAILING_RUNS):
-        raise RuntimeError(f"run {name} exited {code}")
+def exit_agrees(name: str, code: int) -> bool:
+    """Whether a run of RUNS exited 0, or one of FAILING_RUNS nonzero."""
+    return (code != 0) == (name in FAILING_RUNS)
 
 
 def run_in_process(main) -> dict:
@@ -138,7 +143,8 @@ def run_in_process(main) -> dict:
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 code = main(argv_for(name, layouts, out))
-            check_exit(name, code)
+            if not exit_agrees(name, code):
+                raise RuntimeError(f"run {name} exited {code}")
             files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
             files["stdout.txt"] = stdout.getvalue().encode("utf-8")
             if name in FAILING_RUNS:
@@ -149,9 +155,11 @@ def run_in_process(main) -> dict:
 
 
 def run_subprocesses(out_root: Path) -> None:
-    """Every run as python -m homchip, outputs and stdout.txt in
-    out_root/<name>/, and for a failing run stderr.txt and exit_code.txt."""
+    """Every run as python -m homchip, outputs, stdout.txt and exit_code.txt
+    in out_root/<name>/, and for a failing run stderr.txt.  Raises after the
+    last run if any exited otherwise than its table says, naming each."""
     out_root.mkdir(parents=True, exist_ok=True)
+    disagree = []
     with tempfile.TemporaryDirectory() as tmp:
         layouts = write_layouts(Path(tmp))
         for name in ALL_RUNS:
@@ -163,10 +171,13 @@ def run_subprocesses(out_root: Path) -> None:
                     stdout=stdout,
                     stderr=subprocess.PIPE if name in FAILING_RUNS else None,
                 )
-            check_exit(name, done.returncode)
+            (out / "exit_code.txt").write_text(f"{done.returncode}\n", encoding="utf-8")
             if name in FAILING_RUNS:
                 (out / "stderr.txt").write_bytes(done.stderr)
-                (out / "exit_code.txt").write_text(f"{done.returncode}\n", encoding="utf-8")
+            if not exit_agrees(name, done.returncode):
+                disagree.append(f"run {name} exited {done.returncode}")
+    if disagree:
+        raise RuntimeError("exit status disagrees with the table: " + "; ".join(disagree))
 
 
 def environment() -> dict:

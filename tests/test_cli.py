@@ -311,7 +311,7 @@ def test_module_entry_point(tmp_path):
 
 def test_dip_halfwidth_flag_keeps_unfiltered_window(tmp_path, capsys):
     # --grid-halfwidth-nm narrows only the filtered grid; the unfiltered
-    # triangle keeps its +-300 nm window and is not truncated (+-5 nm still
+    # curve is closed form on no grid, so it does not move (+-5 nm still
     # covers the phase-matching lobes the filtered grid must hold)
     base = ["dip", "--grid-samples", "2048", "--format", "csv"]
     a, b = tmp_path / "a", tmp_path / "b"
@@ -323,6 +323,15 @@ def test_dip_halfwidth_flag_keeps_unfiltered_window(tmp_path, capsys):
 
     assert rows(a, "unfiltered") == rows(b, "unfiltered")
     assert rows(a, "rectangular") != rows(b, "rectangular")
+
+
+def test_one_dip_run_builds_the_phase_tables_once(tmp_path, capsys):
+    # one grid and one delay axis: the kernel's tables miss the memo once
+    from homchip import quantum
+
+    quantum._dip_phase_tables.cache_clear()
+    assert main(["dip", "--format", "csv", "--out", str(tmp_path)]) == 0
+    assert quantum._dip_phase_tables.cache_info().misses == 1
 
 
 @pytest.mark.parametrize(
@@ -337,7 +346,7 @@ def test_dip_halfwidth_flag_keeps_unfiltered_window(tmp_path, capsys):
         (["dip", "--grid-samples", "0"], None),
         (["hom-scan", "--grid-halfwidth-nm", "2000"], None),
         (["dip", "--grid-halfwidth-nm", "2000"], None),
-        (["dip", "--grid-samples", "1024"], None),
+        (["dip", "--grid-samples", "28"], None),
         (["dip", "--grid-halfwidth-nm", "1"], None),
         (["hom-scan", "--grid-halfwidth-nm", "1500", "--grid-samples", "65536"], None),
         (["dip", "--grid-halfwidth-nm", "1500", "--grid-samples", "65536"], None),

@@ -34,6 +34,8 @@ from homchip import dispersion
 from homchip import elements as el
 from homchip import quantum as q
 
+import references
+
 C = 299792458.0
 LAM0 = 1551.7
 
@@ -415,28 +417,61 @@ def test_dip_symmetry(pm, model, lorentz):
 def test_dip_scenarios_baselines(pm, model):
     grid = SpectralGrid(half_width_nm=6.0, samples=2048)
     taus = np.array([-60.0, 0.0, 60.0])
-    # +-60 ps alias on the default +-300 nm unfiltered window at 2048 samples
-    curves = q.dip_scenarios(pm, grid, taus, model=model, unfiltered_grid=grid)
+    # +-60 ps is far outside every dip; the unfiltered curve is closed form
+    curves = q.dip_scenarios(pm, grid, taus, model=model)
     for name, p in curves.items():
         assert p[0] == pytest.approx(0.5, abs=0.02), name
         assert p[1] <= 0.02, name
 
 
-def test_dip_scenarios_default_unfiltered_window_is_wide(pm, model):
-    # the bare source's slow tails need +-300 nm; on the filtered +-6 nm grid
-    # the unfiltered curve lies 1.6e-2 off the triangle
-    grid = SpectralGrid(half_width_nm=6.0, samples=4096)
+def test_dip_scenarios_unfiltered_is_closed_form(pm, model):
+    # the bare source's curve on no grid; +-10 nm covers 3 lobes at 30 C
+    grid = SpectralGrid(half_width_nm=10.0, samples=4096)
     taus = np.arange(-200, 201) * 0.05
-    curves = q.dip_scenarios(pm, grid, taus, model=model, temperature_c=43.6)
-    wide = replace(grid, half_width_nm=300.0)
-    explicit = q.dip_scenarios(
-        pm, grid, taus, model=model, temperature_c=43.6, unfiltered_grid=wide
-    )
-    for name, p in curves.items():
-        assert np.array_equal(p, explicit[name]), name
+    unfiltered = {
+        t: q.dip_scenarios(pm, grid, taus, model=model, temperature_c=t)["unfiltered"]
+        for t in (43.6, 45.0, 50.0, 30.0)
+    }
+    for t, p in unfiltered.items():
+        assert np.array_equal(p, references.unfiltered_dip(pm, model, t, taus)), t
+    # at the reference temperature the source is centered: the triangle
     tau_w = float(group_index_difference(model, LAM0)) * 20.7e-3 / C * 1e12
     triangle = 0.5 * np.minimum(1.0, np.abs(taus) / tau_w)
-    assert np.max(np.abs(curves["unfiltered"] - triangle)) <= 3e-4
+    assert np.max(np.abs(unfiltered[43.6] - triangle)) <= 1e-12
+    assert unfiltered[43.6][len(taus) // 2] == 0.0
+
+
+@pytest.mark.parametrize("temperature_c", [43.6, 45.0, 50.0, 30.0])
+def test_unfiltered_dip_profile_approaches_closed_form_as_one_over_window(
+    pm, model, temperature_c
+):
+    # the grid sum truncates the sinc^2 tails: its error halves as W doubles
+    taus = np.arange(-200, 201) * 0.05
+    exact = references.unfiltered_dip(pm, model, temperature_c, taus)
+    errors = [
+        np.max(np.abs(q.dip_profile(
+            pm, _grid(half_width_nm, 8192), None, taus, model=model, temperature_c=temperature_c
+        ) - exact))
+        for half_width_nm in (150.0, 300.0, 600.0)
+    ]
+    assert errors[1] <= 2.4e-4, errors
+    for wide, wider in zip(errors, errors[1:]):
+        assert 1.8 <= wide / wider <= 2.2, errors
+
+
+def test_unfiltered_grid_is_ignored(pm, model):
+    # accepted for its old callers; no grid, checked or not, moves a curve
+    grid = SpectralGrid(half_width_nm=6.0, samples=4096)
+    taus = np.arange(-200, 201) * 0.05
+    curves = q.dip_scenarios(pm, grid, taus, model=model, temperature_c=44.1)
+    # +-300 nm as the old default, one that aliases at 10 ps and FAR out of range
+    for unfiltered_grid in (_grid(300, 4096), _grid(300, 1024), FAR):
+        given_grid = q.dip_scenarios(
+            pm, grid, taus, model=model, temperature_c=44.1, unfiltered_grid=unfiltered_grid
+        )
+        assert list(given_grid) == list(curves)
+        for name, p in curves.items():
+            assert np.array_equal(given_grid[name], p), name
 
 
 def test_dip_lorentz_strictly_wider(pm, model, lorentz):
@@ -573,9 +608,8 @@ def test_dip_scenarios_apply_scan_grid_checks(pm, model):
 # The grid rule's messages and their order (module docstring of quantum):
 # one input per failing check, then inputs failing two checks, whose first
 # error the order fixes.  Recorded from the code before the checks became
-# one function; the two dip_scenarios rows marked below are the one change
-# of order, since the unfiltered grid is now checked whole before the
-# filtered grid.
+# one function.  dip_scenarios checks one grid, so its rows pin the same
+# order as dip_profile's: aliasing, range, temperature, lobes.
 def _grid(half_width_nm, samples):
     return SpectralGrid(half_width_nm=half_width_nm, samples=samples)
 
@@ -607,6 +641,17 @@ SCALAR_DELAYS = "delays must be a 1-D array, not 0-D"
 PLANE_DELAYS = "delays must be a 1-D array, not 2-D"
 ALIASED_64 = (
     "delay axis aliases: dOmega * max|tau| = 3.667 >= pi at 64 samples; need at least 76 samples"
+)
+#: a 10 ps delay on +-6 nm at 28 samples, as dip --grid-samples 28 prints it
+ALIASED_28 = (
+    "delay axis aliases: dOmega * max|tau| = 3.353 >= pi at 28 samples; need at least 30 samples"
+)
+ALIASED_1500 = (
+    "delay axis aliases: dOmega * max|tau| = 366.713 >= pi at 64 samples; "
+    "need at least 7472 samples"
+)
+ALIASED_16 = (
+    "delay axis aliases: dOmega * max|tau| = 9.779 >= pi at 16 samples; need at least 50 samples"
 )
 
 
@@ -689,14 +734,9 @@ GRID_CHECKS = [
      PLANE_DELAYS),
     ("dip_scenarios finite", _scenarios(_grid(6, 4096), [math.nan]), ValueError,
      "delays must be finite"),
-    ("dip_scenarios unfiltered aliasing",
-     _scenarios(_grid(6, 4096), [10.0], unfiltered_grid=_grid(300, 1024)), q.GridCoverageError,
-     ALIASED_1024),
-    ("dip_scenarios filtered aliasing",
-     _scenarios(_grid(6, 64), [25.0], unfiltered_grid=_grid(300, 8192)), q.GridCoverageError,
+    ("dip_scenarios filtered aliasing", _scenarios(_grid(6, 64), [25.0]), q.GridCoverageError,
      ALIASED_64),
-    ("dip_scenarios range", _scenarios(_grid(6, 4096), [0.0], unfiltered_grid=FAR),
-     WavelengthRangeError, RANGE),
+    ("dip_scenarios range", _scenarios(FAR, [0.0]), WavelengthRangeError, RANGE),
     ("dip_scenarios temperature", _scenarios(_grid(6, 4096), [0.0], temperature_c=70.0),
      ValueError, TEMPERATURE),
     ("dip_scenarios lobes", _scenarios(_grid(1, 4096), [0.0]), q.GridCoverageError, LOBES),
@@ -716,39 +756,33 @@ GRID_CHECKS = [
      q.GridCoverageError, LOBE_AT_32),
     ("dip_profile 1-D before finite", _profile(_grid(6, 4096), None, math.nan), ValueError,
      SCALAR_DELAYS),
-    ("dip_scenarios 1-D before aliasing",
-     _scenarios(_grid(6, 4096), [[10.0]], unfiltered_grid=_grid(300, 1024)), ValueError,
+    ("dip_scenarios 1-D before aliasing", _scenarios(_grid(6, 28), [[10.0]]), ValueError,
      PLANE_DELAYS),
     ("dip_profile finite before aliasing", _profile(_grid(300, 1024), None, [math.inf, 10.0]),
      ValueError, "delays must be finite"),
     ("dip_profile aliasing before range", _profile(_grid(1500, 64), None, [10.0]),
-     q.GridCoverageError,
-     "delay axis aliases: dOmega * max|tau| = 366.713 >= pi at 64 samples; "
-     "need at least 7472 samples"),
+     q.GridCoverageError, ALIASED_1500),
     ("dip_profile aliasing before lobes", _profile(_grid(1, 16), _rect(2.3), [100.0]),
-     q.GridCoverageError,
-     "delay axis aliases: dOmega * max|tau| = 9.779 >= pi at 16 samples; need at least 50 samples"),
+     q.GridCoverageError, ALIASED_16),
     ("dip_profile lobes before filter samples", _profile(_grid(1, 64), _rect(0.01), [0.0]),
      q.GridCoverageError, LOBES),
-    ("dip_scenarios unfiltered aliasing before filtered",
-     _scenarios(_grid(6, 64), [25.0], unfiltered_grid=_grid(300, 1024)), q.GridCoverageError,
-     "delay axis aliases: dOmega * max|tau| = 11.460 >= pi at 1024 samples; "
-     "need at least 3736 samples"),
-    ("dip_scenarios aliasing before lobes",
-     _scenarios(_grid(1, 4096), [10.0], unfiltered_grid=_grid(300, 1024)), q.GridCoverageError,
-     ALIASED_1024),
+    ("dip_scenarios aliasing before lobe samples", _scenarios(_grid(6, 28), [10.0]),
+     q.GridCoverageError, ALIASED_28),
+    ("dip_scenarios aliasing before range", _scenarios(_grid(1500, 64), [10.0]),
+     q.GridCoverageError, ALIASED_1500),
+    ("dip_scenarios aliasing before lobes", _scenarios(_grid(1, 16), [100.0]), q.GridCoverageError,
+     ALIASED_16),
     ("dip_scenarios lobe samples before filters",
      _scenarios(_grid(6, 32), [0.0], rect_width_nm=0.02, lorentz_width_nm=0.02),
      q.GridCoverageError, LOBE_AT_32),
     ("dip_scenarios rect before lorentz samples",
      _scenarios(_grid(6, 2048), [0.0], rect_width_nm=0.02, lorentz_width_nm=0.02),
      q.GridCoverageError, NARROW_FILTER.format("rectangular")),
-    # the one change of order: the unfiltered grid's range and the temperature
-    # check come first (before: the lobes message, then the aliasing message)
-    ("dip_scenarios unfiltered range before filtered lobes",
-     _scenarios(_grid(1, 4096), [0.0], unfiltered_grid=FAR), WavelengthRangeError, RANGE),
-    ("dip_scenarios temperature before filtered aliasing",
-     _scenarios(_grid(6, 64), [25.0], temperature_c=70.0, unfiltered_grid=_grid(300, 8192)),
+    ("dip_scenarios range before temperature", _scenarios(FAR, [0.0], temperature_c=70.0),
+     WavelengthRangeError, RANGE),
+    ("dip_scenarios aliasing before temperature",
+     _scenarios(_grid(6, 64), [25.0], temperature_c=70.0), q.GridCoverageError, ALIASED_64),
+    ("dip_scenarios temperature before lobes", _scenarios(_grid(1, 4096), [0.0], temperature_c=70.0),
      ValueError, TEMPERATURE),
     # the converter floor: each frequency-dependent converter, after the filters
     ("hom_scan triple converter samples", _on(LONG_TRIPLES, _scan(_grid(6, 4096), _lorentz(1.2))),
@@ -810,13 +844,11 @@ def test_dip_scenarios_takes_each_group_index_once(pm, model, monkeypatch):
     group_index = dispersion.group_index
     monkeypatch.setattr(dispersion, "group_index", lambda *a: calls.append(a) or group_index(*a))
     dispersion.group_index_at.cache_clear()
-    grid, wide = _grid(6, 4096), _grid(300, 4096)
+    grid = _grid(6, 4096)
     taus = np.arange(-20, 21) * 0.5
 
     def scenarios(temperature_c):
-        return q.dip_scenarios(
-            pm, grid, taus, model=model, temperature_c=temperature_c, unfiltered_grid=wide
-        )
+        return q.dip_scenarios(pm, grid, taus, model=model, temperature_c=temperature_c)
 
     scenarios(43.6)
     start = len(calls)
@@ -1511,9 +1543,9 @@ def test_evicted_dip_phase_tables_stay_intact_while_held():
 
 def test_empty_delay_axis_gives_empty_curves(pm, model):
     # an empty axis is a zero-size memo entry; its tables stay read-only
-    grid, wide = _grid(6, 1024), _grid(300, 1024)
+    grid = _grid(6, 1024)
     assert q.dip_profile(pm, grid, None, [], model=model).shape == (0,)
-    curves = q.dip_scenarios(pm, grid, np.array([]), model=model, unfiltered_grid=wide)
+    curves = q.dip_scenarios(pm, grid, np.array([]), model=model)
     assert len(curves) == 4
     assert all(p.shape == (0,) for p in curves.values())
     starts, within = q._dip_phase_tables(grid, np.array([]).tobytes())
@@ -1529,34 +1561,31 @@ def test_warm_dip_scenarios_evaluate_no_cos_sin(pm, model, monkeypatch):
     from homchip import grid as grid_mod
 
     grid = SpectralGrid(half_width_nm=6.0, samples=4096)
-    wide = SpectralGrid(half_width_nm=300.0, samples=4096)
     taus = np.arange(-200, 201) * 0.05
-    kwargs = dict(model=model, unfiltered_grid=wide)
-    q.dip_scenarios(pm, grid, taus, **kwargs)
+    q.dip_scenarios(pm, grid, taus, model=model)
     calls = []
     cis = grid_mod._cis
     monkeypatch.setattr(grid_mod, "_cis", lambda angles: calls.append(np.shape(angles)) or cis(angles))
-    q.dip_scenarios(pm, grid, taus, **kwargs)
+    q.dip_scenarios(pm, grid, taus, model=model)
     assert calls == []
-    # a new delay axis builds its two tables on each grid
-    q.dip_scenarios(pm, grid, taus[1:], **kwargs)
-    assert len(calls) == 4
+    # a new delay axis builds its two tables on the one grid
+    q.dip_scenarios(pm, grid, taus[1:], model=model)
+    assert len(calls) == 2
 
 
-#: The traced peak of a warm dip_scenarios call on the +-6 and +-300 nm grids
-#: at N = 4096 with 561 delays, 2.852 MB measured, plus a margin below the
-#: 404 KB of a block-start table built on every call (3.256 MB traced so).
-WARM_DIP_PEAK_BYTES = 3_000_000
+#: The traced peak of a warm dip_scenarios call on the +-6 nm grid at
+#: N = 4096 with 561 delays, 1.160 MB measured, plus a margin below the
+#: 404 KB of a block-start table built on every call.
+WARM_DIP_PEAK_BYTES = 1_500_000
 
 
 def test_warm_dip_scenarios_traced_memory_peak(pm, model):
     grid = SpectralGrid(half_width_nm=6.0, samples=4096)
-    wide = SpectralGrid(half_width_nm=300.0, samples=4096)
     taus = np.arange(-14.0, 14.0 + 1e-9, 0.05)
     assert len(taus) == 561
 
     def scenarios():
-        return q.dip_scenarios(pm, grid, taus, model=model, unfiltered_grid=wide)
+        return q.dip_scenarios(pm, grid, taus, model=model)
 
     scenarios()
     tracemalloc.start()
@@ -1640,11 +1669,10 @@ def test_dip_scenarios_match_separate_profiles(
 ):
     layout = ChipLayout()
     grid = SpectralGrid(half_width_nm=6.0, samples=samples)
-    wide = SpectralGrid(half_width_nm=300.0, samples=samples)
     curves = q.dip_scenarios(
         pm, grid, taus_ps, layout=layout, model=model, temperature_c=temperature_c,
         pc0_efficiency=pc0_efficiency, rect_width_nm=rect_width_nm,
-        lorentz_width_nm=lorentz_width_nm, unfiltered_grid=wide,
+        lorentz_width_nm=lorentz_width_nm,
     )
     triple = PcSpec(length_mm=3.0 * layout.segment_length_mm, temperature_c=temperature_c)
     pc0 = PcSpec(length_mm=layout.pc0_length_mm, temperature_c=temperature_c)
@@ -1655,8 +1683,9 @@ def test_dip_scenarios_match_separate_profiles(
 
     lorentz = FilterSpec("lorentzian", LAM0, lorentz_width_nm)
     common = dict(taus_ps=taus_ps, model=model, temperature_c=temperature_c)
+    # the unfiltered curve is dip_profile's on an unbounded window
     separate = {
-        "unfiltered": q.dip_profile(pm, wide, None, **common),
+        "unfiltered": references.unfiltered_dip(pm, model, temperature_c, taus_ps),
         "rectangular": q.dip_profile(
             pm, grid, FilterSpec("rectangular", LAM0, rect_width_nm), **common
         ),
@@ -1710,11 +1739,7 @@ def test_dip_scenarios_same_bits_as_exponential_kernel(
     pm, model, taus_ps, temperature_c, pc0_efficiency
 ):
     grid = SpectralGrid(half_width_nm=6.0, samples=4096)
-    wide = SpectralGrid(half_width_nm=300.0, samples=4096)
-    kwargs = dict(
-        model=model, temperature_c=temperature_c, pc0_efficiency=pc0_efficiency,
-        unfiltered_grid=wide,
-    )
+    kwargs = dict(model=model, temperature_c=temperature_c, pc0_efficiency=pc0_efficiency)
     # a cold call (block starts built) and a warm one (read from the memo)
     q._dip_phase_tables.cache_clear()
     cold = q.dip_scenarios(pm, grid, taus_ps, **kwargs)
@@ -1762,7 +1787,6 @@ def test_warm_delay_kernel_equals_cold_and_allocates_no_product(monkeypatch):
 
 def test_dip_threads_do_not_share_the_product(pm, model):
     grid = SpectralGrid(half_width_nm=6.0, samples=4096)
-    wide = SpectralGrid(half_width_nm=300.0, samples=4096)
     axes = (
         np.arange(-7.0, 7.0 + 1e-9, 0.05),
         np.arange(-14.0, 14.0 + 1e-9, 0.05),
@@ -1770,7 +1794,7 @@ def test_dip_threads_do_not_share_the_product(pm, model):
     )
 
     def scenarios(taus):
-        return q.dip_scenarios(pm, grid, taus, model=model, unfiltered_grid=wide)
+        return q.dip_scenarios(pm, grid, taus, model=model)
 
     serial = [scenarios(taus) for taus in axes]
 
