@@ -40,8 +40,8 @@ its detection window at hom_scan and _RankOneDetector.  dip_profile and
 dip_scenarios bypass the chain (_delay_kernel, _dip_phase_tables), and
 dip_scenarios' unfiltered curve is closed form (_unfiltered_dip).  Both
 memos freeze the tables they build with grid._read_only, the rule for the
-grid's cached arrays.  The dip kernel's product buffer (_product_buffer)
-is per-thread scratch, not a memo.
+grid's cached arrays.  hom_scan and the dip kernel share one per-thread
+scratch (_thread_scratch), which is not a memo.
 numpy's complex product is not bitwise commutative, so every rewrite
 keeps each product's operands and their order.
 
@@ -228,7 +228,9 @@ class _Step:
         sampled at omega0 + Omega; rows 0-1 are the upper-path block.  A
         (2, photons, N) input is that block alone, the lower path empty,
         as it is up to the polarizing splitter, whose step expands it.
-        The shapes are explicit, since a -1 cannot size an empty window."""
+        The shapes are explicit, since a -1 cannot size an empty window.
+        hom_scan runs the prefix in one pass (_Chain.source_prefix), with
+        the bits of walking these steps."""
         if self.kind == "phase":  # (path, polarization, photon, N) times the rows
             blocks = vectors.reshape((len(vectors) // 2, 2) + vectors.shape[1:])
             return (blocks * self.data[:, None]).reshape(vectors.shape)
@@ -307,19 +309,25 @@ class _Chain:
         wavelengths = self.grid.wavelength_plus_nm[self.window]
         return el.pc_chain_matrix(pc, wavelengths, self.model, self.pm)
 
+    def first_converter(self, setting: chip_mod.SwitchSetting) -> "np.ndarray | None":
+        """The first converter's Jones block, None when it is undriven: an
+        undriven converter is the identity (its pc_chain_matrix only to
+        rounding), so it has no step."""
+        if not setting.pc0_on:
+            return None
+        pc0 = el.PcSpec(length_mm=self.layout.pc0_length_mm, temperature_c=self.temperature_c)
+        return self._converter(pc0.with_drive_efficiency(setting.pc0_efficiency))
+
     def prefix(self, setting: chip_mod.SwitchSetting) -> list:
-        """Steps to the polarizing-splitter exit.  An undriven first
-        converter is the identity (its pc_chain_matrix only to rounding),
-        so its step is left out."""
+        """Steps to the polarizing-splitter exit."""
         tables = self.tables
         steps = [
             _Step("source second half", "phase", tables.source_half),
             _Step("first converter, front half", "phase", tables.pc0_half),
         ]
-        if setting.pc0_on:
-            pc0 = el.PcSpec(length_mm=self.layout.pc0_length_mm, temperature_c=self.temperature_c)
-            pc0 = pc0.with_drive_efficiency(setting.pc0_efficiency)
-            steps.append(_Step("first converter", "jones", self._converter(pc0)))
+        pc0 = self.first_converter(setting)
+        if pc0 is not None:
+            steps.append(_Step("first converter", "jones", pc0))
         return steps + [
             _Step("first converter, back half", "phase", tables.pc0_half),
             _Step("splitter region", "phase", tables.pbs_region),
@@ -347,6 +355,39 @@ class _Chain:
         steps.append(_Step("output block", "phase", block))
         steps.append(_Step("balanced splitter", "modes", np.kron(self.coupler, np.eye(2))))
         return steps
+
+    def source_prefix(self, setting: chip_mod.SwitchSetting, work, out) -> None:
+        """The prefix applied to the source's pair, photon 1 in H and photon 2
+        in V on the upper path: writes their mode vectors (4, 2, N) into out.
+
+        Up to the first converter every step is a diagonal phase, so each
+        photon keeps one row, d[p] = source_half[p] pc0_half[p] for photon p
+        in polarization p, and the zeros of the other row are never formed.
+        An undriven group takes d through its remaining phases and the
+        splitter, pbs[a, p] d[p]; a driven one applies the converter's column
+        p to d[p], then the remaining phase rows in place, then the splitter.
+        Each product keeps the operands and their order of walking prefix()
+        from the (2, 2, N) start block, so out has those vectors' bits: a
+        term left out is a zero, and adding a zero changes no nonzero value.
+        work is (2, 2, 2, N) scratch: d takes work[0, 0] and the driven
+        group's (polarization, photon, N) block work[1].
+        """
+        tables = self.tables
+        d = work[0, 0]
+        np.multiply(tables.source_half, tables.pc0_half, out=d)
+        pc0 = self.first_converter(setting)
+        if pc0 is None:
+            d *= tables.pc0_half
+            d *= tables.pbs_region
+            np.multiply(self.pbs[:, :2, None], d, out=out)
+            return
+        block = work[1]
+        for a in (0, 1):
+            for p in (0, 1):
+                np.multiply(pc0[..., a, p], d[p], out=block[a, p])
+        block *= tables.pc0_half[:, None]
+        block *= tables.pbs_region[:, None]
+        _mix(self.pbs, block, out)
 
     def fold_suffix(self, vectors: "np.ndarray", folded, cross) -> None:
         """The suffix for every triple at once: writes arrays A (folded) and
@@ -592,28 +633,35 @@ class _RankOneDetector:
     vectors is mode-major (4, 2, n), the n samples of the detection
     window: rows 0-1 (OUT_UPPER) and 2-3 (OUT_LOWER) are the path blocks,
     column 0 is photon 1 and column 1 photon 2, both at omega0 + Omega;
-    photon 2 is read on the flipped axis.  The power rows are written into
-    a full-length (2, 2, N) block that stays 0 outside the window, where
-    the weight is 0 too, so the product with the weight sums the same N
-    terms as on the full grid (p 0 and 0 0 are both +0) with its bits.
+    photon 2 is read on the flipped axis.  Once both photons' upper-path
+    rows are read into their scaled products, the exchange partners are
+    written over that block, so a call leaves vectors changed and needs no
+    partner buffer of its own.  (Photon 2's rows are free then too, but they
+    interleave with the photon-1 rows the partner reads, and numpy copies
+    an input whose memory range overlaps the output's.)  The power rows are
+    written into a full-length (2, 2, N) block that stays 0 outside the
+    window, where the weight is 0 too, so the product with the weight sums
+    the same N terms as on the full grid (p 0 and 0 0 are both +0) with
+    its bits.
     """
 
     def __init__(self, phi, weight, d_omega, window):
         self.phi, self.weight, self.d_omega = phi[window], weight, d_omega
         n = len(self.phi)
         self.scaled = np.empty((2, n), dtype=complex)
-        self.block, self.partner = np.empty((2, 2, 2, n), dtype=complex)
+        self.block = np.empty((2, 2, n), dtype=complex)
         self.power = np.zeros((2, 2, len(weight)))
         self.rows = self.power[..., window]
 
     def __call__(self, vectors) -> float:
         u1 = vectors[:, 0]
         u2 = vectors[:, 1, ::-1]
-        scaled, block, partner = self.scaled, self.block, self.partner
+        scaled, block = self.scaled, self.block
         np.multiply(u1[:2], self.phi, out=scaled)
         np.multiply(scaled[:, None], u2[None, 2:], out=block)  # A[a, b](Omega)
         np.multiply(u2[:2], self.phi, out=scaled)
-        # A[b, a](-Omega), reversed in its multiply
+        # A[b, a](-Omega) over the upper-path rows, reversed in its multiply
+        partner = vectors[:2]
         np.multiply(u1[None, 2:, ::-1], scaled[:, None, ::-1], out=partner)
         block += partner
         squares = block.view(float)  # (re, im) pairs
@@ -635,8 +683,17 @@ def hom_scan(
     The per-photon fast path of the module docstring; keywords as for
     chain_transfers.  Equals coincidence_probability(run_chain(...)) to
     rounding.  Settings are grouped by their prefix (pc0_on,
-    pc0_efficiency), one fold alive at a time in two arrays allocated once
-    per scan, and returned in input order.
+    pc0_efficiency), one fold alive at a time, and returned in input
+    order.  Each group's prefix runs on the source's photons alone
+    (_Chain.source_prefix).
+
+    The fold's A and B (2, 2, 2, n), 16 n complex numbers, are the
+    thread's one scratch (_thread_scratch), so a warm scan maps no fresh
+    pages for them; the prefix works in B until fold_suffix writes it.
+    hom_scan calls no other kernel that takes the scratch, and returns only
+    floats.  The mode vectors (4, 2, n) are one array per scan, not
+    scratch: kept, they would stay resident between scans, and the peak
+    resident set they add outweighs the page faults they save.
 
     Everything runs on the detection window (_detection_window), since a
     sample of weight 0 adds nothing to a coincidence: a rectangular
@@ -661,32 +718,21 @@ def hom_scan(
         m = chip_mod.active_triple(layout, setting)
         groups.setdefault((setting.pc0_on, setting.pc0_efficiency), []).append((index, m))
     detect = _RankOneDetector(phi, weight, grid.d_omega, window)
-    # the upper-path block (polarization, photon, n): photon 1 in H, photon 2 in V
-    start = np.zeros((2, 2, window.stop - window.start), dtype=complex)
-    start[0, 0] = start[1, 1] = 1.0
-    # two arrays rather than one block: freeing that block lifted
-    # malloc's trim threshold, and the benchmark's peak RSS with it
-    folded = np.empty((2,) + start.shape, dtype=complex)
-    cross = np.empty_like(folded)
+    n = window.stop - window.start
+    folded, cross = _thread_scratch(16 * n).reshape(2, 2, 2, 2, n)
+    vectors = np.empty((4, 2, n), dtype=complex)
     raws = [0.0] * len(settings)
     for members in groups.values():
-        vectors = _evolve(start, chain.prefix(settings[members[0][0]]))
+        chain.source_prefix(settings[members[0][0]], cross, vectors)
         chain.fold_suffix(vectors, folded, cross)
-        # folded, the prefix array is free to take each setting's vectors
+        # folded, the prefix's vectors are free to take each setting's
         for index, m in members:
             chain.unfold(m, folded, cross, vectors.reshape(folded.shape))
             raws[index] = detect(vectors)
-        del vectors  # before the next group's prefix is built
     return [
         ScanPoint(setting=s, delay_ps=chip_mod.delay_schedule(layout, s, model), raw=raw)
         for s, raw in zip(settings, raws)
     ]
-
-
-def _evolve(vectors: "np.ndarray", steps) -> "np.ndarray":
-    for step in steps:
-        vectors = step.apply(vectors)
-    return vectors
 
 
 def normalize_scan(points) -> list:
@@ -850,14 +896,11 @@ def _delay_kernel(g: "np.ndarray", grid: SpectralGrid, taus_s: "np.ndarray") -> 
     bits of the complex-exponential form the tests keep as a reference.
 
     The (T, S, P) product is written (np.matmul's out) into the calling
-    thread's scratch buffer, _product_buffer, not into a fresh array: a
+    thread's one scratch (_thread_scratch), not into a fresh array: a
     fresh array that size is mapped page by page on every call, and those
-    page faults were a large part of a warm dip request.  The buffer is
-    per thread, since two threads writing one buffer would mix their
-    curves, and it is scratch, not a memo: nothing outlives the call that
-    wrote it.  It only grows, to the largest T S P its thread has needed;
-    with S <= 3 rows that is at most 3 T P <= 1.5 T (P + B) complex
-    numbers, about one and a half _dip_phase_tables entries.
+    page faults were a large part of a warm dip request.  With S <= 3 rows
+    the product is at most 3 T P <= 1.5 T (P + B) complex numbers, about
+    one and a half _dip_phase_tables entries.
     """
     half = grid.samples // 2
     starts, within = _dip_phase_tables(grid, taus_s.tobytes())
@@ -866,7 +909,7 @@ def _delay_kernel(g: "np.ndarray", grid: SpectralGrid, taus_s: "np.ndarray") -> 
     g_blocks = np.zeros((block, rows, blocks), dtype=complex)  # G[q, s, p], zero-padded
     for row, half_row in zip(g_blocks.transpose(1, 2, 0), g[:, half:]):
         row.flat[:half] = half_row  # row[p, q] in flat order pB + q
-    inner = _product_buffer(taus * rows * blocks).reshape(taus, rows * blocks)
+    inner = _thread_scratch(taus * rows * blocks).reshape(taus, rows * blocks)
     np.matmul(within, g_blocks.reshape(block, rows * blocks), out=inner)
     inner = inner.reshape(taus, rows, blocks)  # (T, S, P)
     np.multiply(starts[:, None, :], inner, out=inner)
@@ -874,16 +917,25 @@ def _delay_kernel(g: "np.ndarray", grid: SpectralGrid, taus_s: "np.ndarray") -> 
     return 2.0 * grid.d_omega * kernel.real.T
 
 
-#: Each thread's scratch for _delay_kernel's product (not a memo).
+#: Each thread's one scratch, _thread_scratch's (not a memo).
 _scratch = threading.local()
 
 
-def _product_buffer(count: int) -> "np.ndarray":
+def _thread_scratch(count: int) -> "np.ndarray":
     """A writable 1-D complex array of count entries: the calling thread's
-    buffer, grown (never shrunk) when count exceeds it."""
-    buffer = getattr(_scratch, "product", None)
+    one scratch, grown (never shrunk) when count exceeds it.
+
+    Two kernels take it: _delay_kernel for its (T, S, P) product, T S P
+    entries, and hom_scan for its fold's A and B, 16 n entries on an
+    n-sample detection window.  So it ends at the larger of the two
+    needs its thread has met, never at their sum.  The rule that makes
+    one buffer safe: a kernel that holds the scratch calls no other kernel
+    that takes it, and nothing it holds outlives the call.  It is per
+    thread, since two threads writing one buffer would mix their results.
+    """
+    buffer = getattr(_scratch, "buffer", None)
     if buffer is None or len(buffer) < count:
-        buffer = _scratch.product = np.empty(count, dtype=complex)
+        buffer = _scratch.buffer = np.empty(count, dtype=complex)
     return buffer[:count]
 
 

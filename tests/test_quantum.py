@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -1147,7 +1148,7 @@ def test_splitter_step_same_bits_as_matmul(extinction_db, samples, layout, pm, m
         assert splitter.kind == "modes"
         vectors = np.zeros((2, 2, samples), dtype=complex)
         vectors[0, 0] = vectors[1, 1] = 1.0
-        vectors = q._evolve(vectors, steps)
+        vectors = _evolve(vectors, steps)
         matmul = (splitter.data[:, :2] @ vectors.reshape(2, -1)).reshape((4,) + vectors.shape[1:])
         assert (splitter.apply(vectors) + 0.0).tobytes() == (matmul + 0.0).tobytes()
 
@@ -1180,6 +1181,13 @@ def _out_of_place_coincidence(vectors, phi, weight, d_omega):
     return float(np.sum(power.reshape(4, -1) @ weight) * d_omega)
 
 
+def _evolve(vectors, steps):
+    """Walk vectors through a step list with _Step.apply."""
+    for step in steps:
+        vectors = step.apply(vectors)
+    return vectors
+
+
 def _four_mode_scan_raws(layout, settings, pm, grid, filters=None, **kwargs):
     """hom_scan's raws from its engine as first written: the prefix evolved
     on all four modes (4, 2, N), settings in input order with a fold kept per
@@ -1195,10 +1203,7 @@ def _four_mode_scan_raws(layout, settings, pm, grid, filters=None, **kwargs):
         m = active_triple(layout, setting)
         key = (setting.pc0_on, setting.pc0_efficiency)
         if key not in folds:
-            vectors = start
-            for step in chain.prefix(setting):
-                vectors = step.apply(vectors)
-            folds[key] = _stacked_fold(chain, vectors)
+            folds[key] = _stacked_fold(chain, _evolve(start, chain.prefix(setting)))
         folded, cross = folds[key]
         e = chain.tables.walk_off[m - 1]
         vectors = folded + cross * np.stack([e, np.conj(e)])[:, None]
@@ -1246,42 +1251,47 @@ def test_hom_scan_matches_four_mode_engine_bit_for_bit(inputs, pm, model):
     assert [p.delay_ps for p in points] == [delay_schedule(layout, s, model) for s in chosen]
 
 
-#: The traced peak of test_warm_scan_traced_memory_peak's scan, 3.515 MB
-#: measured, plus a margin of a third of a (2, 2, 4096) complex temporary.
-WARM_SCAN_PEAK_BYTES = 3_600_000
+#: The traced peak of test_warm_scan_traced_memory_peak's scan, 2.108 MB
+#: measured, plus a margin below half a (2, 2, 4096) complex array: a fold
+#: array allocated per call (512 KiB) crosses it.
+WARM_SCAN_PEAK_BYTES = 2_200_000
 #: The traced peak of the same scan behind rect:2.3, whose detection window
-#: holds 784 of the 4096 samples: 0.93 MB measured.  On the full grid it
+#: holds 784 of the 4096 samples: 0.665 MB measured, plus a margin below
+#: one (2, 2, 2, 784) complex fold array (98 KiB).  On the full grid it
 #: would be about the Lorentzian scan's.
-WARM_RECT_SCAN_PEAK_BYTES = 1_200_000
+WARM_RECT_SCAN_PEAK_BYTES = 720_000
 
 
-def _warm_scan_traced_peak(pm, model, filters):
-    """The traced memory peak of one warm 16-setting scan at N = 4096 with
-    the paper preset: the buffers are the fold (A, B), the group's prefix
-    vectors and the detection rows."""
+def _paper_scan_raws(pm, model, grid, filters):
+    """The raws of the 16-setting scan with the paper preset on grid."""
     imp = PRESETS["paper"]
     layout = ChipLayout()
     settings = enumerate_settings(layout, SwitchSetting(pc0_efficiency=imp["pc0_efficiency"]))
     assert len(settings) == 16
+    points = q.hom_scan(
+        layout,
+        settings,
+        pm,
+        grid,
+        filters=filters,
+        model=model,
+        pbs_extinction_db=imp["pbs_extinction_db"],
+        pc_conversion_db=imp["pc_conversion_db"],
+        flat_converters=imp["flat_converters"],
+    )
+    return [p.raw.hex() for p in points]
+
+
+def _warm_scan_traced_peak(pm, model, filters):
+    """The traced memory peak of one warm paper-preset scan at N = 4096.
+    The fold (A, B) lives in the thread's scratch, kept from the first
+    scan; what the warm scan allocates is the mode vectors, the detector's
+    scaled rows, block and power rows, and the chain's converter matrix."""
     grid = SpectralGrid(samples=4096)
-
-    def scan():
-        return q.hom_scan(
-            layout,
-            settings,
-            pm,
-            grid,
-            filters=filters,
-            model=model,
-            pbs_extinction_db=imp["pbs_extinction_db"],
-            pc_conversion_db=imp["pc_conversion_db"],
-            flat_converters=imp["flat_converters"],
-        )
-
-    scan()
+    _paper_scan_raws(pm, model, grid, filters)
     tracemalloc.start()
     try:
-        scan()
+        _paper_scan_raws(pm, model, grid, filters)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1299,6 +1309,63 @@ def test_warm_rect_scan_traced_memory_peak(pm, model):
     # grid crosses the bound
     peak = _warm_scan_traced_peak(pm, model, FilterSpec("rectangular", LAM0, 2.3))
     assert peak <= WARM_RECT_SCAN_PEAK_BYTES, peak
+
+
+def test_scan_threads_do_not_share_the_scratch(pm, model):
+    # three detection windows of different lengths: 4096, 784 and 2048 samples
+    runs = (
+        (SpectralGrid(samples=4096), FilterSpec("lorentzian", LAM0, 1.2)),
+        (SpectralGrid(samples=4096), FilterSpec("rectangular", LAM0, 2.3)),
+        (SpectralGrid(samples=2048), None),
+    )
+    serial = [_paper_scan_raws(pm, model, grid, filters) for grid, filters in runs]
+
+    def worker(first):
+        wrong = 0
+        for call in range(12):
+            index = (first + call) % len(runs)
+            wrong += _paper_scan_raws(pm, model, *runs[index]) != serial[index]
+        return wrong
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            assert list(pool.map(worker, range(3), timeout=120)) == [0, 0, 0]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_scan_and_dip_share_one_scratch_per_thread(pm, model):
+    grid = SpectralGrid(half_width_nm=6.0, samples=4096)
+    taus = np.arange(-200, 201) * 0.05  # the CLI's delay axis
+    lorentz = FilterSpec("lorentzian", LAM0, 1.2)
+
+    def dip():
+        return q.dip_scenarios(pm, grid, taus, model=model)
+
+    def scan():
+        return _paper_scan_raws(pm, model, grid, lorentz)
+
+    def on_a_fresh_thread(call):
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            return pool.submit(call).result(timeout=120)
+
+    dip_alone, scan_alone = on_a_fresh_thread(dip), on_a_fresh_thread(scan)
+
+    def alternate():
+        wrong = 0
+        for _ in range(3):
+            curves = dip()
+            wrong += sum(not np.array_equal(curves[k], p) for k, p in dip_alone.items())
+            wrong += scan() != scan_alone
+        return wrong, len(q._scratch.buffer)
+
+    wrong, size = on_a_fresh_thread(alternate)
+    assert wrong == 0
+    # the scan's fold, 16 N, and the dip product, T S P with S = 3
+    blocks = q._dip_phase_tables(grid, (taus * 1e-12).tobytes())[0].shape[-1]
+    assert size == max(16 * grid.samples, len(taus) * 3 * blocks)
 
 
 LAYOUT_GEOMETRY = st.fixed_dictionaries(
