@@ -172,37 +172,20 @@ def _pdc_detuning(pm: PmSpec, grid: SpectralGrid, temperature_c, model) -> tuple
     return omega_center - grid.omega0, a
 
 
-@dataclass(frozen=True)
-class PdcAmplitude:
-    """Pair-source spectral amplitude on a grid, unit-normalized.
-
-    lobe_coverage counts how many phase-matching lobes fit on the narrow
-    side of the grid (below 1, the main lobe itself is clipped);
-    lobe_samples counts the grid samples across one lobe width pi / a in
-    Omega.  Both are reported here and checked by the grid rule (quantum
-    module docstring).
-    """
-
-    values: "np.ndarray"
-    lobe_coverage: float
-    lobe_samples: float
-
-
 def pdc_amplitude(
     pm: PmSpec,
     grid: SpectralGrid,
     temperature_c: float | None = None,
     *,
     model: dispersion.DispersionModel,
-) -> PdcAmplitude:
+) -> "np.ndarray":
     """Sinc-shaped phase-matching amplitude of the CW-pumped pair source.
 
     The wave-vector mismatch is expanded to first order in the
     group-velocity difference, so the amplitude is
     sinc(dng * L / (2c) * (Omega - Omega_c)) with the center detuning
     Omega_c set by the temperature-tuned degeneracy wavelength.
-    Normalized to unit power on the grid, with the grid's lobe coverage
-    and sampling reported (PdcAmplitude).  A grid reaching outside the
+    Normalized to unit power on the grid.  A grid reaching outside the
     dispersion model's validity range raises WavelengthRangeError before
     anything else is computed.
     """
@@ -210,15 +193,7 @@ def pdc_amplitude(
     omega_c, a = _pdc_detuning(pm, grid, temperature_c, model)
     phi = _sinc(a * (grid.detunings - omega_c))
     norm = np.sqrt(np.sum(np.abs(phi) ** 2) * grid.d_omega)
-    phi = phi.astype(complex) / norm
-
-    lobe_edge = np.pi / a
-    coverage = (grid.half_width_omega - abs(omega_c)) / lobe_edge
-    return PdcAmplitude(
-        values=phi,
-        lobe_coverage=float(coverage),
-        lobe_samples=float(lobe_edge / grid.d_omega),
-    )
+    return phi.astype(complex) / norm
 
 
 def shg_spectrum(

@@ -9,6 +9,7 @@ zero detuning; integrals are midpoint sums with weight d_omega.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,7 +37,13 @@ class SpectralGrid:
         # a half-width of center_wavelength_nm puts the grid edge at zero frequency
         if not 0 < self.half_width_nm < self.center_wavelength_nm:
             raise ValueError("half_width_nm must be positive and below center_wavelength_nm")
-        if self.samples < 2 or self.samples % 2 != 0:
+        try:
+            samples = operator.index(self.samples)  # an int or numpy integer, never a float
+        except TypeError:
+            raise ValueError(
+                f"samples must be an integer, not {type(self.samples).__name__}"
+            ) from None
+        if samples < 2 or samples % 2 != 0:
             raise ValueError("samples must be an even number >= 2")
 
     @cached_property
@@ -104,12 +111,6 @@ class SpectralGrid:
     def block_offsets(self, taus_s, axis: "np.ndarray") -> "np.ndarray":
         """The (..., B) table exp(i q dOmega tau) of phases()."""
         return _cis(np.multiply.outer(taus_s, np.arange(_block_size(axis)) * self.d_omega))
-
-    def samples_across_nm(self, width_nm: float) -> float:
-        """How many grid samples span a spectral feature of the given width."""
-        lam0 = self.center_wavelength_nm * 1e-9
-        width_omega = 2.0 * np.pi * C_VACUUM * (width_nm * 1e-9) / lam0**2
-        return width_omega / self.d_omega
 
 
 def _read_only(values: "np.ndarray") -> "np.ndarray":

@@ -58,6 +58,8 @@ they are checked, raise at the first that fails:
    tuning lines' reference (ValueError), both from el.pdc_amplitude;
 3. the grid covers at least MIN_LOBES phase-matching lobes on its narrow
    side, and puts at least MIN_FEATURE_SAMPLES samples across one lobe;
+   _check_grid forms these counts, and those of 4, from el's physics
+   scales (el._pdc_detuning, el.pc_lobe_width_nm) and the grid's constants;
 4. it puts at least MIN_FEATURE_SAMPLES samples across each real
    filter's width, then across the phase-matching lobe (pi of delta L)
    of each frequency-dependent converter hom_scan or dip_scenarios
@@ -69,7 +71,9 @@ lobe floors of 3: its slow tails need a wide window, and the triangle it
 approaches is checked directly.  None and a FilterSpec of shape none
 both mean no filter (_real_filters).  Each entry point resolves a missing
 model once, and the chain's entry points a missing temperature with it
-(_resolved); _Chain and the element functions take every argument.
+(_resolved); _Chain takes every argument, and so do the element
+functions, except the source's temperature, whose None el._pdc_tuning
+reads as the reference temperature.
 """
 
 import math
@@ -82,7 +86,7 @@ from . import chip as chip_mod
 from . import dispersion
 from . import elements as el
 from .dispersion import Polarization
-from .grid import SpectralGrid, _read_only
+from .grid import C_VACUUM, SpectralGrid, _read_only
 
 #: Two paths times two polarizations, path-major (module docstring).
 N_MODES = 4
@@ -448,7 +452,7 @@ def build_source_state(
     """Type-II pair state at the source-section midpoint, unit norm."""
     model = model or dispersion.default_model()
     values = np.zeros((N_MODES, N_MODES, grid.samples), dtype=complex)
-    values[SOURCE_MODES] = _check_grid(grid, pm=pm, model=model, temperature_c=temperature_c).values
+    values[SOURCE_MODES] = _check_grid(grid, pm=pm, model=model, temperature_c=temperature_c)
     return TwoPhotonAmplitude(grid=grid, values=values)
 
 
@@ -460,7 +464,8 @@ def _check_grid(
     detection filters (_real_filters), taus_s the delays in seconds, a
     float64 array, or None; pm, with model and temperature_c, asks for the
     source checks; converters_mm are the frequency-dependent converters'
-    lengths.  Returns the checked source el.PdcAmplitude, or None without pm.
+    lengths.  Returns the checked source amplitude (el.pdc_amplitude), or None
+    without pm.
 
     A count message rounds the count down, so a value just below the floor
     (3.9999999999999996) does not print as the floor itself.
@@ -482,14 +487,18 @@ def _check_grid(
     features = []
     source = None if pm is None else el.pdc_amplitude(pm, grid, temperature_c, model=model)
     if source is not None and (filters or taus_s is None):  # the unfiltered dip curve is exempt
-        if source.lobe_coverage < MIN_LOBES:
+        # lobes on the grid's narrow side, and samples across one lobe width pi / a in Omega
+        omega_c, a = el._pdc_detuning(pm, grid, temperature_c, model)
+        lobe = np.pi / a
+        coverage = (grid.half_width_omega - abs(omega_c)) / lobe
+        if coverage < MIN_LOBES:
             raise GridCoverageError(
-                f"grid covers {source.lobe_coverage:.2f} phase-matching lobes; "
-                f"need at least {MIN_LOBES:g}"
+                f"grid covers {coverage:.2f} phase-matching lobes; need at least {MIN_LOBES:g}"
             )
-        features.append((source.lobe_samples, "a phase-matching lobe"))
+        features.append((lobe / grid.d_omega, "a phase-matching lobe"))
+    lam0 = grid.center_wavelength_nm * 1e-9
     for flt in filters:
-        across = grid.samples_across_nm(flt.width_nm)
+        across = 2.0 * np.pi * C_VACUUM * (flt.width_nm * 1e-9) / lam0**2 / grid.d_omega
         features.append((across, f"the {flt.width_nm:g} nm {flt.shape} filter"))
     # the widest wavelength step is the longest wavelength's; n_g is taken at the grid
     # center, as for the propagation phases, so a new temperature costs no group_index call
@@ -708,7 +717,7 @@ def hom_scan(
     filters = _real_filters(filters)
     flat = chain_kwargs.get("flat_converters")
     converters = () if flat else (layout.pc0_length_mm, 3.0 * layout.segment_length_mm)
-    phi = _check_grid(grid, filters, None, pm, model, temperature_c, converters).values
+    phi = _check_grid(grid, filters, None, pm, model, temperature_c, converters)
     weight = _filter_weight(grid, filters)
     window = _detection_window(weight)
     chain = _Chain(layout, pm, grid, window=window, **chain_kwargs)
@@ -796,7 +805,7 @@ def dip_profile(
     taus_s = np.asarray(taus_ps, dtype=float) * 1e-12
     model = model or dispersion.default_model()
     filters = _real_filters(filters)
-    source = _check_grid(grid, filters, taus_s, pm, model, temperature_c).values
+    source = _check_grid(grid, filters, taus_s, pm, model, temperature_c)
     lam = grid.wavelength_plus_nm
     joint = _joint(
         grid,
@@ -999,7 +1008,7 @@ def dip_scenarios(
         el.FilterSpec("lorentzian", center, lorentz_width_nm),
     )
     converters = (layout.pc0_length_mm, 3.0 * layout.segment_length_mm)
-    source = _check_grid(grid, specs, taus_s, pm, model, t, converters).values
+    source = _check_grid(grid, specs, taus_s, pm, model, t, converters)
     lam = grid.wavelength_plus_nm
     rect, lorentz = (el.filter_amplitude(flt, lam) for flt in specs)
     triple = el.PcSpec(length_mm=3.0 * layout.segment_length_mm, temperature_c=t)

@@ -166,9 +166,9 @@ def test_criterion_05_rectangular_filter_overshoot(pm, model):
 def test_criterion_06_bandwidths(pm, model):
     grid = SpectralGrid(half_width_nm=4.0, samples=16384)
     lam = grid.wavelength_plus_nm
-    w1 = abs(spectrum_fwhm(lam, np.abs(pdc_amplitude(pm, grid, model=model).values) ** 2))
+    w1 = abs(spectrum_fwhm(lam, np.abs(pdc_amplitude(pm, grid, model=model)) ** 2))
     pm2 = PmSpec(pdc_length_mm=2 * pm.pdc_length_mm)
-    w2 = abs(spectrum_fwhm(lam, np.abs(pdc_amplitude(pm2, grid, model=model).values) ** 2))
+    w2 = abs(spectrum_fwhm(lam, np.abs(pdc_amplitude(pm2, grid, model=model)) ** 2))
     assert w1 == pytest.approx(1.3, rel=0.2)
     assert w2 / w1 == pytest.approx(0.5, rel=0.02)
     lam_pc = np.linspace(1546.0, 1558.0, 24001)

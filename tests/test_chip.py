@@ -289,7 +289,7 @@ def test_parse_doubled_source_halves_bandwidth(model):
 
     def fwhm(length_mm):
         pm = PmSpec(pdc_length_mm=length_mm)
-        power = np.abs(pdc_amplitude(pm, grid, model=model).values) ** 2
+        power = np.abs(pdc_amplitude(pm, grid, model=model)) ** 2
         above = np.where(power >= power.max() / 2)[0]
         lam = grid.wavelength_plus_nm
         return abs(lam[above[-1]] - lam[above[0]])

@@ -509,7 +509,7 @@ def test_dip_envelopes_match_dense_oracle(pm, model, lorentz):
     p = q.dip_profile(pm, grid, lorentz, taus, (photon1,), (photon2,), model=model)
     lam_p = grid.wavelength_plus_nm
     lam_m = 2.0 * np.pi * C / (grid.omega0 - grid.detunings) * 1e9
-    a = el.pdc_amplitude(pm, grid, model=model).values * photon1(lam_p) * photon2(lam_m)
+    a = el.pdc_amplitude(pm, grid, model=model) * photon1(lam_p) * photon2(lam_m)
     a = a * el.filter_amplitude(lorentz, lam_p) * el.filter_amplitude(lorentz, lam_m)
     g = a * np.conj(a[::-1])
     kernel = np.real(g @ np.exp(1j * np.outer(grid.detunings, taus * 1e-12)))
@@ -712,6 +712,11 @@ GRID_CHECKS = [
     ("build_source_state temperature", _source(_grid(6, 4096), temperature_c=70.0), ValueError,
      TEMPERATURE),
     ("build_source_state lobes", _source(_grid(1, 512)), q.GridCoverageError, LOBES),
+    ("build_source_state half-lobe grid", _source(_grid(0.5, 512)), q.GridCoverageError,
+     "grid covers 0.35 phase-matching lobes; need at least 3"),
+    # off the reference temperature the center moves, Omega_c != 0, toward one grid edge
+    ("build_source_state lobes off center", _source(_grid(1, 512), temperature_c=45.6),
+     q.GridCoverageError, "grid covers 0.48 phase-matching lobes; need at least 3"),
     ("build_source_state lobe samples", _source(_grid(6, 32)), q.GridCoverageError, LOBE_AT_32),
     ("coincidence_probability filter samples", _detect(_grid(6, 2048), _lorentz(0.02)),
      q.GridCoverageError, NARROW_FILTER.format("lorentzian")),
@@ -1194,7 +1199,7 @@ def _four_mode_scan_raws(layout, settings, pm, grid, filters=None, **kwargs):
     key, and one folded + cross * [E_m, conj E_m] per setting.  Kept as the
     reference that q.hom_scan must match bit for bit."""
     chain = q._Chain(layout, pm, grid, **kwargs)
-    phi = q._check_grid(grid, pm=pm, model=chain.model, temperature_c=chain.temperature_c).values
+    phi = q._check_grid(grid, pm=pm, model=chain.model, temperature_c=chain.temperature_c)
     weight = q._filter_weight(grid, q._real_filters(filters))
     start = np.zeros((4, 2, grid.samples), dtype=complex)
     start[0, 0] = start[1, 1] = 1.0
@@ -1718,6 +1723,16 @@ def test_minus_wavelengths_are_flipped_plus_wavelengths(center, fraction, sample
     grid = SpectralGrid(center, fraction * center, samples)
     lam_minus = 2.0 * np.pi * C / (grid.omega0 - grid.detunings) * 1e9
     assert np.array_equal(lam_minus, grid.flip(grid.wavelength_plus_nm))
+
+
+def test_grid_sample_count_must_be_an_integer(pm, model):
+    # a float count passes the parity check and would fail deep in the engine
+    with pytest.raises(ValueError, match="samples must be an integer, not float"):
+        SpectralGrid(samples=4096.0)
+    grid = SpectralGrid(half_width_nm=6.0, samples=np.int64(512))  # numpy integers are counts
+    assert grid == _grid(6, 512)
+    state = q.build_source_state(pm, grid, model=model)
+    assert np.array_equal(state.values, q.build_source_state(pm, _grid(6, 512), model=model).values)
 
 
 @PROPERTY_SETTINGS
