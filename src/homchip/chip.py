@@ -12,6 +12,7 @@ arrives later.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field, fields, replace
 
 from . import dispersion
@@ -59,9 +60,16 @@ class ChipLayout:
             "segment_length_mm",
             "bs_block_length_mm",
         ):
-            if getattr(self, name) <= 0:
-                raise LayoutError("length must be > 0", key=name)
-        if self.segment_count < 3:
+            if not 0 < getattr(self, name) < math.inf:
+                raise LayoutError("length must be positive and finite", key=name)
+        # the upper branch's extra length, spelled branch_mismatch_mm in a layout file
+        if not 0 <= self.branch_length_mismatch_mm < math.inf:
+            raise LayoutError("must be >= 0 and finite", key="branch_mismatch_mm")
+        try:
+            segment_count = operator.index(self.segment_count)  # never a float
+        except TypeError:
+            raise LayoutError("must be an integer", key="segment_count") from None
+        if segment_count < 3:
             raise LayoutError("need at least one full triple", key="segment_count")
 
     @property

@@ -197,8 +197,8 @@ def walk_off_time(model: DispersionModel, length_mm):
     """Birefringent walk-off dng * L / c in ps at the calibration
     wavelength; positive = H arrives later."""
     length_mm = np.asarray(length_mm, dtype=float)
-    if np.any(length_mm < 0):
-        raise ValueError("length_mm must be >= 0")
+    if not np.all((0 <= length_mm) & (length_mm < math.inf)):
+        raise ValueError("length_mm must be >= 0 and finite")
     dng = group_index_difference(model, CALIBRATION_WAVELENGTH_NM)
     return dng * (length_mm * 1e-3) / C_VACUUM * 1e12
 

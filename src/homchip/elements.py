@@ -44,10 +44,10 @@ class PmSpec:
     pdc_length_mm: float = 20.7
 
     def __post_init__(self):
-        if self.pdc_slope_nm_per_c >= 0 or self.pc_slope_nm_per_c >= 0:
-            raise ValueError("tuning slopes are negative as measured")
-        if self.pdc_length_mm <= 0:
-            raise ValueError("pdc_length_mm must be > 0")
+        if not all(-math.inf < s < 0 for s in (self.pdc_slope_nm_per_c, self.pc_slope_nm_per_c)):
+            raise ValueError("tuning slopes are negative and finite as measured")
+        if not 0 < self.pdc_length_mm < math.inf:
+            raise ValueError("pdc_length_mm must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -415,8 +415,8 @@ def propagation_transfer(
     length bit for bit, because the phases are elementwise in tau.
     """
     lengths = np.asarray(length_mm, dtype=float)
-    if np.any(lengths < 0):
-        raise ValueError("length_mm must be >= 0")
+    if not np.all((0 <= lengths) & (lengths < math.inf)):
+        raise ValueError("length_mm must be >= 0 and finite")
     ng = dispersion.group_index_at(model, pol, grid.center_wavelength_nm)
     return grid.phases(ng * (lengths * 1e-3) / C_VACUUM, grid.omega_plus)
 

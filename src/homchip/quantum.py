@@ -34,9 +34,11 @@ per-photon mode vectors carry the state exactly,
 
     A[a, b](Omega) = u1[a](omega0 + Omega) u2[b](omega0 - Omega) phi(Omega),
 
-and A is formed only at detection.  Its fold of the shared suffix is at
-_Chain.fold_suffix and unfold, its geometry memo at _geometry_tables and
-its detection window at hom_scan and _RankOneDetector.  dip_profile and
+and A is formed only at detection.  Its prefix runs in one pass
+(_Chain.source_prefix), its shared suffix folded (_Chain.fold_suffix,
+unfold), its geometry memo at _geometry_tables and its detection window
+at hom_scan and _RankOneDetector; the step-by-step walk on these vectors
+is the tests' reference (_apply, tests/test_quantum.py).  dip_profile and
 dip_scenarios bypass the chain (_delay_kernel, _dip_phase_tables), and
 dip_scenarios' unfiltered curve is closed form (_unfiltered_dip).  Both
 memos freeze the tables they build with grid._read_only, the rule for the
@@ -227,26 +229,6 @@ class _Step:
             mats[:, k, k] = self.data.T[:, k % 2]
         return ElementTransfer(self.label, mats)
 
-    def apply(self, vectors: "np.ndarray") -> "np.ndarray":
-        """Act on per-photon mode vectors, mode-major (4, photons, N) and
-        sampled at omega0 + Omega; rows 0-1 are the upper-path block.  A
-        (2, photons, N) input is that block alone, the lower path empty,
-        as it is up to the polarizing splitter, whose step expands it.
-        The shapes are explicit, since a -1 cannot size an empty window.
-        hom_scan runs the prefix in one pass (_Chain.source_prefix), with
-        the bits of walking these steps."""
-        if self.kind == "phase":  # (path, polarization, photon, N) times the rows
-            blocks = vectors.reshape((len(vectors) // 2, 2) + vectors.shape[1:])
-            return (blocks * self.data[:, None]).reshape(vectors.shape)
-        if self.kind == "modes":  # an empty lower path leaves the matrix's columns 2-3 unread
-            out = np.empty((N_MODES,) + vectors.shape[1:], dtype=complex)
-            _mix(self.data, vectors, out)
-            return out
-        out = np.empty_like(vectors, order="C")
-        out[2:] = vectors[2:]
-        _mix(self.data, vectors[:2], out[:2])
-        return out
-
 
 def _mix(matrix: "np.ndarray", rows, out: "np.ndarray") -> None:
     """out[a] = matrix[a, 0] rows[0] + matrix[a, 1] rows[1] + ... for each
@@ -371,8 +353,9 @@ class _Chain:
         splitter, pbs[a, p] d[p]; a driven one applies the converter's column
         p to d[p], then the remaining phase rows in place, then the splitter.
         Each product keeps the operands and their order of walking prefix()
-        from the (2, 2, N) start block, so out has those vectors' bits: a
-        term left out is a zero, and adding a zero changes no nonzero value.
+        from the (2, 2, N) start block with the tests' reference walk (_apply
+        in tests/test_quantum.py), so out has those vectors' bits: a term
+        left out is a zero, and adding a zero changes no nonzero value.
         work is (2, 2, 2, N) scratch: d takes work[0, 0] and the driven
         group's (polarization, photon, N) block work[1].
         """

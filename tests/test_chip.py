@@ -40,6 +40,36 @@ def test_layout_rejects_bad_values():
         ChipLayout(pdc_length_mm=-1.0)
     with pytest.raises(LayoutError):
         ChipLayout(segment_count=2)
+    # a float count once failed later, inside range; a negative mismatch
+    # shifted the delay schedule
+    with pytest.raises(LayoutError, match="must be an integer") as err:
+        ChipLayout(segment_count=3.5)
+    assert err.value.key == "segment_count"
+    assert list(ChipLayout(segment_count=np.int64(5)).triple_indices) == [1, 2, 3]
+    with pytest.raises(LayoutError, match="branch_mismatch_mm: must be >= 0") as err:
+        ChipLayout(branch_length_mismatch_mm=-0.02)
+    assert err.value.key == "branch_mismatch_mm"
+
+
+LENGTH_FIELDS = [
+    "pdc_length_mm",
+    "pc0_length_mm",
+    "pbs_length_mm",
+    "segment_length_mm",
+    "bs_block_length_mm",
+    "branch_length_mismatch_mm",
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", LENGTH_FIELDS)
+def test_layout_rejects_non_finite_lengths(name, value):
+    # NaN passes a "<= 0" check; it once gave NaN raws, or a plausible
+    # visibility where the length's phase cancels
+    key = "branch_mismatch_mm" if name == "branch_length_mismatch_mm" else name
+    with pytest.raises(LayoutError, match="finite") as err:
+        ChipLayout(**{name: value})
+    assert err.value.key == key
 
 
 def test_setting_validation():

@@ -153,6 +153,18 @@ def test_layout_error_exit_code(tmp_path, capsys):
     assert "segment_count" in err
 
 
+@pytest.mark.parametrize("command", ["delay-schedule", "dip", "hom-scan"])
+def test_negative_branch_mismatch_is_a_layout_error(command, tmp_path, capsys):
+    # the key is the upper branch's extra length; a negative value once
+    # shifted the delay schedule, and failed hom-scan naming neither key nor line
+    bad = tmp_path / "bad.layout"
+    bad.write_text("branch_mismatch_mm = -0.02\n")
+    out = tmp_path / "out"
+    assert main([command, "--layout", str(bad), "--out", str(out)]) == 1
+    assert "error: branch_mismatch_mm: must be >= 0" in capsys.readouterr().err
+    assert not list(out.iterdir())
+
+
 def test_unknown_filter_argument(tmp_path, capsys):
     code = main(
         ["hom-scan", "--out", str(tmp_path), "--filter", "gauss:1.0", "--grid-samples", "1024"]

@@ -114,6 +114,9 @@ def test_walk_off_linearity(model):
     assert a + b == pytest.approx(both, rel=1e-12)
     with pytest.raises(ValueError):
         walk_off_time(model, -1.0)
+    for length_mm in (np.nan, np.inf, [1.0, np.nan]):
+        with pytest.raises(ValueError, match="finite"):
+            walk_off_time(model, length_mm)
 
 
 def test_converter_gdd_value_and_scaling(model):

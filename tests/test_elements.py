@@ -95,6 +95,20 @@ def test_pm_slopes_must_be_negative():
         PmSpec(pdc_slope_nm_per_c=0.15)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["pdc_slope_nm_per_c", "pc_slope_nm_per_c", "pdc_length_mm"])
+def test_pm_rejects_non_finite_values(name, value):
+    # NaN passes a sign check; a NaN length once failed deep in dip_scenarios
+    with pytest.raises(ValueError, match="finite"):
+        PmSpec(**{name: value})
+
+
+@pytest.mark.parametrize("length_mm", [math.nan, math.inf, [1.0, math.nan]])
+def test_propagation_transfer_rejects_non_finite_lengths(length_mm, model):
+    with pytest.raises(ValueError, match="finite"):
+        propagation_transfer("H", length_mm, SpectralGrid(samples=64), model)
+
+
 # ---------------------------------------------------------------- pair source
 
 

@@ -1045,7 +1045,7 @@ def test_every_chain_step_keeps_photon_norms(inputs, seed, pm, model):
 
     def walk(vectors, steps):
         for step in steps:
-            vectors = step.apply(vectors)
+            vectors = _apply(step, vectors)
             norms = np.linalg.norm(vectors, axis=0)
             assert np.max(np.abs(norms - 1.0)) <= 1e-12, step.label
         return vectors
@@ -1105,7 +1105,7 @@ def test_step_dense_form_matches_vector_form(preset, flat, bs, mismatch_mm, inde
     for step in steps:
         state = q.TwoPhotonAmplitude(grid, rank_one(vectors))
         dense = q.apply_element(state, step.transfer(grid)).values
-        vectors = step.apply(vectors)
+        vectors = _apply(step, vectors)
         assert np.max(np.abs(dense - rank_one(vectors))) <= 1e-12, step.label
 
 
@@ -1155,7 +1155,7 @@ def test_splitter_step_same_bits_as_matmul(extinction_db, samples, layout, pm, m
         vectors[0, 0] = vectors[1, 1] = 1.0
         vectors = _evolve(vectors, steps)
         matmul = (splitter.data[:, :2] @ vectors.reshape(2, -1)).reshape((4,) + vectors.shape[1:])
-        assert (splitter.apply(vectors) + 0.0).tobytes() == (matmul + 0.0).tobytes()
+        assert (_apply(splitter, vectors) + 0.0).tobytes() == (matmul + 0.0).tobytes()
 
 
 def _stacked_fold(chain, vectors):
@@ -1186,10 +1186,30 @@ def _out_of_place_coincidence(vectors, phi, weight, d_omega):
     return float(np.sum(power.reshape(4, -1) @ weight) * d_omega)
 
 
+def _apply(step, vectors):
+    """A step acting on per-photon mode vectors, mode-major (4, photons, N)
+    and sampled at omega0 + Omega; rows 0-1 are the upper-path block.  A
+    (2, photons, N) input is that block alone, the lower path empty, as it
+    is up to the polarizing splitter, whose step expands it.  The shapes are
+    explicit, since a -1 cannot size an empty window.  The reference walk:
+    q._Chain.source_prefix runs the prefix in one pass with its bits."""
+    if step.kind == "phase":  # (path, polarization, photon, N) times the rows
+        blocks = vectors.reshape((len(vectors) // 2, 2) + vectors.shape[1:])
+        return (blocks * step.data[:, None]).reshape(vectors.shape)
+    if step.kind == "modes":  # an empty lower path leaves the matrix's columns 2-3 unread
+        out = np.empty((q.N_MODES,) + vectors.shape[1:], dtype=complex)
+        q._mix(step.data, vectors, out)
+        return out
+    out = np.empty_like(vectors, order="C")
+    out[2:] = vectors[2:]
+    q._mix(step.data, vectors[:2], out[:2])
+    return out
+
+
 def _evolve(vectors, steps):
-    """Walk vectors through a step list with _Step.apply."""
+    """Walk vectors through a step list with _apply."""
     for step in steps:
-        vectors = step.apply(vectors)
+        vectors = _apply(step, vectors)
     return vectors
 
 

@@ -115,6 +115,57 @@ def test_every_module_level_import_is_read():
     assert not unread, "imported but never read:\n" + "\n".join(unread)
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def private_definitions(tree):
+    """(name, node) of every private function of a module, at any depth, and
+    every method of a private class; dunders are called by the language."""
+    methods = {
+        id(item): f"{cls.name}.{item.name}"
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and cls.name.startswith("_")
+        for item in cls.body
+        if isinstance(item, FUNCTIONS)
+    }
+    for node in ast.walk(tree):
+        if not isinstance(node, FUNCTIONS) or re.fullmatch(r"__\w+__", node.name):
+            continue
+        if id(node) in methods or node.name.startswith("_"):
+            yield methods.get(id(node), node.name), node
+
+
+def reads_outside(trees, skipped):
+    """Every name the trees read, as a name, an attribute or a string
+    constant, outside the nodes of skipped."""
+    inside = {id(node) for node in ast.walk(skipped)}
+    names = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if id(node) in inside:
+                continue
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+    return names
+
+
+def test_every_private_definition_is_read_in_the_package():
+    # a path the program no longer runs leaves the package; a test that uses
+    # it as a reference keeps its own copy.  Public names are library API.
+    trees = dict(sources())
+    unread = [
+        f"{module}: {name}"
+        for module, tree in trees.items()
+        for name, node in private_definitions(tree)
+        if node.name not in reads_outside(trees.values(), node)
+    ]
+    assert not unread, "defined but never read in the package:\n" + "\n".join(unread)
+
+
 def test_import_machinery_has_one_owner():
     imported = {
         (name, dotted)
