@@ -9,14 +9,14 @@ and count-rate budgets for the tunable birefringent delay-line circuit.
 The package root holds the names of the README's "Library use" example
 and default_model; everything else lives in its module.  Importing the
 package binds the engine modules (chip, dispersion, elements, grid,
-quantum) and numpy (_numpy) lazily (_lazy): each is in sys.modules and
-an attribute here, and executes on its first attribute read.  A root
-name is read from its module on first access.  The package's modules
-read numpy as `from . import _numpy as np`: a plain `import numpy`
-reads the lazy module's __spec__ and so executes it.  So importing the
-package, a module that needs no numpy (rates, svgplot), or the scalar
-path from a layout file to the delay schedule (chip, dispersion,
-elements, grid) executes no numpy.
+quantum), rates, svgplot and numpy (_numpy) lazily (_lazy): each is in
+sys.modules and an attribute here, and executes on its first attribute
+read.  A root name is read from its module on first access.  The
+package's modules read numpy as `from . import _numpy as np`: a plain
+`import numpy` reads the lazy module's __spec__ and so executes it.  So
+importing the package, a module that needs no numpy (rates, svgplot),
+or the scalar path from a layout file to the delay schedule (chip,
+dispersion, elements, grid) executes no numpy.
 """
 
 import importlib.util
@@ -43,8 +43,9 @@ def _lazy(name: str):
 
 
 _numpy = _lazy("numpy")
-chip, dispersion, elements, grid, quantum = (
-    _lazy(f"{__name__}.{name}") for name in ("chip", "dispersion", "elements", "grid", "quantum")
+chip, dispersion, elements, grid, quantum, rates, svgplot = (
+    _lazy(f"{__name__}.{name}")
+    for name in ("chip", "dispersion", "elements", "grid", "quantum", "rates", "svgplot")
 )
 
 #: Each public name and the module that defines it.

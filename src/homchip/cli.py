@@ -10,14 +10,17 @@ layout-file keys, which override the built-in as-built defaults.  The
 README's Command line section lists the keys each command reads; rates
 reads no configuration.
 
-Importing this module executes no engine module and no numpy: the
-package root binds both lazily.  main() executes the engine and then
-numpy right after parsing for every command but rates and delay-schedule.
-delay-schedule executes only chip, dispersion, elements and grid, whose
-scalar path runs on floats, and rates no engine module, so both run
-without numpy.  Engine names are read as module attributes inside
-functions: a `from` import, a default or an annotation evaluated at
-import would execute the module.
+Importing this module executes no other package module and no numpy:
+the package root binds them lazily.  A run executes only the modules
+its command reads.  Right after parsing, main() executes the one engine
+module the command reads and then numpy: quantum (which executes the
+other engine modules) for hom-scan and dip, elements (with chip,
+dispersion and grid) for phasematch.  delay-schedule executes only chip,
+dispersion, elements and grid, whose scalar path runs on floats, and
+rates only rates, so both run without numpy.  svgplot executes only
+when write_record writes a plot.  Package names are read as module
+attributes inside functions: a `from` import, a default or an
+annotation evaluated at import would execute the module.
 
 A configured command is called as cmd(config, model, args), args for
 hom-scan's --pc0.  It computes and checks everything, then returns one
@@ -25,12 +28,16 @@ record and writes nothing itself.  The record is the tuple (files, plots, summar
 
 - files: (name, content) in write order; content is a (header, rows)
   pair for a CSV or a string for a text file (rates.txt);
-- plots: (name, series, title, xlabel, ylabel, hline) per SVG;
+- plots: (name, series, title, xlabel, ylabel, hline) per SVG, each
+  series a (label, x, y, markers) tuple of svgplot.Series' fields;
 - summary: the text printed on stdout.
 
-write_record() is the one writer: every file through write_csv (or as
-text), the plots through svgplot.write_plot only under --format
-csv+svg, then the summary.  So a command that fails leaves no file.
+Rows and series hold Python numbers: a command turns each array it
+writes into a list once (tolist), so the writers format no numpy
+scalars.  write_record() is the one writer: every file through
+write_csv (or as text), the plots through svgplot.write_plot only under
+--format csv+svg, then the summary.  So a command that fails leaves no
+file.
 """
 
 import argparse
@@ -39,8 +46,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import _numpy as np
-from . import chip, dispersion, elements, quantum, rates
-from .svgplot import Series, write_plot
+from . import chip, dispersion, elements, grid, quantum, rates, svgplot
 
 
 #: Imperfection presets: hom_scan keywords plus the first converter's drive efficiency.
@@ -96,7 +102,7 @@ def _branch_series(rows, x, y):
     for on, label in ((False, "first converter off"), (True, "first converter on")):
         chosen = [r for r in rows if r[1] == on]
         if chosen:
-            series.append(Series(label, [r[x] for r in chosen], [r[y] for r in chosen], markers=True))
+            series.append((label, [r[x] for r in chosen], [r[y] for r in chosen], True))
     return series
 
 
@@ -154,8 +160,10 @@ def cmd_dip(config, model, args):
         model=model,
         temperature_c=config.temperature_c,
     )
-    rows = [(t, v, name) for name, p in curves.items() for t, v in zip(taus, p)]
-    series = [Series(name, list(taus), list(p)) for name, p in curves.items()]
+    x = taus.tolist()
+    ys = {name: p.tolist() for name, p in curves.items()}
+    rows = [(t, v, name) for name, y in ys.items() for t, v in zip(x, y)]
+    series = [(name, x, y, False) for name, y in ys.items()]
     return (
         [("dip.csv", (["tau_ps", "probability", "scenario"], rows))],
         [("dip.svg", series, "Coincidence dip profiles", "relative delay (ps)",
@@ -174,10 +182,10 @@ def _fwhm(x, y, name):
             f"{name} half maximum reaches the edge of the "
             f"{x[0]:.9g}-{x[-1]:.9g} nm window; its FWHM would be clipped"
         )
-    if len(above) < quantum.MIN_FEATURE_SAMPLES:
+    if len(above) < grid.MIN_FEATURE_SAMPLES:
         raise ValueError(
             f"{name} FWHM is not resolved: {len(above)} samples at or above half maximum "
-            f"on the {x[1] - x[0]:.3g} nm step; need at least {quantum.MIN_FEATURE_SAMPLES:g}"
+            f"on the {x[1] - x[0]:.3g} nm step; need at least {grid.MIN_FEATURE_SAMPLES:g}"
         )
 
     def crossing(i, j):
@@ -193,20 +201,21 @@ def cmd_phasematch(config, model, args):
     shg = elements.shg_spectrum(pm, lam, temperature_c=t_op, model=model)
     pc = elements.PcSpec(length_mm=config.layout.pc0_length_mm, temperature_c=t_op)
     transmission = elements.pc_transmission_spectrum(pc, lam, model, pm)
-    temps = np.arange(t_op - 10.0, t_op + 10.0 + 1e-9, 0.5)
+    temps = np.arange(t_op - 10.0, t_op + 10.0 + 1e-9, 0.5).tolist()
     pdc_line = [elements.pm_center_vs_temperature(pm, "PDC", t) for t in temps]
     pc_line = [elements.pm_center_vs_temperature(pm, "PC", t) for t in temps]
     w_pdc = _fwhm(lam, shg, "source spectrum")
     w_pc = _fwhm(lam, 1.0 - transmission, "converter spectrum")
+    lam, shg, transmission = lam.tolist(), shg.tolist(), transmission.tolist()
     spectra = (["wavelength_nm", "shg_normalized", "pc_transmission"], list(zip(lam, shg, transmission)))
     tuning = (["temperature_c", "pdc_center_nm", "pc_center_nm"], list(zip(temps, pdc_line, pc_line)))
     spectra_series = [
-        Series("frequency doubling (pair source)", list(lam), list(shg)),
-        Series("converter transmission", list(lam), list(transmission)),
+        ("frequency doubling (pair source)", lam, shg, False),
+        ("converter transmission", lam, transmission, False),
     ]
     tuning_series = [
-        Series("pair source center", list(temps), pdc_line),
-        Series("converter center", list(temps), pc_line),
+        ("pair source center", temps, pdc_line, False),
+        ("converter center", temps, pc_line, False),
     ]
     return (
         [("phasematch_spectra.csv", spectra), ("phasematch_tuning.csv", tuning)],
@@ -307,19 +316,23 @@ def write_record(record, out: Path, svg: bool) -> None:
             write_csv(out / name, *content)
     if svg:
         for name, series, title, xlabel, ylabel, hline in plots:
-            write_plot(out / name, series, title=title, xlabel=xlabel, ylabel=ylabel, hline=hline)
+            series = [svgplot.Series(*s) for s in series]
+            svgplot.write_plot(
+                out / name, series, title=title, xlabel=xlabel, ylabel=ylabel, hline=hline
+            )
     print(summary)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command not in ("rates", "delay-schedule"):
-        # execute the engine (quantum imports the other engine modules),
-        # then numpy (a plain import executes the lazy module, or names a
-        # missing numpy), before any array exists: executed between a
-        # command's allocations, or numpy before the engine, they raised
-        # the process's peak resident set
-        quantum.__name__
+    engine = {"hom-scan": quantum, "dip": quantum, "phasematch": elements}.get(args.command)
+    if engine is not None:
+        # execute the engine module the command reads (it imports the
+        # engine modules it reads in turn), then numpy (a plain import
+        # executes the lazy module, or names a missing numpy), before any
+        # array exists: executed between a command's allocations, or numpy
+        # before the engine, they raised the process's peak resident set
+        engine.__name__
         import numpy  # noqa: F401
     try:
         out = Path(args.out)

@@ -60,10 +60,13 @@ class PcSpec:
     temperature_c: float = OPERATING_TEMPERATURE_C
 
     def __post_init__(self):
-        if self.length_mm <= 0:
-            raise ValueError("length_mm must be > 0")
-        if self.voltage_length_product_v_cm <= 0:
-            raise ValueError("voltage_length_product_v_cm must be > 0")
+        # written so that NaN fails each check, as in PmSpec
+        if not 0 < self.length_mm < math.inf:
+            raise ValueError("length_mm must be positive and finite")
+        if not 0 < self.voltage_length_product_v_cm < math.inf:
+            raise ValueError("voltage_length_product_v_cm must be positive and finite")
+        if self.voltage_v is not None and not abs(self.voltage_v) < math.inf:
+            raise ValueError("voltage_v must be finite (or None for full conversion)")
 
     @property
     def full_voltage_v(self) -> float:
@@ -87,8 +90,8 @@ class PcSpec:
 
     def with_conversion_db(self, conversion_db: float) -> "PcSpec":
         """Drive so the on-peak unconverted residual is -conversion_db."""
-        if conversion_db <= 0:
-            raise ValueError("conversion_db must be > 0")
+        if not conversion_db > 0:
+            raise ValueError("conversion_db must be > 0 (inf for full conversion)")
         conv = 1.0 - 10.0 ** (-conversion_db / 10.0)
         kappa_l = math.asin(math.sqrt(conv))
         return replace(
@@ -112,8 +115,12 @@ class BsSpec:
     u12_v: float = 0.0
 
     def __post_init__(self):
-        if self.section_length_mm <= 0 or self.kappa_per_mm < 0:
-            raise ValueError("coupler geometry must be positive")
+        if not (0 < self.section_length_mm < math.inf and 0 <= self.kappa_per_mm < math.inf):
+            raise ValueError("coupler geometry must be positive and finite")
+        if not all(
+            abs(v) < math.inf for v in (self.detuning_per_volt_per_mm, self.u11_v, self.u12_v)
+        ):
+            raise ValueError("coupler detuning and control voltages must be finite")
 
 
 @dataclass(frozen=True)
@@ -127,6 +134,8 @@ class FilterSpec:
             raise ValueError(f"unknown filter shape {self.shape!r}")
         if self.shape != "none" and not 0 < self.width_nm < math.inf:
             raise ValueError("width_nm must be positive and finite for a real filter")
+        if not 0 < self.center_nm < math.inf:
+            raise ValueError("center_nm must be positive and finite")
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +144,7 @@ class FilterSpec:
 
 def pm_center_vs_temperature(pm: PmSpec, process: str, temperature_c: float) -> float:
     """Phase-matched center wavelength of 'PDC' or 'PC' at a temperature."""
-    if abs(temperature_c - pm.reference_temperature_c) > 20.0:
+    if not abs(temperature_c - pm.reference_temperature_c) <= 20.0:  # NaN fails too
         raise ValueError(
             "temperature more than 20 C from the reference; the linear "
             "tuning model is not trusted there"
@@ -356,7 +365,7 @@ def pbs_transfer(extinction_db: float = math.inf) -> "np.ndarray":
     coherently doubling), so visibility degrades monotonically with
     worsening extinction.
     """
-    if extinction_db <= 0:
+    if not extinction_db > 0:
         raise ValueError("extinction_db must be > 0 (use inf for ideal)")
     eps = 0.0 if math.isinf(extinction_db) else 10.0 ** (-extinction_db / 10.0)
     r = math.sqrt(eps)

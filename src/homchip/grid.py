@@ -22,6 +22,11 @@ C_VACUUM = 299_792_458.0
 #: phase-match there at the operating temperature.
 OPERATING_WAVELENGTH_NM = 1551.7
 
+#: Grid samples required across a phase-matching lobe and across the
+#: narrowest detection filter (quantum's grid rule); phasematch's spectra
+#: need as many at or above half maximum.
+MIN_FEATURE_SAMPLES = 4.0
+
 
 @dataclass(frozen=True)
 class SpectralGrid:

@@ -88,7 +88,7 @@ from . import chip as chip_mod
 from . import dispersion
 from . import elements as el
 from .dispersion import Polarization
-from .grid import C_VACUUM, SpectralGrid, _read_only
+from .grid import C_VACUUM, MIN_FEATURE_SAMPLES, SpectralGrid, _read_only
 
 #: Two paths times two polarizations, path-major (module docstring).
 N_MODES = 4
@@ -99,9 +99,6 @@ SOURCE_MODES = (0, 1)
 
 #: Phase-matching lobes the grid must cover on its narrow side.
 MIN_LOBES = 3.0
-#: Grid samples required across a phase-matching lobe and across the
-#: narrowest detection filter.
-MIN_FEATURE_SAMPLES = 4.0
 #: Largest rounding residue a dip probability may show outside [0, 1].
 DIP_ROUNDING = 1e-12
 

@@ -18,8 +18,8 @@ class LossBudget:
 
     def __post_init__(self):
         for label, db in self.items:
-            if db < 0:
-                raise ValueError(f"negative loss item {label!r}: {db} dB")
+            if not 0 <= db < math.inf:  # NaN fails too
+                raise ValueError(f"loss item {label!r} must be >= 0 and finite: {db} dB")
 
     @property
     def total_db(self) -> float:
@@ -37,12 +37,11 @@ class SourceSpec:
     bandwidth_nm: float = 1.2
 
     def __post_init__(self):
-        if (
-            self.brightness_pairs_per_s_mw_nm <= 0
-            or self.pump_power_mw <= 0
-            or self.bandwidth_nm <= 0
+        if not all(
+            0 < v < math.inf
+            for v in (self.brightness_pairs_per_s_mw_nm, self.pump_power_mw, self.bandwidth_nm)
         ):
-            raise ValueError("source parameters must be positive")
+            raise ValueError("source parameters must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -72,6 +71,8 @@ def default_loss_budget() -> LossBudget:
 
 def klyshko_efficiency(singles_hz: float, coincidences_hz: float) -> float:
     """Heralding efficiency: coincidences over singles."""
+    if not (math.isfinite(singles_hz) and math.isfinite(coincidences_hz)):
+        raise ValueError("singles and coincidence rates must be finite")
     if singles_hz <= 0:
         raise ZeroDivisionError("singles rate must be > 0")
     return coincidences_hz / singles_hz

@@ -589,6 +589,41 @@ def test_package_root_and_cli_import_no_numpy():
     ]
 
 
+#: The package modules each command executes besides cli, and whether it
+#: executes numpy; svgplot executes besides these only when a plot is written.
+EXECUTED = {
+    "rates": ({"rates"}, False),
+    "delay-schedule": ({"chip", "dispersion", "elements", "grid"}, False),
+    "phasematch": ({"chip", "dispersion", "elements", "grid"}, True),
+    "hom-scan": ({"chip", "dispersion", "elements", "grid", "quantum"}, True),
+    "dip": ({"chip", "dispersion", "elements", "grid", "quantum"}, True),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "csv+svg"])
+@pytest.mark.parametrize("command", sorted(EXECUTED))
+def test_each_command_executes_only_the_modules_it_reads(tmp_path, command, fmt):
+    # a module the package root binds lazily stays an importlib.util
+    # _LazyModule until it executes; numpy has executed once any of its
+    # submodules is imported.  A fresh interpreter, as `python -m homchip`
+    code = (
+        "import contextlib, importlib.util, io, sys, homchip.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = homchip.cli.main(sys.argv[1:])\n"
+        "executed = sorted(name.removeprefix('homchip.') for name, module in sys.modules.items()\n"
+        "                  if name.startswith('homchip.')\n"
+        "                  and not isinstance(module, importlib.util._LazyModule))\n"
+        "print(code, executed, any(m.startswith('numpy.') for m in sys.modules))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code, command, "--out", str(tmp_path), "--format", fmt],
+        capture_output=True, text=True, check=True,
+    )
+    modules, executes_numpy = EXECUTED[command]
+    modules = modules | {"cli"} | ({"svgplot"} if fmt == "csv+svg" and command != "rates" else set())
+    assert result.stdout.strip() == f"0 {sorted(modules)} {executes_numpy}"
+
+
 def test_lazy_returns_what_is_there():
     import homchip
 

@@ -90,6 +90,12 @@ def test_pm_rejects_far_temperatures(pm):
         pm_center_vs_temperature(pm, "SFG", 43.6)
 
 
+@pytest.mark.parametrize("temperature_c", [math.nan, math.inf, -math.inf])
+def test_pm_rejects_non_finite_temperatures(pm, temperature_c):
+    with pytest.raises(ValueError, match="20 C"):
+        pm_center_vs_temperature(pm, "PDC", temperature_c)
+
+
 def test_pm_slopes_must_be_negative():
     with pytest.raises(ValueError):
         PmSpec(pdc_slope_nm_per_c=0.15)
@@ -270,6 +276,24 @@ def test_pc_drive_helpers(model, pm):
         PcSpec().with_drive_efficiency(1.5)
 
 
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("name", ["length_mm", "voltage_length_product_v_cm", "voltage_v"])
+def test_pc_rejects_non_finite_values(name, value):
+    # NaN passes a sign check and comes back as an all-NaN matrix
+    with pytest.raises(ValueError, match="finite"):
+        PcSpec(**{name: value})
+
+
+def test_pc_conversion_db_rejects_nan_and_takes_inf_as_full_conversion():
+    with pytest.raises(ValueError, match="conversion_db"):
+        PcSpec().with_conversion_db(math.nan)
+    pc = PcSpec()
+    assert pc.with_conversion_db(math.inf).voltage_v == pc.full_voltage_v
+
+
 def test_pc_full_voltage_matches_voltage_length_product():
     pc = PcSpec(length_mm=10.0, voltage_length_product_v_cm=15.0)
     assert pc.full_voltage_v == pytest.approx(15.0)
@@ -383,6 +407,18 @@ def test_pbs_finite_extinction():
 def test_pbs_rejects_nonpositive_extinction():
     with pytest.raises(ValueError):
         pbs_transfer(0.0)
+    with pytest.raises(ValueError):
+        pbs_transfer(math.nan)
+    assert np.array_equal(pbs_transfer(math.inf), pbs_transfer())  # inf is the ideal splitter
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize(
+    "name", ["section_length_mm", "kappa_per_mm", "detuning_per_volt_per_mm", "u11_v", "u12_v"]
+)
+def test_bs_rejects_non_finite_values(name, value):
+    with pytest.raises(ValueError, match="finite"):
+        BsSpec(**{name: value})
 
 
 def test_bs_special_points():
@@ -543,6 +579,13 @@ def test_filter_validation():
         FilterSpec("gaussian", 1551.7, 1.0)
     with pytest.raises(ValueError):
         FilterSpec("rectangular", 1551.7, 0.0)
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("shape", ["rectangular", "lorentzian", "none"])
+def test_filter_rejects_non_finite_center(shape, value):
+    with pytest.raises(ValueError, match="center_nm must be positive and finite"):
+        FilterSpec(shape, value, 1.2)
 
 
 # ---------------------------------------------------------------- unitarity

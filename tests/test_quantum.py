@@ -704,6 +704,9 @@ GRID_CHECKS = [
     # one failing check each
     ("hom_scan range", _scan(FAR), WavelengthRangeError, RANGE),
     ("hom_scan temperature", _scan(_grid(6, 4096), temperature_c=70.0), ValueError, TEMPERATURE),
+    # NaN fails the trust range too, where it enters, not as a NaN visibility
+    ("hom_scan NaN temperature", _scan(_grid(6, 512), temperature_c=math.nan), ValueError,
+     TEMPERATURE),
     ("hom_scan lobes", _scan(_grid(1, 4096)), q.GridCoverageError, LOBES),
     ("hom_scan lobe samples", _scan(_grid(6, 32)), q.GridCoverageError, LOBE_AT_32),
     ("hom_scan filter samples", _scan(_grid(6, 34), _lorentz(1.2)), q.GridCoverageError,
@@ -744,6 +747,8 @@ GRID_CHECKS = [
      ALIASED_64),
     ("dip_scenarios range", _scenarios(FAR, [0.0]), WavelengthRangeError, RANGE),
     ("dip_scenarios temperature", _scenarios(_grid(6, 4096), [0.0], temperature_c=70.0),
+     ValueError, TEMPERATURE),
+    ("dip_scenarios NaN temperature", _scenarios(_grid(6, 4096), [0.0], temperature_c=math.nan),
      ValueError, TEMPERATURE),
     ("dip_scenarios lobes", _scenarios(_grid(1, 4096), [0.0]), q.GridCoverageError, LOBES),
     ("dip_scenarios lobe samples", _scenarios(_grid(6, 32), [0.0]), q.GridCoverageError,

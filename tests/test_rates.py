@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from homchip.rates import (
@@ -41,12 +43,24 @@ def test_budget_rejects_negative_item():
         LossBudget(items=(("bad", -1.0),))
 
 
+@pytest.mark.parametrize("db", [math.nan, math.inf])
+def test_budget_rejects_non_finite_item(db):
+    with pytest.raises(ValueError, match="finite"):
+        LossBudget(items=(("bad", db),))
+
+
 def test_klyshko_values():
     assert klyshko_efficiency(2000.0, 100.0) == pytest.approx(0.05, rel=1e-15)
     assert klyshko_efficiency(100.0, 100.0) == 1.0
     assert klyshko_efficiency(2000.0, 0.0) == 0.0
     with pytest.raises(ZeroDivisionError):
         klyshko_efficiency(0.0, 10.0)
+
+
+@pytest.mark.parametrize("rates", [(math.nan, 1.0), (math.inf, 1.0), (2000.0, math.nan)])
+def test_klyshko_rejects_non_finite_rates(rates):
+    with pytest.raises(ValueError, match="finite"):
+        klyshko_efficiency(*rates)
 
 
 def test_expected_rates_characterized_numbers():
@@ -84,6 +98,13 @@ def test_klyshko_roundtrip_identity():
 def test_source_spec_validation():
     with pytest.raises(ValueError):
         SourceSpec(pump_power_mw=0.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["brightness_pairs_per_s_mw_nm", "pump_power_mw", "bandwidth_nm"])
+def test_source_spec_rejects_non_finite_values(name, value):
+    with pytest.raises(ValueError, match="finite"):
+        SourceSpec(**{name: value})
 
 
 def test_reconciliation_note_mentions_gap():
