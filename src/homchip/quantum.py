@@ -39,8 +39,11 @@ and A is formed only at detection.  Its prefix runs in one pass
 unfold), its geometry memo at _geometry_tables and its detection window
 at hom_scan and _RankOneDetector; the step-by-step walk on these vectors
 is the tests' reference (_apply, tests/test_quantum.py).  dip_profile and
-dip_scenarios bypass the chain (_delay_kernel, _dip_phase_tables), and
-dip_scenarios' unfiltered curve is closed form (_unfiltered_dip).  Both
+dip_scenarios bypass the chain: each joint amplitude is written once into
+its row of one array (_joint), and _delay_kernel forms g = a conj(flip a)
+from those rows on the Omega > 0 half only, straight into its block
+layout, with its phase tables kept by _dip_phase_tables; dip_scenarios'
+unfiltered curve is closed form (_unfiltered_dip).  Both
 memos freeze the tables they build with grid._read_only, the rule for the
 grid's cached arrays.  hom_scan and the dip kernel share one per-thread
 scratch (_thread_scratch), which is not a memo.
@@ -81,7 +84,7 @@ reads as the reference temperature.
 import math
 import threading
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from . import _numpy as np
 from . import chip as chip_mod
@@ -787,44 +790,53 @@ def dip_profile(
     filters = _real_filters(filters)
     source = _check_grid(grid, filters, taus_s, pm, model, temperature_c)
     lam = grid.wavelength_plus_nm
-    joint = _joint(
+    joint = np.empty((1, grid.samples), dtype=complex)
+    _joint(
         grid,
+        joint[0],
         source,
         [np.asarray(env(lam), dtype=complex) for env in photon1_envelopes],
         [np.asarray(env(lam), dtype=complex) for env in photon2_envelopes],
         [el.filter_amplitude(flt, lam) for flt in filters],
     )
-    return _dip_curves(grid, joint[None], taus_s)[0]
+    return _dip_curves(grid, joint, taus_s)[0]
 
 
-def _joint(grid: SpectralGrid, source, photon1=(), photon2=(), filters=()) -> "np.ndarray":
-    """Joint amplitude from the source and per-photon arrays on omega0 + Omega.
+def _joint(grid: SpectralGrid, out, source, photon1=(), photon2=(), filters=()) -> None:
+    """Joint amplitude from the source and per-photon arrays on omega0 + Omega,
+    written into out, one (N,) row of the (S, N) array _dip_curves takes.
 
     Photon 2 sits at omega0 - Omega, so its envelopes enter flipped, and
     each filter acts on both photons.  The factors always multiply in one
     order (photon 1, photon 2, then each filter on photon 1 and photon 2),
-    so every caller gets the same bits for the same inputs.
+    each product written over out (np.multiply's out), so every caller
+    gets the same bits for the same inputs.
     """
     factors = list(photon1) + [grid.flip(env) for env in photon2]
     for f in filters:
         factors += [f, grid.flip(f)]
-    return reduce(np.multiply, factors, source)
+    product = source
+    for factor in factors:
+        product = np.multiply(product, factor, out=out)
+    if not factors:
+        out[...] = source
 
 
 def _dip_curves(grid: SpectralGrid, joint: "np.ndarray", taus_s: "np.ndarray") -> "np.ndarray":
     """dip_profile's P(tau) for each row of the joint amplitudes (S, N): (S, T).
 
-    |Re K(tau)| <= k0 = sum |A|^2 dOmega (Cauchy-Schwarz), so P lies in
-    [0, 1]; for a symmetric spectrum k0 and the kernel sum the same terms
-    in different orders, which leaves rounding residues just below 0 at
-    tau = 0.  Those are clipped; anything more than
-    DIP_ROUNDING outside [0, 1] is a defect and raises ValueError.
+    The joint amplitudes go to _delay_kernel as they are; it forms the
+    kernel's g itself.  |Re K(tau)| <= k0 = sum |A|^2 dOmega
+    (Cauchy-Schwarz), so P lies in [0, 1]; for a symmetric spectrum k0 and
+    the kernel sum the same terms in different orders, which leaves
+    rounding residues just below 0 at tau = 0.  Those are clipped;
+    anything more than DIP_ROUNDING outside [0, 1] is a defect and raises
+    ValueError.
     """
     k0 = np.sum(np.abs(joint) ** 2, axis=-1) * grid.d_omega
     if np.any(k0 <= 0):
         raise ValueError("joint spectrum vanishes; nothing passes the filters")
-    g = joint * np.conj(grid.flip(joint))
-    return _clipped(0.5 * (1.0 - _delay_kernel(g, grid, taus_s) / k0[:, None]))
+    return _clipped(0.5 * (1.0 - _delay_kernel(joint, grid, taus_s) / k0[:, None]))
 
 
 def _clipped(p: "np.ndarray") -> "np.ndarray":
@@ -857,21 +869,22 @@ def _unfiltered_dip(
     return _clipped(0.5 * (1.0 - x / tau_w * np.sinc(omega_c * x / np.pi)))
 
 
-def _delay_kernel(g: "np.ndarray", grid: SpectralGrid, taus_s: "np.ndarray") -> "np.ndarray":
-    """Re K(tau), K(tau) = sum_k g_k exp(i Omega_k tau) dOmega, for each row of
-    g (S, N) with g(-Omega) = conj g(Omega): shape (S, T).
+def _delay_kernel(a: "np.ndarray", grid: SpectralGrid, taus_s: "np.ndarray") -> "np.ndarray":
+    """Re K(tau), K(tau) = sum_k g_k exp(i Omega_k tau) dOmega with
+    g = a conj(flip a), for each row of the joint amplitudes a (S, N):
+    shape (S, T).
 
-    g = a conj(flip a) of a joint amplitude a has that symmetry.  The grid
-    has no Omega = 0 sample and pairs Omega_k with Omega_{N-1-k} = -Omega_k,
-    whose terms are complex conjugates, so
+    g has g(-Omega) = conj g(Omega).  The grid has no Omega = 0 sample and
+    pairs Omega_k with Omega_{N-1-k} = -Omega_k, whose terms are complex
+    conjugates, so
 
         Re K(tau) = 2 sum_{Omega_k > 0} Re(g_k exp(i Omega_k tau)) dOmega.
 
     The half axis Omega_{N/2 + j}, j < H = N / 2, is uniform, so
     exp(i Omega tau) splits (SpectralGrid.phases) into a (T, P) table of
     block starts and a (T, B) table of in-block offsets, B = ceil(sqrt H),
-    P = ceil(H / B).  Each row's half is zero-padded to P*B and read as
-    G[s, p, q] = g[s, N/2 + pB + q], and
+    P = ceil(H / B).  With each row's half zero-padded to P*B and read as
+    G[s, p, q] = g[s, N/2 + pB + q],
 
         Re K_s(tau) = 2 Re sum_p exp(i Omega_{N/2+pB} tau)
                           sum_q exp(i q dOmega tau) G[s, p, q] dOmega,
@@ -880,9 +893,20 @@ def _delay_kernel(g: "np.ndarray", grid: SpectralGrid, taus_s: "np.ndarray") -> 
     exponentials, and one (T, B) x (B, S P) product for all S rows; tau is
     a 1-D float64 array of T delays, in any order.  Both tables come from
     _dip_phase_tables, so a call on a kept (grid, delay axis) evaluates no
-    cos/sin.  G is laid out with one copy, and the block starts multiply
-    the product in place, in the operand and summation order that give the
-    bits of the complex-exponential form the tests keep as a reference.
+    cos/sin.
+
+    g is formed only on the Omega > 0 half, a[:, N/2:] times the reversed
+    conj(a[:, :N/2]), straight into the zero-padded (S, P B) array whose
+    (S P, B) view, read transposed, is the product's (B, S P) operand: no
+    full-length g, flip of it or copy loop is made, and BLAS packs a
+    transposed operand into the panels a C-ordered one fills, so the
+    product keeps its bits.  The block starts multiply the product in
+    place, in the operand and summation order that give the bits of the
+    complex-exponential form the tests keep as a reference.  The product
+    keeps the columns of all-zero blocks (a rectangular filter's): setting
+    them to 0 costs as much as the shorter product saves, and for a
+    complex g some BLAS kernels round a column differently in a narrower
+    product.
 
     The (T, S, P) product is written (np.matmul's out) into the calling
     thread's one scratch (_thread_scratch), not into a fresh array: a
@@ -894,12 +918,15 @@ def _delay_kernel(g: "np.ndarray", grid: SpectralGrid, taus_s: "np.ndarray") -> 
     half = grid.samples // 2
     starts, within = _dip_phase_tables(grid, taus_s.tobytes())
     taus, blocks, block = len(starts), starts.shape[-1], within.shape[-1]
-    rows = len(g)
-    g_blocks = np.zeros((block, rows, blocks), dtype=complex)  # G[q, s, p], zero-padded
-    for row, half_row in zip(g_blocks.transpose(1, 2, 0), g[:, half:]):
-        row.flat[:half] = half_row  # row[p, q] in flat order pB + q
+    rows = len(a)
+    g = np.empty((rows, blocks * block), dtype=complex)  # G[s, p, q] at [s, pB + q]
+    # conj a(-Omega) first, so that a(Omega) stays the left operand
+    np.conjugate(a[:, half - 1 :: -1], out=g[:, :half])
+    np.multiply(a[:, half:], g[:, :half], out=g[:, :half])
+    g[:, half:] = 0.0  # the last block's padding
+    g_blocks = g.reshape(rows * blocks, block).T  # (B, S P), read transposed by BLAS
     inner = _thread_scratch(taus * rows * blocks).reshape(taus, rows * blocks)
-    np.matmul(within, g_blocks.reshape(block, rows * blocks), out=inner)
+    np.matmul(within, g_blocks, out=inner)
     inner = inner.reshape(taus, rows, blocks)  # (T, S, P)
     np.multiply(starts[:, None, :], inner, out=inner)
     kernel = np.sum(inner, axis=-1)
@@ -997,13 +1024,11 @@ def dip_scenarios(
     )
     conv_triple = el.pc_conversion_amplitude(triple, lam, model, pm)
     conv_pc0 = el.pc_conversion_amplitude(pc0, lam, model, pm)
-    filtered = {
-        "rectangular": _joint(grid, source, filters=(rect,)),
-        "segmented_lorentz_pc0_off": _joint(grid, source, (conv_triple,), (), (lorentz,)),
-        "two_converters_lorentz_pc0_on": _joint(
-            grid, source, (conv_pc0, conv_triple), (conv_pc0,), (lorentz,)
-        ),
-    }
+    joint = np.empty((3, grid.samples), dtype=complex)
+    _joint(grid, joint[0], source, filters=(rect,))
+    _joint(grid, joint[1], source, (conv_triple,), (), (lorentz,))
+    _joint(grid, joint[2], source, (conv_pc0, conv_triple), (conv_pc0,), (lorentz,))
+    names = ("rectangular", "segmented_lorentz_pc0_off", "two_converters_lorentz_pc0_on")
     curves = {"unfiltered": _unfiltered_dip(pm, grid, taus_s, model, t)}
-    curves.update(zip(filtered, _dip_curves(grid, np.stack(list(filtered.values())), taus_s)))
+    curves.update(zip(names, _dip_curves(grid, joint, taus_s)))
     return curves

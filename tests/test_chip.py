@@ -294,6 +294,12 @@ def test_parse_non_finite_rejected(key, value):
     assert err.value.key == key and key in str(err.value)
 
 
+def test_setting_outside_the_layout_triples_is_refused():
+    # without the range check the schedule returned a delay (66.16 ps) for triple 99
+    with pytest.raises(LayoutError, match=r"^triple_index: triple 99 outside 1\.\.8$"):
+        delay_schedule(ChipLayout(), SwitchSetting(True, 99))
+
+
 def test_parse_infinite_extinction_is_ideal():
     assert parse_layout("pbs_extinction_db = inf\n").pbs_extinction_db == math.inf
 

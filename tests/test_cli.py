@@ -153,6 +153,15 @@ def test_layout_error_exit_code(tmp_path, capsys):
     assert "segment_count" in err
 
 
+def test_layout_disabling_every_segment_is_a_layout_error(tmp_path, capsys):
+    # without the check the parser picked triples[0] of an empty list: an IndexError
+    bad = tmp_path / "bad.layout"
+    bad.write_text("disabled_segments = " + ", ".join(map(str, range(1, 11))) + "\n")
+    assert main(["delay-schedule", "--layout", str(bad), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: disabled_segments: no valid triple remains with these disabled segments\n"
+
+
 @pytest.mark.parametrize("command", ["delay-schedule", "dip", "hom-scan"])
 def test_negative_branch_mismatch_is_a_layout_error(command, tmp_path, capsys):
     # the key is the upper branch's extra length; a negative value once

@@ -280,10 +280,14 @@ NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
 @pytest.mark.parametrize("value", NON_FINITE)
-@pytest.mark.parametrize("name", ["length_mm", "voltage_length_product_v_cm", "voltage_v"])
+@pytest.mark.parametrize(
+    "name", ["length_mm", "voltage_length_product_v_cm", "voltage_v", "temperature_c"]
+)
 def test_pc_rejects_non_finite_values(name, value):
-    # NaN passes a sign check and comes back as an all-NaN matrix
-    with pytest.raises(ValueError, match="finite"):
+    # NaN passes a sign check and comes back as an all-NaN matrix; a NaN
+    # temperature once failed only at the first transfer, as a temperature
+    # "more than 20 C from the reference", naming neither NaN nor the field
+    with pytest.raises(ValueError, match=f"^{name} must be .*finite"):
         PcSpec(**{name: value})
 
 
@@ -322,6 +326,22 @@ def test_pc_conversion_amplitude_is_transfer_entry_bit_for_bit(
         assert np.array_equal(conv, entry)
     if efficiency == 0.0:
         assert pc_conversion_amplitude(pc, center, model, pm) == 0.0
+
+
+@pytest.mark.parametrize("kappa_l", [0.0, -0.0, 1.2, -1.2, math.pi / 2])
+def test_conversion_amplitude_same_bits_as_complex_products(kappa_l):
+    # the amplitude's parts are written without complex temporaries; they keep
+    # the bits of (-1j * (k/g)) * sin g, signs of zeros included, for either
+    # drive sign and past g = pi, where sin g < 0
+    rng = np.random.default_rng(36)
+    delta_l = np.concatenate([rng.normal(scale=s, size=300) for s in (0.1, 3.0, 30.0)])
+    delta_l[::50] = 0.0
+    for d in (delta_l, delta_l[7], 0.0):
+        gamma_l = np.hypot(kappa_l, d)
+        reference = -1j * el._over_gamma(np.asarray(kappa_l), gamma_l) * np.sin(gamma_l)
+        off = el._coupled_mode_terms(kappa_l, d)[2]
+        assert type(off) is type(reference)
+        assert np.asarray(off).tobytes() == np.asarray(reference).tobytes()
 
 
 def _elementwise_coupled_mode_matrix(kappa_l, delta_l):

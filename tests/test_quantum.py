@@ -1724,15 +1724,15 @@ def kernel_inputs(draw):
     # unsorted, non-uniform delays inside the alias bound |tau| < pi / dOmega
     reach = draw(st.floats(0.0, 1.0, exclude_max=True)) * math.pi / grid.d_omega
     taus_s = rng.uniform(-reach, reach, size=draw(st.integers(0, 600)))
-    return g, grid, taus_s
+    return a, g, grid, taus_s
 
 
 @PROPERTY_SETTINGS
 @given(inputs=kernel_inputs())
 def test_delay_kernel_matches_dense_exponential(inputs):
-    g, grid, taus_s = inputs
+    a, g, grid, taus_s = inputs
     dense = np.real(g @ np.exp(1j * np.outer(grid.detunings, taus_s)) * grid.d_omega)
-    folded = q._delay_kernel(g, grid, taus_s)
+    folded = q._delay_kernel(a, grid, taus_s)
     assert folded.shape == (len(g),) + taus_s.shape
     bound = 1e-12 * np.sum(np.abs(g), axis=1, keepdims=True) * grid.d_omega
     assert np.all(np.abs(folded - dense) <= bound)
@@ -1827,6 +1827,13 @@ def _exp_delay_kernel(g, grid, taus_s):
     return 2.0 * grid.d_omega * kernel.real.T
 
 
+def _exp_delay_kernel_of_joint(a, grid, taus_s):
+    """_exp_delay_kernel on g = a conj(flip a) formed at full length: the
+    reference for q._delay_kernel, which takes the joint amplitudes a and
+    forms g itself on the Omega > 0 half."""
+    return _exp_delay_kernel(a * np.conj(grid.flip(a)), grid, taus_s)
+
+
 @pytest.mark.parametrize(
     "taus_ps",
     [
@@ -1852,12 +1859,64 @@ def test_dip_scenarios_same_bits_as_exponential_kernel(
     cold = q.dip_scenarios(pm, grid, taus_ps, **kwargs)
     warm = q.dip_scenarios(pm, grid, taus_ps, **kwargs)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(q, "_delay_kernel", _exp_delay_kernel)
+        patch.setattr(q, "_delay_kernel", _exp_delay_kernel_of_joint)
         reference = q.dip_scenarios(pm, grid, taus_ps, **kwargs)
     assert list(cold) == list(warm) == list(reference)
     for name, p in reference.items():
         assert np.array_equal(cold[name], p), name
         assert np.array_equal(warm[name], p), name
+
+
+@pytest.mark.parametrize(
+    "width_nm, passes",
+    [(0.2, "the first block"), (6.0, "part of the half axis"), (30.0, "the whole half axis")],
+)
+def test_rect_dip_profile_same_bits_as_exponential_kernel(pm, model, width_nm, passes):
+    # a rectangular filter leaves whole blocks of the kernel's G at zero
+    # from where its pass band ends: inside the first block, mid-axis, or
+    # nowhere; the kernel must give the bits of the full product either way
+    grid = SpectralGrid(half_width_nm=6.0, samples=4096)
+    flt = FilterSpec("rectangular", LAM0, width_nm)
+    half = grid.samples // 2
+    f = el.filter_amplitude(flt, grid.wavelength_plus_nm)
+    live = np.flatnonzero(f[half:] * f[half - 1 :: -1])  # g's nonzero samples, Omega > 0
+    block = math.isqrt(half - 1) + 1
+    assert {
+        "the first block": live[-1] < block,
+        "part of the half axis": block <= live[-1] < half - block,
+        "the whole half axis": len(live) == half,
+    }[passes]
+    taus = np.arange(-200, 201) * 0.05
+    p = q.dip_profile(pm, grid, flt, taus, model=model)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(q, "_delay_kernel", _exp_delay_kernel_of_joint)
+        reference = q.dip_profile(pm, grid, flt, taus, model=model)
+    assert p.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize(
+    "taus_ps",
+    [
+        np.arange(-10.0, 10.0 + 1e-9, 0.05),  # the benchmark's three delay axes
+        np.arange(-7.0, 7.0 + 1e-9, 0.05),
+        np.arange(-14.0, 14.0 + 1e-9, 0.05),
+    ],
+    ids=["arange-10", "arange-7", "arange-14"],
+)
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(rect_width_nm=st.floats(1.5, 3.0), temperature_c=st.floats(42.6, 44.6))
+def test_dip_scenarios_drawn_rect_widths_same_bits_as_exponential_kernel(
+    pm, model, taus_ps, rect_width_nm, temperature_c
+):
+    grid = SpectralGrid(half_width_nm=6.0, samples=4096)
+    kwargs = dict(model=model, temperature_c=temperature_c, rect_width_nm=rect_width_nm)
+    curves = q.dip_scenarios(pm, grid, taus_ps, **kwargs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(q, "_delay_kernel", _exp_delay_kernel_of_joint)
+        reference = q.dip_scenarios(pm, grid, taus_ps, **kwargs)
+    assert list(curves) == list(reference)
+    for name, p in reference.items():
+        assert curves[name].tobytes() == p.tobytes(), name
 
 
 def test_warm_delay_kernel_equals_cold_and_allocates_no_product(monkeypatch):
@@ -1877,7 +1936,7 @@ def test_warm_delay_kernel_equals_cold_and_allocates_no_product(monkeypatch):
         product = taus * rows * blocks * 16
         tracemalloc.start()
         try:
-            kernel = q._delay_kernel(g[:rows], grid, axes[taus])
+            kernel = q._delay_kernel(a[:rows], grid, axes[taus])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -57,6 +57,12 @@ def test_klyshko_values():
         klyshko_efficiency(0.0, 10.0)
 
 
+def test_klyshko_rejects_a_negative_singles_rate():
+    # without the floor a negative singles rate gave a negative efficiency
+    with pytest.raises(ZeroDivisionError, match="^singles rate must be > 0$"):
+        klyshko_efficiency(-100.0, 10.0)
+
+
 @pytest.mark.parametrize("rates", [(math.nan, 1.0), (math.inf, 1.0), (2000.0, math.nan)])
 def test_klyshko_rejects_non_finite_rates(rates):
     with pytest.raises(ValueError, match="finite"):
