@@ -257,25 +257,11 @@ def _over_gamma(x, gamma_l):
 def _coupled_mode_terms(kappa_l, delta_l):
     """g = |(k, d)| L, sin g and the conversion amplitude -i (k/g) sin g of
     the coupled-mode solution for the products kappa*L, delta*L; the sine
-    and the amplitude are 0 where g = 0 (g >= 0, and sin 0 is 0).
-
-    The amplitude is written part by part, with no complex temporary, in
-    the bits of the complex products (-1j * (k/g)) * sin g: imaginary
-    0 - (k/g) sin g, so +0.0 at a zero, and real 0 sin g + (k/g) 0, which
-    is +0.0 unless k/g and sin g are both negative."""
+    and the amplitude are 0 where g = 0 (g >= 0, and sin 0 is 0)."""
     kappa_l = np.asarray(kappa_l, dtype=float)
     gamma_l = np.hypot(kappa_l, np.asarray(delta_l, dtype=float))
     sin_term = np.sin(gamma_l)
-    frac = _over_gamma(kappa_l, gamma_l)
-    off = np.empty(frac.shape, dtype=complex)
-    if np.any(np.signbit(kappa_l)):  # a negative drive: the real part keeps -0.0
-        np.multiply(sin_term, 0.0, out=off.real)
-        np.add(off.real, frac * 0.0, out=off.real)
-    else:
-        off.real = 0.0
-    np.multiply(frac, sin_term, out=off.imag)
-    np.subtract(0.0, off.imag, out=off.imag)
-    return gamma_l, sin_term, off[()]
+    return gamma_l, sin_term, -1j * _over_gamma(kappa_l, gamma_l) * sin_term
 
 
 def _coupled_mode_matrix(kappa_l, delta_l):

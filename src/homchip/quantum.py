@@ -808,18 +808,16 @@ def _joint(grid: SpectralGrid, out, source, photon1=(), photon2=(), filters=()) 
 
     Photon 2 sits at omega0 - Omega, so its envelopes enter flipped, and
     each filter acts on both photons.  The factors always multiply in one
-    order (photon 1, photon 2, then each filter on photon 1 and photon 2),
-    each product written over out (np.multiply's out), so every caller
-    gets the same bits for the same inputs.
+    order (photon 1, photon 2, then each filter on photon 1 and photon 2)
+    into out, which starts as the source (np.multiply's out), so every
+    caller gets the same bits for the same inputs.
     """
     factors = list(photon1) + [grid.flip(env) for env in photon2]
     for f in filters:
         factors += [f, grid.flip(f)]
-    product = source
+    out[...] = source
     for factor in factors:
-        product = np.multiply(product, factor, out=out)
-    if not factors:
-        out[...] = source
+        np.multiply(out, factor, out=out)
 
 
 def _dip_curves(grid: SpectralGrid, joint: "np.ndarray", taus_s: "np.ndarray") -> "np.ndarray":

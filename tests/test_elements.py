@@ -328,22 +328,6 @@ def test_pc_conversion_amplitude_is_transfer_entry_bit_for_bit(
         assert pc_conversion_amplitude(pc, center, model, pm) == 0.0
 
 
-@pytest.mark.parametrize("kappa_l", [0.0, -0.0, 1.2, -1.2, math.pi / 2])
-def test_conversion_amplitude_same_bits_as_complex_products(kappa_l):
-    # the amplitude's parts are written without complex temporaries; they keep
-    # the bits of (-1j * (k/g)) * sin g, signs of zeros included, for either
-    # drive sign and past g = pi, where sin g < 0
-    rng = np.random.default_rng(36)
-    delta_l = np.concatenate([rng.normal(scale=s, size=300) for s in (0.1, 3.0, 30.0)])
-    delta_l[::50] = 0.0
-    for d in (delta_l, delta_l[7], 0.0):
-        gamma_l = np.hypot(kappa_l, d)
-        reference = -1j * el._over_gamma(np.asarray(kappa_l), gamma_l) * np.sin(gamma_l)
-        off = el._coupled_mode_terms(kappa_l, d)[2]
-        assert type(off) is type(reference)
-        assert np.asarray(off).tobytes() == np.asarray(reference).tobytes()
-
-
 def _elementwise_coupled_mode_matrix(kappa_l, delta_l):
     """The coupled-mode matrix written entry by entry into an (..., 2, 2)
     array, as it was built before its component-major layout."""
