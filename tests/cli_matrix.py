@@ -50,6 +50,13 @@ LAYOUTS = {
         "pc_conversion_db = 20\npc0_efficiency = 0.99\n"
     ),
     "warm.layout": "temperature_c = 41.3\npump_wavelength_nm = 776.0\n",
+    # phasematch's failing runs: a pump whose +-6 nm window lies outside the
+    # dispersion range, converter resonances past each end of the window,
+    # and a temperature whose +-10 C sweep leaves the tuning lines' trust range
+    "uv_pump.layout": "pump_wavelength_nm = 200\n",
+    "hot.layout": "temperature_c = 53\n",
+    "cold.layout": "temperature_c = 36\n",
+    "hotter.layout": "temperature_c = 54\n",
 }
 CHARACTERIZED = "layouts/characterized_device.layout"
 SVG = ["--format", "csv+svg"]
@@ -92,8 +99,10 @@ RUNS = {
     "phasematch-warm": ["phasematch", "--layout", "warm.layout"] + SVG,
 }
 
-#: run name -> argv without --out of a run that exits 1 at a grid check,
-#: writing no file (the quantum module docstring's grid rule)
+#: run name -> argv without --out of a run that exits 1 and writes no file:
+#: at a grid check (the quantum module docstring's grid rule), at the
+#: dispersion model's range check, or at a check of phasematch's window or
+#: its tuning lines' trust range
 FAILING_RUNS = {
     # the +-10 ps delay axis aliases on the +-6 nm grid below 30 samples
     "dip-aliased-delays": ["dip", "--grid-samples", "28"] + CSV,
@@ -105,6 +114,13 @@ FAILING_RUNS = {
     "hom-scan-out-of-range": [
         "hom-scan", "--grid-halfwidth-nm", "1500", "--grid-samples", "65536"
     ] + CSV,
+    "phasematch-pump-out-of-range": ["phasematch", "--layout", "uv_pump.layout"] + CSV,
+    # the converter resonance moves by -0.7 nm/C, past the short and the
+    # long end of the fixed +-6 nm window
+    "phasematch-converter-clipped-short": ["phasematch", "--layout", "hot.layout"] + CSV,
+    "phasematch-converter-clipped-long": ["phasematch", "--layout", "cold.layout"] + SVG,
+    # the sweep reaches 64 C, more than 20 C from the reference
+    "phasematch-sweep-beyond-trust-range": ["phasematch", "--layout", "hotter.layout"] + CSV,
 }
 ALL_RUNS = {**RUNS, **FAILING_RUNS}
 
