@@ -15,8 +15,9 @@ read.  A root name is read from its module on first access.  The
 package's modules read numpy as `from . import _numpy as np`: a plain
 `import numpy` reads the lazy module's __spec__ and so executes it.  So
 importing the package, a module that needs no numpy (rates, svgplot),
-or the scalar path from a layout file to the delay schedule (chip,
-dispersion, elements, grid) executes no numpy.
+or the float paths of chip, dispersion, elements and grid (from a
+layout file to the delay schedule, and phasematch's spectra) executes no
+numpy.
 """
 
 import importlib.util

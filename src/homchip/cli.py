@@ -12,13 +12,13 @@ reads no configuration.
 
 Importing this module executes no other package module and no numpy:
 the package root binds them lazily.  A run executes only the modules
-its command reads.  Right after parsing, main() executes the one engine
-module the command reads and then numpy: quantum (which executes the
-other engine modules) for hom-scan and dip, elements (with chip,
-dispersion and grid) for phasematch.  delay-schedule executes only chip,
-dispersion, elements and grid, whose scalar path runs on floats, and
-rates only rates, so both run without numpy.  svgplot executes only
-when write_record writes a plot.  Package names are read as module
+its command reads.  For hom-scan and dip, right after parsing, main()
+executes quantum (which executes the other engine modules) and then
+numpy.  delay-schedule and phasematch execute only chip, dispersion,
+elements and grid, and compute on Python floats with numpy's bits
+(phasematch's axis and sweep by _linspace and _arange), and rates
+executes only rates, so all three run without numpy.  svgplot executes
+only when write_record writes a plot.  Package names are read as module
 attributes inside functions: a `from` import, a default or an
 annotation evaluated at import would execute the module.
 
@@ -32,8 +32,8 @@ record and writes nothing itself.  The record is the tuple (files, plots, summar
   series a (label, x, y, markers) tuple of svgplot.Series' fields;
 - summary: the text printed on stdout.
 
-Rows and series hold Python numbers: a command turns each array it
-writes into a list once (tolist), so the writers format no numpy
+Rows and series hold Python numbers: hom-scan and dip turn each array
+they write into a list once (tolist), so the writers format no numpy
 scalars.  write_record() is the one writer: every file through
 write_csv (or as text), the plots through svgplot.write_plot only under
 --format csv+svg, then the summary.  So a command that fails leaves no
@@ -41,6 +41,7 @@ file.
 """
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -172,11 +173,27 @@ def cmd_dip(config, model, args):
     )
 
 
+def _linspace(start, stop, num):
+    """np.linspace(start, stop, num).tolist() for floats, without numpy:
+    sample i is i * step + start, and the last one is stop."""
+    step = (stop - start) / (num - 1)
+    return [i * step + start for i in range(num - 1)] + [stop]
+
+
+def _arange(start, stop, step):
+    """np.arange(start, stop, step).tolist() for floats, without numpy:
+    ceil((stop - start) / step) samples, start, start + step, then sample
+    i at start + i * ((start + step) - start)."""
+    count = math.ceil((stop - start) / step)
+    delta = (start + step) - start
+    return [start, start + step][:count] + [start + i * delta for i in range(2, count)]
+
+
 def _fwhm(x, y, name):
-    """Width at half maximum, each crossing interpolated linearly between
-    the two samples that straddle it."""
-    half = np.max(y) / 2.0
-    above = np.where(y >= half)[0]
+    """Width at half maximum of the lists x and y, each crossing
+    interpolated linearly between the two samples that straddle it."""
+    half = max(y) / 2.0
+    above = [i for i, v in enumerate(y) if v >= half]
     if above[0] == 0 or above[-1] == len(y) - 1:
         raise ValueError(
             f"{name} half maximum reaches the edge of the "
@@ -195,18 +212,19 @@ def _fwhm(x, y, name):
 
 
 def cmd_phasematch(config, model, args):
+    # Python floats throughout, with numpy's bits (_linspace, _arange and
+    # the spectra's docstrings), so the command executes no numpy
     pm, t_op, center = config.pm, config.temperature_c, config.center_wavelength_nm
-    lam = np.linspace(center - 6.0, center + 6.0, 2401)
-    dispersion.check_range(model, lam)
+    lam = _linspace(center - 6.0, center + 6.0, 2401)
+    dispersion.check_range(model, (lam[0], lam[-1]))
     shg = elements.shg_spectrum(pm, lam, temperature_c=t_op, model=model)
     pc = elements.PcSpec(length_mm=config.layout.pc0_length_mm, temperature_c=t_op)
     transmission = elements.pc_transmission_spectrum(pc, lam, model, pm)
-    temps = np.arange(t_op - 10.0, t_op + 10.0 + 1e-9, 0.5).tolist()
+    temps = _arange(t_op - 10.0, t_op + 10.0 + 1e-9, 0.5)
     pdc_line = [elements.pm_center_vs_temperature(pm, "PDC", t) for t in temps]
     pc_line = [elements.pm_center_vs_temperature(pm, "PC", t) for t in temps]
     w_pdc = _fwhm(lam, shg, "source spectrum")
-    w_pc = _fwhm(lam, 1.0 - transmission, "converter spectrum")
-    lam, shg, transmission = lam.tolist(), shg.tolist(), transmission.tolist()
+    w_pc = _fwhm(lam, [1.0 - t for t in transmission], "converter spectrum")
     spectra = (["wavelength_nm", "shg_normalized", "pc_transmission"], list(zip(lam, shg, transmission)))
     tuning = (["temperature_c", "pdc_center_nm", "pc_center_nm"], list(zip(temps, pdc_line, pc_line)))
     spectra_series = [
@@ -325,14 +343,13 @@ def write_record(record, out: Path, svg: bool) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    engine = {"hom-scan": quantum, "dip": quantum, "phasematch": elements}.get(args.command)
-    if engine is not None:
-        # execute the engine module the command reads (it imports the
-        # engine modules it reads in turn), then numpy (a plain import
+    if args.command in ("hom-scan", "dip"):
+        # execute quantum, the engine module both commands read (it imports
+        # the other engine modules in turn), then numpy (a plain import
         # executes the lazy module, or names a missing numpy), before any
         # array exists: executed between a command's allocations, or numpy
         # before the engine, they raised the process's peak resident set
-        engine.__name__
+        quantum.__name__
         import numpy  # noqa: F401
     try:
         out = Path(args.out)

@@ -98,14 +98,26 @@ def _sellmeier_n(coeffs, wavelength_um):
 def check_range(model: DispersionModel, wavelength_nm, margin_nm=0.0):
     """Raise WavelengthRangeError unless every wavelength (nm) lies inside the
     coefficient validity range, shrunk by margin_nm on each side.  NaN
-    compares as inside."""
-    lam_um = _real(wavelength_nm) * 1e-3
+    compares as inside.
+
+    wavelength_nm is a real scalar, a tuple of floats or an array.  A
+    scalar or a tuple is checked float by float without numpy: a
+    monotone axis is checked by its ends, (axis[0], axis[-1]), and the
+    message names the same span as for the whole array."""
     lo, hi = model.valid_range_um
     lo += margin_nm * 1e-3
     hi -= margin_nm * 1e-3
-    scalar = isinstance(lam_um, float)
-    if (lam_um < lo or lam_um > hi) if scalar else ((lam_um < lo).any() or (lam_um > hi).any()):
-        span = (wavelength_nm,) * 2 if scalar else (np.min(wavelength_nm), np.max(wavelength_nm))
+    if isinstance(wavelength_nm, (int, float)):
+        wavelength_nm = (wavelength_nm,)
+    if isinstance(wavelength_nm, tuple):
+        outside = any(lam * 1e-3 < lo or lam * 1e-3 > hi for lam in map(float, wavelength_nm))
+        ends = min, max
+    else:
+        lam_um = _real(wavelength_nm) * 1e-3
+        outside = (lam_um < lo).any() or (lam_um > hi).any()
+        ends = np.min, np.max
+    if outside:
+        span = ends[0](wavelength_nm), ends[1](wavelength_nm)
         raise WavelengthRangeError(
             f"wavelength {span[0]:.6g}-{span[1]:.6g} nm "
             f"outside coefficient validity {lo * 1e3:.6g}-{hi * 1e3:.6g} nm"

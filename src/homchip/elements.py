@@ -20,6 +20,7 @@ Conventions:
 """
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 from . import _numpy as np
@@ -162,6 +163,14 @@ def pm_center_vs_temperature(pm: PmSpec, process: str, temperature_c: float) -> 
 
 
 def _sinc(x):
+    """sin(x) / x, and 1 at x = 0: np.sinc(x / pi), on a float or an array.
+    A float runs np.sinc's operations in its order, its zero guard (eps
+    for a zero) included, with math.sin, libm's sine as np.sin's float64
+    loop is, so it gets the bits of its entry in an array."""
+    if isinstance(x, float):
+        y = math.pi * (x / math.pi)
+        y = y or sys.float_info.epsilon
+        return math.sin(y) / y
     return np.sinc(np.asarray(x) / np.pi)
 
 
@@ -209,22 +218,30 @@ def pdc_amplitude(
 
 def shg_spectrum(
     pm: PmSpec,
-    wavelength_nm,
+    wavelength_nm: list,
     temperature_c: float | None = None,
     *,
     model: dispersion.DispersionModel,
-) -> "np.ndarray":
+) -> list:
     """Normalized frequency-doubling response of the pair-source section.
 
     The reverse process maps out the same phase-matching curve, so this
     is the unit-peak sinc^2 around the temperature-tuned center.
+
+    wavelength_nm is a list of floats (phasematch's axis) and so is the
+    result, computed without numpy: each sample runs the operations of
+    the array form (tests/references.py) in its order, and the squared
+    sinc is a product as np.square's, so it gets that form's bits.
     """
     center_nm, a = _pdc_tuning(pm, temperature_c, model)
-    lam = np.asarray(wavelength_nm, dtype=float)
-    # detuning of the fundamental from the phase-matched center
-    omega = 2.0 * np.pi * C_VACUUM / (lam * 1e-9)
-    omega_center = 2.0 * np.pi * C_VACUUM / (center_nm * 1e-9)
-    return _sinc(a * (omega - omega_center)) ** 2
+    two_pi_c = 2.0 * math.pi * C_VACUUM
+    omega_center = two_pi_c / (center_nm * 1e-9)
+    spectrum = []
+    for lam in wavelength_nm:
+        # detuning of the fundamental from the phase-matched center
+        s = _sinc(a * (two_pi_c / (lam * 1e-9) - omega_center))
+        spectrum.append(s * s)
+    return spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -232,13 +249,21 @@ def shg_spectrum(
 
 
 def _pc_delta_length(pc: PcSpec, wavelength_nm, model, pm):
-    """delta * L, with delta linearized around the converter center."""
+    """delta * L, with delta linearized around the converter center, at a
+    float, an array, or each float of a list (phasematch's axis), with
+    what does not depend on the wavelength computed once: the same
+    operations in the same order on each, so a float gets the bits of
+    its entry in an array."""
     center_nm = pm_center_vs_temperature(pm, "PC", pc.temperature_c)
-    lam = np.asarray(wavelength_nm, dtype=float)
     dng = dispersion.group_index_difference(model, center_nm)
-    ddelta_dlam = -np.pi * dng / (center_nm * 1e-9) ** 2  # 1/m per m
-    delta = ddelta_dlam * (lam - center_nm) * 1e-9
-    return delta * pc.length_mm * 1e-3
+    ddelta_dlam = -math.pi * dng / (center_nm * 1e-9) ** 2  # 1/m per m
+
+    def delta_length(lam):
+        return ddelta_dlam * (lam - center_nm) * 1e-9 * pc.length_mm * 1e-3
+
+    if isinstance(wavelength_nm, list):
+        return [delta_length(lam) for lam in wavelength_nm]
+    return delta_length(dispersion._real(wavelength_nm))
 
 
 def pc_lobe_width_nm(length_mm, wavelength_nm, model) -> float:
@@ -257,7 +282,16 @@ def _over_gamma(x, gamma_l):
 def _coupled_mode_terms(kappa_l, delta_l):
     """g = |(k, d)| L, sin g and the conversion amplitude -i (k/g) sin g of
     the coupled-mode solution for the products kappa*L, delta*L; the sine
-    and the amplitude are 0 where g = 0 (g >= 0, and sin 0 is 0)."""
+    and the amplitude are 0 where g = 0 (g >= 0, and sin 0 is 0).
+
+    delta_l is a float (kappa_l a float too) or an array.  A float takes
+    g as the abs of a complex, libm's hypot as np.hypot's (math.hypot has
+    its own algorithm and differs in the last bit), and math.sin, so g, sin
+    g and |amplitude| get the bits of their entries in an array."""
+    if isinstance(delta_l, float):
+        gamma_l = abs(complex(kappa_l, delta_l))
+        sin_term = math.sin(gamma_l)
+        return gamma_l, sin_term, -1j * (kappa_l / gamma_l if gamma_l > 0 else 0.0) * sin_term
     kappa_l = np.asarray(kappa_l, dtype=float)
     gamma_l = np.hypot(kappa_l, np.asarray(delta_l, dtype=float))
     sin_term = np.sin(gamma_l)
@@ -278,8 +312,9 @@ def _coupled_mode_matrix(kappa_l, delta_l):
 
 def _coupled_mode_rows(kappa_l, delta_l):
     """_coupled_mode_matrix, component-major: entry [a, b] is row rows[a, b]."""
+    delta_l = np.asarray(delta_l, dtype=float)  # the matrices take the array path
     gamma_l, sin_term, off = _coupled_mode_terms(kappa_l, delta_l)
-    d_frac = _over_gamma(np.asarray(delta_l, dtype=float), gamma_l)
+    d_frac = _over_gamma(delta_l, gamma_l)
     rows = np.empty((2, 2) + np.broadcast(kappa_l, delta_l).shape, dtype=complex)
     rows[0, 0] = np.cos(gamma_l) + 1j * d_frac * sin_term
     rows[1, 1] = np.conj(rows[0, 0])
@@ -343,11 +378,21 @@ def pc_conversion_amplitude(pc, wavelength_nm, model, pm) -> "np.ndarray":
     return _coupled_mode_terms(pc.kappa_length, _pc_delta_length(pc, wavelength_nm, model, pm))[2]
 
 
-def pc_transmission_spectrum(pc, wavelength_nm, model, pm) -> "np.ndarray":
-    """Unconverted power 1 - |conversion|^2, as measured behind a polarizer."""
-    lam = np.asarray(wavelength_nm, dtype=float)
-    conv = pc_conversion_amplitude(pc, lam, model, pm)
-    return 1.0 - np.abs(conv) ** 2
+def pc_transmission_spectrum(pc, wavelength_nm: list, model, pm) -> list:
+    """Unconverted power 1 - |conversion|^2, as measured behind a polarizer.
+
+    wavelength_nm is a list of floats (phasematch's axis) and so is the
+    result, computed without numpy: delta L once per spectrum's constants
+    (_pc_delta_length), then per sample the float path of
+    _coupled_mode_terms, whose libm hypot gives the array form's bits
+    (tests/references.py), and |conversion|^2 as a product, as np.square.
+    """
+    kappa_l = pc.kappa_length
+    spectrum = []
+    for delta_l in _pc_delta_length(pc, wavelength_nm, model, pm):
+        conv = abs(_coupled_mode_terms(kappa_l, delta_l)[2])
+        spectrum.append(1.0 - conv * conv)
+    return spectrum
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
-"""Grid-free references: results the tests check the engine against that
-no grid sum computes.
+"""References the tests check the engine against: grid-free results that
+no grid sum computes, and the array forms of phasematch's float spectra.
+
+shg_spectrum and pc_transmission_spectrum are elements' spectra as numpy
+computes them on an array, the forms the package ran before phasematch
+went without numpy; the float spectra must keep their bits.
 
 unfiltered_dip is the unfiltered dip curve, dip_profile(pm, grid, None,
 taus) on an unbounded window.  The source amplitude is exactly
@@ -35,3 +39,20 @@ def unfiltered_dip(pm, model, temperature_c, taus_ps):
     tau_w = 2.0 * a
     x = np.maximum(tau_w - np.abs(np.asarray(taus_ps, dtype=float) * 1e-12), 0.0)
     return np.clip(0.5 * (1.0 - x / tau_w * np.sinc(omega_c * x / np.pi)), 0.0, 1.0)
+
+
+def shg_spectrum(pm, wavelength_nm, temperature_c, model):
+    """elements.shg_spectrum on an array of wavelengths."""
+    center_nm, a = el._pdc_tuning(pm, temperature_c, model)
+    lam = np.asarray(wavelength_nm, dtype=float)
+    # detuning of the fundamental from the phase-matched center
+    omega = 2.0 * np.pi * C_VACUUM / (lam * 1e-9)
+    omega_center = 2.0 * np.pi * C_VACUUM / (center_nm * 1e-9)
+    return el._sinc(a * (omega - omega_center)) ** 2
+
+
+def pc_transmission_spectrum(pc, wavelength_nm, model, pm):
+    """elements.pc_transmission_spectrum on an array of wavelengths."""
+    lam = np.asarray(wavelength_nm, dtype=float)
+    conv = el.pc_conversion_amplitude(pc, lam, model, pm)
+    return 1.0 - np.abs(conv) ** 2

@@ -294,6 +294,29 @@ def test_parse_non_finite_rejected(key, value):
     assert err.value.key == key and key in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "text, key, line, column, message",
+    [
+        # without its guard the line was dropped and segment_count kept its default of 10
+        ("pdc_length_mm = 20.7\nsegment_count = ten\n", "segment_count", 2, 16,
+         "segment_count: expected an integer"),
+        ("disabled_segments = 3, x\n", "disabled_segments", 1, 20,
+         "disabled_segments: expected a comma-separated list of integers"),
+        ("# as built\npdc_length_mm = long\n", "pdc_length_mm", 2, 16,
+         "pdc_length_mm: expected a number"),
+        # the column is the stripped line's length, a comment stripped first
+        ("pdc_length_mm = 20.7\nsegment_count = 10\nsegments  # a bare word\n", None, 3, 8,
+         "expected 'key = value'"),
+    ],
+    ids=["integer", "integer-list", "number", "key-value"],
+)
+def test_parse_value_guards_name_key_line_and_column(text, key, line, column, message):
+    with pytest.raises(LayoutError) as err:
+        parse_layout(text)
+    assert (err.value.key, err.value.line, err.value.column) == (key, line, column)
+    assert str(err.value) == f"line {line}, column {column}: {message}"
+
+
 def test_setting_outside_the_layout_triples_is_refused():
     # without the range check the schedule returned a delay (66.16 ps) for triple 99
     with pytest.raises(LayoutError, match=r"^triple_index: triple 99 outside 1\.\.8$"):

@@ -6,6 +6,8 @@ from pathlib import Path
 from types import ModuleType
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import numpy as np
 
@@ -15,6 +17,8 @@ from homchip.cli import PRESETS, build_parser, main, resolve
 from homchip.dispersion import default_model
 from homchip.elements import FilterSpec, PcSpec, PmSpec, pc_transmission_spectrum, shg_spectrum
 from homchip.grid import SpectralGrid
+
+import references
 
 LAYOUTS = Path(__file__).resolve().parent.parent / "layouts"
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -432,6 +436,39 @@ def test_clipped_fwhm_names_its_spectrum(tmp_path, capsys):
     assert "converter spectrum half maximum reaches the edge" in capsys.readouterr().err
 
 
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    temperature_c=st.one_of(st.just(43.6), st.floats(42.6, 44.6)),
+    pump_nm=st.floats(775.0, 776.7),
+    pdc_length_mm=st.floats(5.0, 1000.0),
+    pc0_length_mm=st.floats(5.0, 1000.0),
+)
+@example(temperature_c=43.6, pump_nm=775.85, pdc_length_mm=20.7, pc0_length_mm=7.62)
+def test_phasematch_float_spectra_keep_the_array_bits(
+    temperature_c, pump_nm, pdc_length_mm, pc0_length_mm
+):
+    # phasematch's axis, sweep and spectra run on Python floats; each must
+    # equal numpy's array form bit for bit, the converter's |amplitude|
+    # through libm's hypot (math.hypot rounds otherwise on a few samples)
+    model = default_model()
+    pm = PmSpec(pdc_length_mm=pdc_length_mm)
+    center = 2.0 * pump_nm
+    lam = cli._linspace(center - 6.0, center + 6.0, 2401)
+    assert bits(lam) == bits(np.linspace(center - 6.0, center + 6.0, 2401))
+    sweep = (temperature_c - 10.0, temperature_c + 10.0 + 1e-9, 0.5)
+    assert bits(cli._arange(*sweep)) == bits(np.arange(*sweep))
+    shg = shg_spectrum(pm, lam, temperature_c=temperature_c, model=model)
+    assert bits(shg) == bits(references.shg_spectrum(pm, lam, temperature_c, model))
+    pc = PcSpec(length_mm=pc0_length_mm, temperature_c=temperature_c)
+    transmission = pc_transmission_spectrum(pc, lam, model, pm)
+    assert bits(transmission) == bits(references.pc_transmission_spectrum(pc, lam, model, pm))
+    assert all(type(v) is float for v in lam + shg + transmission)
+
+
 @pytest.mark.parametrize(
     "spectrum, lengths_mm",
     [("source", (20.7, 100.0, 300.0, 1000.0)), ("converter", (7.62, 100.0, 300.0, 1000.0))],
@@ -441,13 +478,13 @@ def test_phasematch_fwhm_scales_as_one_over_length(spectrum, lengths_mm):
     # go as 1 / L; the interpolated crossings keep that down to a few samples
     model = default_model()
     pm = PmSpec()
-    lam = np.linspace(pm.center_nm - 6.0, pm.center_nm + 6.0, 2401)  # phasematch's axis
+    lam = cli._linspace(pm.center_nm - 6.0, pm.center_nm + 6.0, 2401)  # phasematch's axis
     products = []
     for length in lengths_mm:
         if spectrum == "source":
             y = shg_spectrum(replace(pm, pdc_length_mm=length), lam, model=model)
         else:
-            y = 1.0 - pc_transmission_spectrum(PcSpec(length_mm=length), lam, model, pm)
+            y = [1.0 - t for t in pc_transmission_spectrum(PcSpec(length_mm=length), lam, model, pm)]
         products.append(cli._fwhm(lam, y, spectrum) * length)
     assert max(products) / min(products) - 1.0 <= 0.01, products
 
@@ -603,7 +640,7 @@ def test_package_root_and_cli_import_no_numpy():
 EXECUTED = {
     "rates": ({"rates"}, False),
     "delay-schedule": ({"chip", "dispersion", "elements", "grid"}, False),
-    "phasematch": ({"chip", "dispersion", "elements", "grid"}, True),
+    "phasematch": ({"chip", "dispersion", "elements", "grid"}, False),
     "hom-scan": ({"chip", "dispersion", "elements", "grid", "quantum"}, True),
     "dip": ({"chip", "dispersion", "elements", "grid", "quantum"}, True),
 }

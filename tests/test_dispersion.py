@@ -242,13 +242,26 @@ def raises_range_error(model, wavelength_nm, margin_nm):
 )
 def test_check_range_same_verdict_on_float_and_array(model, lam, margin):
     assert raises_range_error(model, lam, margin) == raises_range_error(model, np.array([lam]), margin)
+    assert raises_range_error(model, (lam,), margin) == raises_range_error(model, lam, margin)
 
 
 def test_check_range_edges_and_nan(model):
     # both paths: the range shrunk by the margin holds its own edges, a
     # step beyond them lies outside, and NaN passes (it compares as inside)
-    for wavelength in (lambda x: x, lambda x: np.array([x])):
+    for wavelength in (lambda x: x, lambda x: np.array([x]), lambda x: (x,)):
         verdicts = [raises_range_error(model, wavelength(x), 0.0) for x in EDGES]
         assert verdicts == [True, False, False, False, False, True, False]
         verdicts = [raises_range_error(model, wavelength(x), STEP) for x in EDGES]
         assert verdicts == [True, True, False, False, True, True, False]
+
+
+def test_check_range_of_axis_ends_names_the_arrays_span(model):
+    # phasematch checks its axis by its two ends, as floats; the message
+    # names the span the whole array's check names
+    axis = np.linspace(394.0, 406.0, 2401)
+    messages = []
+    for wavelengths in (axis, (float(axis[0]), float(axis[-1]))):
+        with pytest.raises(WavelengthRangeError) as err:
+            disp.check_range(model, wavelengths)
+        messages.append(str(err.value))
+    assert messages == ["wavelength 394-406 nm outside coefficient validity 500-5000 nm"] * 2

@@ -190,10 +190,10 @@ def test_pdc_center_shifts_with_temperature(pm, model):
 
 def test_shg_peak_and_temperature_slope(pm, model):
     lam = np.linspace(1546.0, 1556.0, 4001)
-    s = shg_spectrum(pm, lam, temperature_c=43.6, model=model)
+    s = np.array(shg_spectrum(pm, lam.tolist(), temperature_c=43.6, model=model))
     assert lam[int(np.argmax(s))] == pytest.approx(1551.7, abs=0.005)
     assert np.max(s) == pytest.approx(1.0, abs=1e-6)
-    s2 = shg_spectrum(pm, lam, temperature_c=44.6, model=model)
+    s2 = shg_spectrum(pm, lam.tolist(), temperature_c=44.6, model=model)
     assert lam[int(np.argmax(s2))] == pytest.approx(1551.55, abs=0.005)
 
 
@@ -250,7 +250,7 @@ def test_pc_transmission_spectrum_properties(model, pm):
     pc = PcSpec()
     lam_c = 1551.7
     offsets = np.linspace(-5.0, 5.0, 201)
-    tr = pc_transmission_spectrum(pc, lam_c + offsets, model, pm)
+    tr = np.array(pc_transmission_spectrum(pc, (lam_c + offsets).tolist(), model, pm))
     mid = len(offsets) // 2
     assert tr[mid] == pytest.approx(0.0, abs=1e-9)  # full conversion at center
     assert np.allclose(tr, tr[::-1], atol=1e-12)  # symmetric about center
@@ -261,8 +261,8 @@ def test_pc_transmission_center_tracks_temperature(model):
     pc_cool = PcSpec(temperature_c=43.6)
     pc_warm = PcSpec(temperature_c=45.6)
     lam = np.linspace(1546.0, 1556.0, 10001)
-    min_cool = lam[int(np.argmin(pc_transmission_spectrum(pc_cool, lam, model, pm)))]
-    min_warm = lam[int(np.argmin(pc_transmission_spectrum(pc_warm, lam, model, pm)))]
+    min_cool = lam[int(np.argmin(pc_transmission_spectrum(pc_cool, lam.tolist(), model, pm)))]
+    min_warm = lam[int(np.argmin(pc_transmission_spectrum(pc_warm, lam.tolist(), model, pm)))]
     assert min_warm - min_cool == pytest.approx(-0.7 * 2.0, abs=0.01)
 
 
