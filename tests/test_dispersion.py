@@ -242,13 +242,12 @@ def raises_range_error(model, wavelength_nm, margin_nm):
 )
 def test_check_range_same_verdict_on_float_and_array(model, lam, margin):
     assert raises_range_error(model, lam, margin) == raises_range_error(model, np.array([lam]), margin)
-    assert raises_range_error(model, (lam,), margin) == raises_range_error(model, lam, margin)
 
 
 def test_check_range_edges_and_nan(model):
     # both paths: the range shrunk by the margin holds its own edges, a
     # step beyond them lies outside, and NaN passes (it compares as inside)
-    for wavelength in (lambda x: x, lambda x: np.array([x]), lambda x: (x,)):
+    for wavelength in (lambda x: x, lambda x: np.array([x])):
         verdicts = [raises_range_error(model, wavelength(x), 0.0) for x in EDGES]
         assert verdicts == [True, False, False, False, False, True, False]
         verdicts = [raises_range_error(model, wavelength(x), STEP) for x in EDGES]
