@@ -13,11 +13,11 @@ quantum), rates, svgplot and numpy (_numpy) lazily (_lazy): each is in
 sys.modules and an attribute here, and executes on its first attribute
 read.  A root name is read from its module on first access.  The
 package's modules read numpy as `from . import _numpy as np`: a plain
-`import numpy` reads the lazy module's __spec__ and so executes it.  So
-importing the package, a module that needs no numpy (rates, svgplot),
-or the float paths of chip, dispersion, elements and grid (from a
-layout file to the delay schedule, and phasematch's spectra) executes no
-numpy.
+`import numpy` reads the lazy module's __spec__ and so executes it;
+dispersion and cli read no numpy at all.  So importing the package, a
+module that needs no numpy (cli, dispersion, rates, svgplot), or the
+float paths of chip, elements and grid (from a layout file to the delay
+schedule, and phasematch's spectra) executes no numpy.
 """
 
 import importlib.util

@@ -32,9 +32,11 @@ record and writes nothing itself.  The record is the tuple (files, plots, summar
   series a (label, x, y, markers) tuple of svgplot.Series' fields;
 - summary: the text printed on stdout.
 
-Rows and series hold Python numbers: hom-scan and dip turn each array
-they write into a list once (tolist), so the writers format no numpy
-scalars.  write_record() is the one writer: every file through
+This module reads no numpy.  Rows and series hold Python numbers:
+dip's delay axis is a list of floats, and hom-scan and dip turn each
+array the engine returns into a list once (tolist), so the writers
+format no numpy scalars and dip's summary takes its minima from those
+lists.  write_record() is the one writer: every file through
 write_csv (or as text), the plots through svgplot.write_plot only under
 --format csv+svg, then the summary.  So a command that fails leaves no
 file.
@@ -46,7 +48,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import _numpy as np
 from . import chip, dispersion, elements, grid, quantum, rates, svgplot
 
 
@@ -152,7 +153,7 @@ def cmd_hom_scan(config, model, args):
 
 
 def cmd_dip(config, model, args):
-    taus = np.arange(-200, 201) * 0.05  # integer steps, so the centre row is exactly 0
+    taus = [i * 0.05 for i in range(-200, 201)]  # integer steps, so the centre row is exactly 0
     curves = quantum.dip_scenarios(
         config.pm,
         config.grid,
@@ -161,15 +162,14 @@ def cmd_dip(config, model, args):
         model=model,
         temperature_c=config.temperature_c,
     )
-    x = taus.tolist()
     ys = {name: p.tolist() for name, p in curves.items()}
-    rows = [(t, v, name) for name, y in ys.items() for t, v in zip(x, y)]
-    series = [(name, x, y, False) for name, y in ys.items()]
+    rows = [(t, v, name) for name, y in ys.items() for t, v in zip(taus, y)]
+    series = [(name, taus, y, False) for name, y in ys.items()]
     return (
         [("dip.csv", (["tau_ps", "probability", "scenario"], rows))],
         [("dip.svg", series, "Coincidence dip profiles", "relative delay (ps)",
           "coincidence probability", 0.5)],
-        "; ".join(f"{name}: min {float(np.min(p)):.4g}" for name, p in curves.items()),
+        "; ".join(f"{name}: min {min(y):.4g}" for name, y in ys.items()),
     )
 
 

@@ -6,13 +6,18 @@ waveguide-measured dispersion can be substituted).  On the z-cut
 substrate the horizontal polarization maps to the ordinary axis and the
 vertical polarization to the extraordinary axis.
 
-Group indices are n_g = n - lambda * dn/dlambda with the derivative
-taken by a 0.1 nm central difference, plus a constant per-polarization
-calibration offset.  The offsets are chosen so that the group-index
-difference at 1551.7 nm equals the measured 0.0805 exactly; all timing
-quantities of the delay line derive from that number.  The uncalibrated
-(raw Sellmeier) difference remains available so the calibration residual
-can be reported rather than hidden.
+Every function takes one wavelength (nm) or length (mm) per call, as a
+float, and computes on Python floats, so the module reads no numpy;
+check_range alone takes a tuple, such as an axis's two ends.  Group
+indices are n_g = n - lambda * dn/dlambda with the derivative taken by
+a 0.1 nm central difference, plus a constant per-polarization
+calibration offset; group_index is memoized per (model, polarization,
+wavelength).
+The offsets are chosen so that the group-index difference at 1551.7 nm
+equals the measured 0.0805 exactly; all timing quantities of the delay
+line derive from that number.  The uncalibrated (raw Sellmeier)
+difference remains available so the calibration residual can be
+reported rather than hidden.
 
 Sign conventions, fixed and asserted throughout the package:
   * dng = n_gH - n_gV > 0  (H is the slow axis; V-polarized photons run
@@ -26,7 +31,6 @@ from enum import Enum
 from functools import lru_cache
 from importlib import resources
 
-from . import _numpy as np
 from .grid import C_VACUUM, OPERATING_WAVELENGTH_NM
 
 
@@ -55,7 +59,7 @@ class DispersionModel:
     Coefficient tuples are flat (B1, C1, B2, C2, ...) pairs of the
     standard n^2 = 1 + sum B*l^2/(l^2 - C) expansion, lambda in um.
     Any sequence is accepted and stored as a tuple, so the model stays
-    hashable (group_index_at caches per model).
+    hashable (group_index caches per model).
     """
 
     sellmeier_ordinary: tuple
@@ -76,50 +80,27 @@ class DispersionModel:
             raise ValueError("valid_range_um must be an increasing positive pair")
 
 
-def _real(values):
-    """A real Python scalar as a float, anything else as a float array: the
-    Sellmeier path below runs on either, so a scalar needs no numpy."""
-    if isinstance(values, (int, float)):
-        return float(values)
-    return np.asarray(values, dtype=float)
-
-
-def _sellmeier_n(coeffs, wavelength_um):
-    """n(lambda) of one axis, wavelength_um a float or a float array
-    (_real): the same operations in the same order on both, so a float
-    gets the bits of its entry in an array."""
+def _sellmeier_n(coeffs, wavelength_um: float) -> float:
+    """n(lambda) of one axis at one wavelength in um."""
     lam2 = wavelength_um * wavelength_um
     n2 = 1.0 + sum(
         coeffs[i] * lam2 / (lam2 - coeffs[i + 1]) for i in range(0, len(coeffs), 2)
     )
-    return math.sqrt(n2) if isinstance(n2, float) else np.sqrt(n2)
+    return math.sqrt(n2)
 
 
-def check_range(model: DispersionModel, wavelength_nm, margin_nm=0.0):
-    """Raise WavelengthRangeError unless every wavelength (nm) lies inside the
-    coefficient validity range, shrunk by margin_nm on each side.  NaN
-    compares as inside.
-
-    wavelength_nm is a real scalar, a tuple of floats or an array.  A
-    scalar or a tuple is checked float by float without numpy: a
-    monotone axis is checked by its ends, (axis[0], axis[-1]), and the
-    message names the same span as for the whole array."""
+def check_range(model: DispersionModel, wavelength_nm: tuple, margin_nm=0.0):
+    """Raise WavelengthRangeError unless every wavelength (nm) of the tuple
+    lies inside the coefficient validity range, shrunk by margin_nm on
+    each side.  NaN compares as inside.  A monotone axis is checked by
+    its ends, (axis[0], axis[-1]): the message names min-max, the span
+    of the whole axis."""
     lo, hi = model.valid_range_um
     lo += margin_nm * 1e-3
     hi -= margin_nm * 1e-3
-    if isinstance(wavelength_nm, (int, float)):
-        wavelength_nm = (wavelength_nm,)
-    if isinstance(wavelength_nm, tuple):
-        outside = any(lam * 1e-3 < lo or lam * 1e-3 > hi for lam in map(float, wavelength_nm))
-        ends = min, max
-    else:
-        lam_um = _real(wavelength_nm) * 1e-3
-        outside = (lam_um < lo).any() or (lam_um > hi).any()
-        ends = np.min, np.max
-    if outside:
-        span = ends[0](wavelength_nm), ends[1](wavelength_nm)
+    if any(lam * 1e-3 < lo or lam * 1e-3 > hi for lam in map(float, wavelength_nm)):
         raise WavelengthRangeError(
-            f"wavelength {span[0]:.6g}-{span[1]:.6g} nm "
+            f"wavelength {min(wavelength_nm):.6g}-{max(wavelength_nm):.6g} nm "
             f"outside coefficient validity {lo * 1e3:.6g}-{hi * 1e3:.6g} nm"
         )
 
@@ -132,53 +113,47 @@ def _axis(model: DispersionModel, pol) -> tuple:
     return model.sellmeier_extraordinary, model.ng_offset_v
 
 
-def refractive_index(model: DispersionModel, pol, wavelength_nm):
+def refractive_index(model: DispersionModel, pol, wavelength_nm: float) -> float:
     """Phase index n(lambda) for one polarization; wavelength in nm."""
-    check_range(model, wavelength_nm)
+    check_range(model, (wavelength_nm,))
     coeffs, _ = _axis(model, pol)
-    return _sellmeier_n(coeffs, _real(wavelength_nm) * 1e-3)
+    return _sellmeier_n(coeffs, wavelength_nm * 1e-3)
 
 
-def group_index(model: DispersionModel, pol, wavelength_nm):
-    """Group index n_g = n - lambda dn/dlambda plus the calibration offset.
+@lru_cache(maxsize=64)
+def group_index(model: DispersionModel, pol, wavelength_nm: float) -> float:
+    """Group index n_g = n - lambda dn/dlambda plus the calibration offset,
+    evaluated once per (model, polarization, wavelength).
 
     One range check, with the difference step as margin, covers the three
     Sellmeier evaluations.
     """
-    check_range(model, wavelength_nm, margin_nm=FD_STEP_NM)
+    check_range(model, (wavelength_nm,), margin_nm=FD_STEP_NM)
     coeffs, offset = _axis(model, pol)
-    lam = _real(wavelength_nm)
-    n = _sellmeier_n(coeffs, lam * 1e-3)
+    n = _sellmeier_n(coeffs, wavelength_nm * 1e-3)
     dn = (
-        _sellmeier_n(coeffs, (lam + FD_STEP_NM) * 1e-3)
-        - _sellmeier_n(coeffs, (lam - FD_STEP_NM) * 1e-3)
+        _sellmeier_n(coeffs, (wavelength_nm + FD_STEP_NM) * 1e-3)
+        - _sellmeier_n(coeffs, (wavelength_nm - FD_STEP_NM) * 1e-3)
     ) / (2.0 * FD_STEP_NM)
-    return n - lam * dn + offset
-
-
-@lru_cache(maxsize=64)
-def group_index_at(model: DispersionModel, pol, wavelength_nm: float) -> float:
-    """group_index at one wavelength as a float, evaluated once per
-    (model, polarization, wavelength)."""
-    return float(group_index(model, pol, wavelength_nm))
+    return n - wavelength_nm * dn + offset
 
 
 def group_index_difference(model: DispersionModel, wavelength_nm: float) -> float:
     """dng = n_gH - n_gV (calibrated) at one wavelength, from the memoized
     group indices; positive in the telecom band."""
-    h, v = (group_index_at(model, pol, wavelength_nm) for pol in Polarization)
+    h, v = (group_index(model, pol, wavelength_nm) for pol in Polarization)
     return h - v
 
 
 def calibration_group_indices(model: DispersionModel) -> tuple:
     """(n_gH, n_gV) at the calibration wavelength."""
     return tuple(
-        group_index_at(model, pol, CALIBRATION_WAVELENGTH_NM)
+        group_index(model, pol, CALIBRATION_WAVELENGTH_NM)
         for pol in (Polarization.H, Polarization.V)
     )
 
 
-def raw_group_index_difference(model: DispersionModel, wavelength_nm):
+def raw_group_index_difference(model: DispersionModel, wavelength_nm: float) -> float:
     """Group-index difference of the bare Sellmeier set, offsets ignored."""
     bare = replace(model, ng_offset_h=0.0, ng_offset_v=0.0)
     return group_index_difference(bare, wavelength_nm)
@@ -187,8 +162,8 @@ def raw_group_index_difference(model: DispersionModel, wavelength_nm):
 def calibration_residual(model: DispersionModel) -> float:
     """Measured minus bare-Sellmeier group-index difference at the
     calibration wavelength: the part calibrate() absorbs into the offsets."""
-    return DEFAULT_GROUP_INDEX_DIFFERENCE - float(
-        raw_group_index_difference(model, CALIBRATION_WAVELENGTH_NM)
+    return DEFAULT_GROUP_INDEX_DIFFERENCE - raw_group_index_difference(
+        model, CALIBRATION_WAVELENGTH_NM
     )
 
 
@@ -205,11 +180,10 @@ def calibrate(model: DispersionModel) -> DispersionModel:
     return replace(model, ng_offset_h=+residual / 2.0, ng_offset_v=-residual / 2.0)
 
 
-def walk_off_time(model: DispersionModel, length_mm):
+def walk_off_time(model: DispersionModel, length_mm: float) -> float:
     """Birefringent walk-off dng * L / c in ps at the calibration
-    wavelength; positive = H arrives later."""
-    length_mm = np.asarray(length_mm, dtype=float)
-    if not np.all((0 <= length_mm) & (length_mm < math.inf)):
+    wavelength over one length; positive = H arrives later."""
+    if not 0 <= length_mm < math.inf:
         raise ValueError("length_mm must be >= 0 and finite")
     dng = group_index_difference(model, CALIBRATION_WAVELENGTH_NM)
     return dng * (length_mm * 1e-3) / C_VACUUM * 1e12
@@ -223,21 +197,21 @@ def _group_index_slope(model, pol, wavelength_nm):
     return (hi - lo) / (2.0 * h * 1e-9)
 
 
-def converter_gdd(model: DispersionModel, length_mm, wavelength_nm=1550.0):
+def converter_gdd(model: DispersionModel, length_mm: float, wavelength_nm=1550.0) -> float:
     """Group-delay dispersion of the polarization converter, in fs^2.
 
     Curvature of the converter's inter-polarization phase, ordered
     vertical minus horizontal; negative (about -45 fs^2 for 7.5 mm at
     1550 nm with the default set) and negligible on the chip scale.
     """
-    if float(length_mm) <= 0:
-        raise ValueError("length_mm must be > 0")
+    if not 0 < length_mm < math.inf:
+        raise ValueError("length_mm must be positive and finite")
     lam_m = wavelength_nm * 1e-9
-    length_m = float(length_mm) * 1e-3
+    length_m = length_mm * 1e-3
     slope_diff = _group_index_slope(model, Polarization.V, wavelength_nm) - _group_index_slope(
         model, Polarization.H, wavelength_nm
     )
-    gdd_s2 = -(lam_m**2) * length_m / (4.0 * np.pi * C_VACUUM**2) * slope_diff
+    gdd_s2 = -(lam_m**2) * length_m / (4.0 * math.pi * C_VACUUM**2) * slope_diff
     return gdd_s2 * 1e30
 
 

@@ -209,7 +209,8 @@ def pdc_amplitude(
     dispersion model's validity range raises WavelengthRangeError before
     anything else is computed.
     """
-    dispersion.check_range(model, grid.wavelength_plus_nm[[0, -1]])
+    lam = grid.wavelength_plus_nm
+    dispersion.check_range(model, (float(lam[0]), float(lam[-1])))
     omega_c, a = _pdc_detuning(pm, grid, temperature_c, model)
     phi = _sinc(a * (grid.detunings - omega_c))
     norm = np.sqrt(np.sum(np.abs(phi) ** 2) * grid.d_omega)
@@ -249,11 +250,11 @@ def shg_spectrum(
 
 
 def _pc_delta_length(pc: PcSpec, wavelength_nm, model, pm):
-    """delta * L, with delta linearized around the converter center, at a
-    float, an array, or each float of a list (phasematch's axis), with
-    what does not depend on the wavelength computed once: the same
-    operations in the same order on each, so a float gets the bits of
-    its entry in an array."""
+    """delta * L, with delta linearized around the converter center, at
+    each float of a list (phasematch's axis) or on a float array (anything
+    else, a scalar as a 0-d array), with what does not depend on the
+    wavelength computed once: the same operations in the same order on
+    each, so a list's float gets the bits of its entry in an array."""
     center_nm = pm_center_vs_temperature(pm, "PC", pc.temperature_c)
     dng = dispersion.group_index_difference(model, center_nm)
     ddelta_dlam = -math.pi * dng / (center_nm * 1e-9) ** 2  # 1/m per m
@@ -263,7 +264,7 @@ def _pc_delta_length(pc: PcSpec, wavelength_nm, model, pm):
 
     if isinstance(wavelength_nm, list):
         return [delta_length(lam) for lam in wavelength_nm]
-    return delta_length(dispersion._real(wavelength_nm))
+    return delta_length(np.asarray(wavelength_nm, dtype=float))
 
 
 def pc_lobe_width_nm(length_mm, wavelength_nm, model) -> float:
@@ -473,7 +474,7 @@ def propagation_transfer(
     lengths = np.asarray(length_mm, dtype=float)
     if not np.all((0 <= lengths) & (lengths < math.inf)):
         raise ValueError("length_mm must be >= 0 and finite")
-    ng = dispersion.group_index_at(model, pol, grid.center_wavelength_nm)
+    ng = dispersion.group_index(model, pol, grid.center_wavelength_nm)
     return grid.phases(ng * (lengths * 1e-3) / C_VACUUM, grid.omega_plus)
 
 

@@ -307,8 +307,11 @@ def test_parse_non_finite_rejected(key, value):
         # the column is the stripped line's length, a comment stripped first
         ("pdc_length_mm = 20.7\nsegment_count = 10\nsegments  # a bare word\n", None, 3, 8,
          "expected 'key = value'"),
+        # without its guard parse_filter raised a bare ValueError that named no line
+        ("filter_width_nm = 1.2\nfilter_shape = box\n", "filter_shape", 2, 15,
+         "filter_shape: unknown filter shape 'box'"),
     ],
-    ids=["integer", "integer-list", "number", "key-value"],
+    ids=["integer", "integer-list", "number", "key-value", "filter-shape"],
 )
 def test_parse_value_guards_name_key_line_and_column(text, key, line, column, message):
     with pytest.raises(LayoutError) as err:

@@ -114,7 +114,7 @@ def test_walk_off_linearity(model):
     assert a + b == pytest.approx(both, rel=1e-12)
     with pytest.raises(ValueError):
         walk_off_time(model, -1.0)
-    for length_mm in (np.nan, np.inf, [1.0, np.nan]):
+    for length_mm in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
             walk_off_time(model, length_mm)
 
@@ -128,6 +128,15 @@ def test_converter_gdd_value_and_scaling(model):
     assert converter_gdd(model, 15.0, 1550.0) == pytest.approx(2 * gdd, rel=1e-9)
     with pytest.raises(ValueError):
         converter_gdd(model, 0.0, 1550.0)
+
+
+@pytest.mark.parametrize("length_mm", [np.nan, np.inf, -1.0])
+def test_converter_gdd_refuses_a_non_finite_length(model, length_mm):
+    # a NaN length returned NaN and an infinite one -inf, with no error
+    with pytest.raises(ValueError) as err:
+        converter_gdd(model, length_mm, 1550.0)
+    assert err.type is ValueError
+    assert str(err.value) == "length_mm must be positive and finite"
 
 
 def test_converter_gdd_degenerate_model_zero():
@@ -194,6 +203,41 @@ def test_parse_coefficient_file_errors_name_the_line(bad, line):
         parse_coefficient_file(bad)
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("sellmeier_o 1.0, 0.01\nsellmeier_e = 1.0, 0.01", "line 1: expected 'key = value'"),
+        ("sellmeier_o = 1.0, 0.01\nsellmeier_e = 1.0, 0.01x", "line 2: bad coefficient list"),
+        ("sellmeier_o = 1.0, 0.01\nsellmeier_e = 1.0, 0.01\nng_offset_h = small",
+         "line 3: bad number for ng_offset_h"),
+    ],
+    ids=["key-value", "coefficient-list", "offset"],
+)
+def test_parse_coefficient_file_guards_name_their_fault(bad, message):
+    with pytest.raises(ValueError) as err:
+        parse_coefficient_file(bad)
+    assert err.type is ValueError
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"sellmeier_ordinary": (1.0, 0.01, 2.0)}, "sellmeier_ordinary must hold (B, C) pairs"),
+        ({"sellmeier_extraordinary": ()}, "sellmeier_extraordinary must hold (B, C) pairs"),
+        ({"valid_range_um": (5.0, 0.5)}, "valid_range_um must be an increasing positive pair"),
+        ({"valid_range_um": (0.0, 5.0)}, "valid_range_um must be an increasing positive pair"),
+    ],
+    ids=["odd-ordinary", "empty-extraordinary", "decreasing-range", "zero-range"],
+)
+def test_dispersion_model_guards(fields, message):
+    coeffs = (2.6734, 0.01764)
+    with pytest.raises(ValueError) as err:
+        DispersionModel(**{"sellmeier_ordinary": coeffs, "sellmeier_extraordinary": coeffs, **fields})
+    assert err.type is ValueError
+    assert str(err.value) == message
+
+
 def test_default_model_is_cached():
     assert default_model() is default_model()
 
@@ -202,7 +246,7 @@ def test_fd_step_documented():
     assert disp.FD_STEP_NM == pytest.approx(0.1)
 
 
-# ---------------------------------------------------------------- one Sellmeier for floats and arrays
+# ---------------------------------------------------------------- one wavelength per call
 
 LO_NM, HI_NM = (edge * 1e3 for edge in default_model().valid_range_um)
 STEP = disp.FD_STEP_NM
@@ -218,13 +262,7 @@ EDGES = [
     pol=st.sampled_from(list(Polarization)),
 )
 def test_float_and_array_sellmeier_same_bits(model, lam, pol):
-    # a float runs the scalar path (no numpy), its one-entry array the array path
-    coeffs, _ = disp._axis(model, pol)
-    one = np.array([lam])
     assert type(group_index(model, pol, lam)) is float
-    assert group_index(model, pol, lam).hex() == group_index(model, pol, one)[0].hex()
-    assert refractive_index(model, pol, lam).hex() == refractive_index(model, pol, one)[0].hex()
-    assert disp._sellmeier_n(coeffs, lam * 1e-3).hex() == disp._sellmeier_n(coeffs, one * 1e-3)[0].hex()
 
 
 def raises_range_error(model, wavelength_nm, margin_nm):
@@ -235,23 +273,13 @@ def raises_range_error(model, wavelength_nm, margin_nm):
     return False
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    lam=st.one_of(st.sampled_from(EDGES), st.floats(min_value=LO_NM - 100.0, max_value=HI_NM + 100.0)),
-    margin=st.sampled_from([0.0, STEP]),
-)
-def test_check_range_same_verdict_on_float_and_array(model, lam, margin):
-    assert raises_range_error(model, lam, margin) == raises_range_error(model, np.array([lam]), margin)
-
-
 def test_check_range_edges_and_nan(model):
-    # both paths: the range shrunk by the margin holds its own edges, a
-    # step beyond them lies outside, and NaN passes (it compares as inside)
-    for wavelength in (lambda x: x, lambda x: np.array([x])):
-        verdicts = [raises_range_error(model, wavelength(x), 0.0) for x in EDGES]
-        assert verdicts == [True, False, False, False, False, True, False]
-        verdicts = [raises_range_error(model, wavelength(x), STEP) for x in EDGES]
-        assert verdicts == [True, True, False, False, True, True, False]
+    # the range shrunk by the margin holds its own edges, a step beyond
+    # them lies outside, and NaN passes (it compares as inside)
+    verdicts = [raises_range_error(model, (x,), 0.0) for x in EDGES]
+    assert verdicts == [True, False, False, False, False, True, False]
+    verdicts = [raises_range_error(model, (x,), STEP) for x in EDGES]
+    assert verdicts == [True, True, False, False, True, True, False]
 
 
 def test_check_range_of_axis_ends_names_the_arrays_span(model):

@@ -4,7 +4,7 @@ import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 import pytest
@@ -834,12 +834,17 @@ def test_flat_converters_are_exempt_from_the_converter_floor(pm, model):
     assert q.hom_scan(LONG_TRIPLES, settings, pm, grid, model=model, flat_converters=True)
 
 
+def counted_group_index(calls):
+    """dispersion.group_index with a fresh memo of its size, appending the
+    arguments of each evaluation (each memo miss) to calls."""
+    evaluate = dispersion.group_index.__wrapped__
+    return lru_cache(maxsize=64)(lambda *a: calls.append(a) or evaluate(*a))
+
+
 def test_converter_floor_adds_no_group_index_call(pm, model, monkeypatch):
     # the floor takes n_g at the grid center, memoized whatever the temperature
     calls = []
-    group_index = dispersion.group_index
-    monkeypatch.setattr(dispersion, "group_index", lambda *a: calls.append(a) or group_index(*a))
-    dispersion.group_index_at.cache_clear()
+    monkeypatch.setattr(dispersion, "group_index", counted_group_index(calls))
     grid = _grid(6, 4096)
     q._check_grid(grid, (), None, pm, model, 44.1, (7.62, 7.62))
     for temperature_c in (43.9, 44.3):
@@ -852,9 +857,7 @@ def test_converter_floor_adds_no_group_index_call(pm, model, monkeypatch):
 
 def test_dip_scenarios_takes_each_group_index_once(pm, model, monkeypatch):
     calls = []
-    group_index = dispersion.group_index
-    monkeypatch.setattr(dispersion, "group_index", lambda *a: calls.append(a) or group_index(*a))
-    dispersion.group_index_at.cache_clear()
+    monkeypatch.setattr(dispersion, "group_index", counted_group_index(calls))
     grid = _grid(6, 4096)
     taus = np.arange(-20, 21) * 0.5
 
