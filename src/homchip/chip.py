@@ -86,6 +86,11 @@ class SwitchSetting:
     pc0_efficiency: float = 1.0
 
     def __post_init__(self):
+        if self.triple_index is not None:  # None: no active triple
+            try:
+                operator.index(self.triple_index)  # never a float or a string
+            except TypeError:
+                raise LayoutError("must be an integer or None", key="triple_index") from None
         if not 0.0 <= self.pc0_efficiency <= 1.0:
             raise LayoutError("must lie in [0, 1]", key="pc0_efficiency")
         object.__setattr__(self, "disabled_segments", frozenset(self.disabled_segments))
@@ -112,7 +117,7 @@ class ChipConfig:
     pump_wavelength_nm: float
     pbs_extinction_db: float
     pc_conversion_db: float | None  # None = ideal converters
-    filter: FilterSpec
+    filter: FilterSpec | None  # None = no filter
     grid_samples: int = SpectralGrid.samples
     grid_halfwidth_nm: float = SpectralGrid.half_width_nm
     flat_converters: bool = False  # frequency-independent converters
@@ -249,10 +254,10 @@ FILTER_ALIASES = {
 KNOWN_KEYS = _FLOAT_KEYS | {"segment_count", "disabled_segments", "filter_shape"}
 
 
-def parse_filter(spelling: str, center_nm: float, width_nm: float | None = None) -> FilterSpec:
+def parse_filter(spelling: str, center_nm: float, width_nm: float | None = None) -> FilterSpec | None:
     """The detection filter of a layout's filter_shape and filter_width_nm
     (``spelling`` is the shape, ``width_nm`` the width), or of the --filter
-    flag's 'none' or 'shape:width_nm'.
+    flag's 'none' or 'shape:width_nm'; None for 'none', no filter.
 
     Shapes are 'none' and the keys of FILTER_ALIASES, in any case.  'none'
     ignores ``width_nm`` but takes no width of its own; a real shape needs
@@ -260,11 +265,14 @@ def parse_filter(spelling: str, center_nm: float, width_nm: float | None = None)
     """
     shape, colon, width = spelling.partition(":")
     if shape.lower() == "none" and not colon:
-        return FilterSpec(center_nm=center_nm)
+        return None
     if shape.lower() not in FILTER_ALIASES:
         raise ValueError(f"unknown filter shape {shape!r}")
     if colon:
-        width_nm = float(width)
+        try:
+            width_nm = float(width)
+        except ValueError:
+            raise ValueError(f"filter {spelling!r}: width {width!r} is not a number") from None
     if width_nm is None:
         raise LayoutError("filter_width_nm required for a real filter", key="filter_width_nm")
     return FilterSpec(FILTER_ALIASES[shape.lower()], center_nm, width_nm)

@@ -29,7 +29,7 @@ record and writes nothing itself.  The record is the tuple (files, plots, summar
 - files: (name, content) in write order; content is a (header, rows)
   pair for a CSV or a string for a text file (rates.txt);
 - plots: (name, series, title, xlabel, ylabel, hline) per SVG, each
-  series a (label, x, y, markers) tuple of svgplot.Series' fields;
+  series a (label, x, y, markers) tuple, as svgplot.line_plot takes it;
 - summary: the text printed on stdout.
 
 This module reads no numpy.  Rows and series hold Python numbers:
@@ -334,7 +334,6 @@ def write_record(record, out: Path, svg: bool) -> None:
             write_csv(out / name, *content)
     if svg:
         for name, series, title, xlabel, ylabel, hline in plots:
-            series = [svgplot.Series(*s) for s in series]
             svgplot.write_plot(
                 out / name, series, title=title, xlabel=xlabel, ylabel=ylabel, hline=hline
             )

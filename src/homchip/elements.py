@@ -128,14 +128,16 @@ class BsSpec:
 
 @dataclass(frozen=True)
 class FilterSpec:
-    shape: str = "none"  # rectangular | lorentzian | none
-    center_nm: float = OPERATING_WAVELENGTH_NM
-    width_nm: float = 0.0  # full width; FWHM of the intensity for lorentzian
+    """A real detection filter; None, wherever a filter is taken, is no filter."""
+
+    shape: str  # rectangular | lorentzian
+    center_nm: float
+    width_nm: float  # full width; FWHM of the intensity for lorentzian
 
     def __post_init__(self):
-        if self.shape not in ("rectangular", "lorentzian", "none"):
+        if self.shape not in ("rectangular", "lorentzian"):
             raise ValueError(f"unknown filter shape {self.shape!r}")
-        if self.shape != "none" and not 0 < self.width_nm < math.inf:
+        if not 0 < self.width_nm < math.inf:
             raise ValueError("width_nm must be positive and finite for a real filter")
         if not 0 < self.center_nm < math.inf:
             raise ValueError("center_nm must be positive and finite")
@@ -480,10 +482,7 @@ def propagation_transfer(
 
 def filter_amplitude(flt: FilterSpec, wavelength_nm) -> "np.ndarray":
     """Field transmission of a detection filter, |amplitude| <= 1."""
-    lam = np.asarray(wavelength_nm, dtype=float)
-    if flt.shape == "none":
-        return np.ones_like(lam, dtype=complex)
-    detune = lam - flt.center_nm
+    detune = np.asarray(wavelength_nm, dtype=float) - flt.center_nm
     if flt.shape == "rectangular":
         inside = np.abs(detune) <= flt.width_nm / 2.0
         return inside.astype(complex)

@@ -73,12 +73,12 @@ they are checked, raise at the first that fails:
 
 dip_profile's unfiltered curve (delays but no filter) is exempt from the
 lobe floors of 3: its slow tails need a wide window, and the triangle it
-approaches is checked directly.  None and a FilterSpec of shape none
-both mean no filter (_real_filters).  Each entry point resolves a missing
-model once, and the chain's entry points a missing temperature with it
-(_resolved); _Chain takes every argument, and so do the element
-functions, except the source's temperature, whose None el._pdc_tuning
-reads as the reference temperature.
+approaches is checked directly.  None means no filter: a filter argument
+is None or one real FilterSpec (_real_filters).  Each entry point
+resolves a missing model once, and the chain's entry points a missing
+temperature with it (_resolved); _Chain takes every argument, and so do
+the element functions, except the source's temperature, whose None
+el._pdc_tuning reads as the reference temperature.
 """
 
 import math
@@ -566,9 +566,8 @@ def _resolved(pm: el.PmSpec, chain_kwargs: dict) -> dict:
 
 
 def _real_filters(filters) -> tuple:
-    """A detection filter argument as its real filters: None and a
-    FilterSpec of shape none both mean no filter, ()."""
-    return () if filters is None or filters.shape == "none" else (filters,)
+    """A detection filter argument as its real filters: None, no filter, is ()."""
+    return () if filters is None else (filters,)
 
 
 def _filter_weight(grid: SpectralGrid, filters) -> "np.ndarray":
@@ -584,8 +583,7 @@ def coincidence_probability(state: TwoPhotonAmplitude, filters=None) -> float:
     """Probability of one photon in each output path.
 
     The detectors and the exchange-symmetrized amplitude are those of the
-    module docstring; filters is None, a FilterSpec of shape none (no
-    filter) or one real filter.
+    module docstring; filters is None (no filter) or one real filter.
     """
     filters = _real_filters(filters)
     _check_grid(state.grid, filters)

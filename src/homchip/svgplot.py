@@ -4,21 +4,12 @@ Fixed viewport, deterministic text output: identical input data yields
 byte-identical files.
 """
 
-from dataclasses import dataclass
 import math
 
 WIDTH, HEIGHT = 800, 500
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 50
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#7f7f7f", "#9467bd", "#8c564b")
-
-
-@dataclass
-class Series:
-    label: str
-    x: list
-    y: list
-    markers: bool = False
 
 
 def _nice_ticks(lo, hi, target=6):
@@ -44,9 +35,10 @@ def _fmt(v):
 
 
 def line_plot(series, title="", xlabel="", ylabel="", hline=None) -> str:
-    """Render series as an SVG document string."""
-    xs = [v for s in series for v in s.x]
-    ys = [v for s in series for v in s.y]
+    """Render series, each a (label, x, y, markers) tuple, as an SVG
+    document string; markers draws a dot at each sample."""
+    xs = [v for _, x, _, _ in series for v in x]
+    ys = [v for _, _, y, _ in series for v in y]
     if not xs:
         raise ValueError("nothing to plot")
     x_lo, x_hi = min(xs), max(xs)
@@ -114,14 +106,14 @@ def line_plot(series, title="", xlabel="", ylabel="", hline=None) -> str:
             f'<line x1="{MARGIN_L}" y1="{y:.2f}" x2="{MARGIN_L + plot_w}" y2="{y:.2f}" '
             f'stroke="#555555" stroke-dasharray="6 4" stroke-width="1"/>'
         )
-    for i, s in enumerate(series):
+    for i, (label, sx, sy, markers) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
-        pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(s.x, s.y))
+        pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(sx, sy))
         out.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.6"/>'
         )
-        if s.markers:
-            for x, y in zip(s.x, s.y):
+        if markers:
+            for x, y in zip(sx, sy):
                 out.append(
                     f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="3" fill="{color}"/>'
                 )
@@ -134,7 +126,7 @@ def line_plot(series, title="", xlabel="", ylabel="", hline=None) -> str:
         )
         out.append(
             f'<text x="{lx + 30}" y="{ly + 4}" font-family="sans-serif" '
-            f'font-size="11">{s.label}</text>'
+            f'font-size="11">{label}</text>'
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"

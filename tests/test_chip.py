@@ -213,7 +213,7 @@ def test_parse_empty_gives_as_built_defaults():
     assert cfg.layout == ChipLayout()
     assert cfg.setting.pc0_on and cfg.setting.triple_index == 2
     assert cfg.center_wavelength_nm == pytest.approx(1551.7)
-    assert cfg.filter.shape == "none"
+    assert cfg.filter is None  # filter_shape = none, the default: no filter
     assert cfg.pbs_extinction_db == float("inf")
 
 
@@ -324,6 +324,30 @@ def test_setting_outside_the_layout_triples_is_refused():
     # without the range check the schedule returned a delay (66.16 ps) for triple 99
     with pytest.raises(LayoutError, match=r"^triple_index: triple 99 outside 1\.\.8$"):
         delay_schedule(ChipLayout(), SwitchSetting(True, 99))
+
+
+@pytest.mark.parametrize("triple", [2.0, "2"])
+def test_setting_triple_must_be_an_integer(triple):
+    # a float triple once read on-2.0, got a 0.0 ps delay and failed hom_scan
+    # with numpy's IndexError
+    with pytest.raises(LayoutError, match="^triple_index: must be an integer or None$"):
+        SwitchSetting(True, triple)
+
+
+def test_setting_triple_takes_numpy_integers_and_none():
+    setting = SwitchSetting(True, np.int64(2))
+    assert setting.label == "on-2" and setting.triple_segments() == (2, 3, 4)
+    assert delay_schedule(ChipLayout(), setting) == delay_schedule(ChipLayout(), SwitchSetting(True, 2))
+    assert SwitchSetting(False, None).triple_segments() == ()
+
+
+@pytest.mark.parametrize("key", ["pbs_extinction_db", "pc_conversion_db"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_parse_imperfection_floors_name_their_key(key, value):
+    # without the parser's floor the layout parsed, and only hom-scan failed,
+    # later and in el.pbs_transfer or PcSpec, naming no layout key
+    with pytest.raises(LayoutError, match=f"^{key}: must be > 0$"):
+        parse_layout(f"{key} = {value}\n")
 
 
 def test_parse_infinite_extinction_is_ideal():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from homchip import cli
+from homchip import cli, svgplot
 from homchip.chip import ChipLayout, LayoutError, parse_filter, parse_layout
 from homchip.cli import PRESETS, build_parser, main, resolve
 from homchip.dispersion import default_model
@@ -186,13 +186,31 @@ def test_unknown_filter_argument(tmp_path, capsys):
     assert "filter" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("width", ["abc", ""])
+def test_unreadable_filter_width_names_the_width(tmp_path, capsys, width):
+    # float() once failed with its own message, naming neither flag nor width
+    out = tmp_path / "out"
+    spelling = f"lorentz:{width}"
+    assert main(["hom-scan", "--filter", spelling, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: filter {spelling!r}: width {width!r} is not a number\n"
+    assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("series", [[], [("empty", [], [], False)]])
+def test_line_plot_refuses_nothing_to_plot(series):
+    # without the check min() of no samples raised its own ValueError
+    with pytest.raises(ValueError, match="^nothing to plot$"):
+        svgplot.line_plot(series)
+
+
 def test_parse_filter_arg():
     # the --filter spellings, read by the parser the layout keys share
     f = parse_filter("rect:2.3", 1551.7)
     assert f.shape == "rectangular" and f.width_nm == 2.3
     f = parse_filter("lorentz:1.2", 1551.7)
     assert f.shape == "lorentzian"
-    assert parse_filter("none", 1551.7).shape == "none"
+    assert parse_filter("none", 1551.7) is None
     with pytest.raises(ValueError):
         parse_filter("rect", 1551.7)
     with pytest.raises(ValueError, match="unknown filter shape 'none'"):
@@ -203,7 +221,8 @@ def test_parse_filter_layout_keys():
     # a layout gives the bare shape and filter_width_nm; 'none' ignores the width
     f = parse_filter("RECT", 1551.7, 2.3)
     assert f == parse_filter("rect:2.3", 1551.7)
-    assert parse_filter("none", 1551.7, 1.2).shape == "none"
+    assert parse_filter("none", 1551.7, 1.2) is None
+    assert parse_layout("filter_shape = NONE\nfilter_width_nm = 1.2\n").filter is None
     with pytest.raises(LayoutError) as err:
         parse_filter("lorentz", 1551.7)
     assert err.value.key == "filter_width_nm"

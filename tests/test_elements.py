@@ -279,6 +279,14 @@ def test_pc_drive_helpers(model, pm):
 NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
+@pytest.mark.parametrize("center_nm", NON_FINITE + [0.0, -1551.7])
+def test_grid_rejects_a_center_that_is_not_positive_and_finite(center_nm):
+    # without the center check an infinite center passed the half-width
+    # check, and a NaN one failed there with the half-width's message
+    with pytest.raises(ValueError, match="^center_wavelength_nm must be positive and finite$"):
+        SpectralGrid(center_nm)
+
+
 @pytest.mark.parametrize("value", NON_FINITE)
 @pytest.mark.parametrize(
     "name", ["length_mm", "voltage_length_product_v_cm", "voltage_v", "temperature_c"]
@@ -564,8 +572,6 @@ def test_filter_shapes():
     lor = FilterSpec("lorentzian", 1551.7, 1.2)
     at_half = filter_amplitude(lor, np.array([1551.7 + 0.6]))
     assert abs(at_half[0]) ** 2 == pytest.approx(0.5, rel=1e-12)
-    none = FilterSpec("none")
-    assert np.all(filter_amplitude(none, lam) == 1.0)
 
 
 def test_filter_amplitude_bounded():
@@ -573,7 +579,6 @@ def test_filter_amplitude_bounded():
     for flt in (
         FilterSpec("rectangular", 1551.7, 2.3),
         FilterSpec("lorentzian", 1551.7, 1.2),
-        FilterSpec("none"),
     ):
         assert np.max(np.abs(filter_amplitude(flt, lam))) <= 1.0 + 1e-15
 
@@ -583,10 +588,18 @@ def test_filter_validation():
         FilterSpec("gaussian", 1551.7, 1.0)
     with pytest.raises(ValueError):
         FilterSpec("rectangular", 1551.7, 0.0)
+    # None is the one "no filter": a FilterSpec is always a real filter,
+    # with all three fields given
+    with pytest.raises(ValueError, match="^unknown filter shape 'none'$"):
+        FilterSpec("none", 1551.7, 1.0)
+    with pytest.raises(TypeError):
+        FilterSpec()
+    with pytest.raises(TypeError):
+        FilterSpec(center_nm=1551.7)
 
 
 @pytest.mark.parametrize("value", NON_FINITE)
-@pytest.mark.parametrize("shape", ["rectangular", "lorentzian", "none"])
+@pytest.mark.parametrize("shape", ["rectangular", "lorentzian"])
 def test_filter_rejects_non_finite_center(shape, value):
     with pytest.raises(ValueError, match="center_nm must be positive and finite"):
         FilterSpec(shape, value, 1.2)

@@ -107,7 +107,9 @@ def test_apply_identity_keeps_state(pm, grid, model):
 def test_apply_element_rejects_wrong_grid(pm, grid, model):
     state = q.build_source_state(pm, grid, model=model)
     other = identity_transfer(SpectralGrid(half_width_nm=6.0, samples=1024))
-    with pytest.raises(ValueError):
+    # without the shape check einsum fails too, as a ValueError naming operands
+    message = f"^transfer 'identity' sampled on 1024 points, state grid has {grid.samples}$"
+    with pytest.raises(ValueError, match=message):
         q.apply_element(state, other)
 
 
@@ -882,12 +884,15 @@ def test_dip_scenarios_takes_each_group_index_once(pm, model, monkeypatch):
 
 @pytest.mark.parametrize("half_width_nm", [1.0, 6.0, 300.0])
 def test_dip_profile_no_filter_is_one_input(pm, model, half_width_nm):
-    # None and FilterSpec() give the same bits, with no filter check; the
-    # unfiltered curve is exempt from the lobe floors (+-1 nm covers 0.69)
+    # None is the one "no filter", with no filter check: the unfiltered
+    # curve is exempt from the lobe floors (+-1 nm covers 0.69), and no
+    # FilterSpec spells it
     grid = _grid(half_width_nm, 4096)
     taus = np.arange(-200, 201) * 0.05
     none = q.dip_profile(pm, grid, None, taus, model=model)
-    assert np.array_equal(q.dip_profile(pm, grid, FilterSpec(), taus, model=model), none)
+    assert none.shape == taus.shape and np.all(np.isfinite(none))
+    with pytest.raises(ValueError, match="^unknown filter shape 'none'$"):
+        FilterSpec("none", grid.center_wavelength_nm, 1.0)
 
 
 def test_scan_consistent_with_dip_at_doubled_delay(layout, pm, model, lorentz):
